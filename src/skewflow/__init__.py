@@ -32,6 +32,7 @@ from .integrators import (
     CLOSED_FORM_METHODS,
     ConvergenceError,
     IntegratorConfig,
+    NonFiniteStateError,
     StageSolveError,
     TransferMatrix,
     adjoint_defect,
@@ -48,10 +49,9 @@ from .linalg import (
     SkewnessError,
     apply_velocity,
     assert_skew,
-    det,
+    checked_solve,
     expm,
     hat,
-    solve_linear,
     vee,
 )
 from .tableaus import (
@@ -64,7 +64,6 @@ from .tableaus import (
     parse_tableau,
     serialize_tableau,
     symplecticity,
-    validate,
 )
 
 __version__ = "0.1.0"
@@ -79,6 +78,7 @@ __all__ = [
     "GyroSample",
     "IndeterminateOrderError",
     "IntegratorConfig",
+    "NonFiniteStateError",
     "OrthogonalState",
     "SingularMatrixError",
     "SkewMatrix",
@@ -95,8 +95,8 @@ __all__ = [
     "assert_skew",
     "builtin",
     "cayley_step",
+    "checked_solve",
     "convergence_order",
-    "det",
     "det_drift",
     "energy",
     "expm",
@@ -112,9 +112,7 @@ __all__ = [
     "rk2_energy_forecast",
     "rk_step",
     "serialize_tableau",
-    "solve_linear",
     "symplecticity",
     "transfer_matrix",
-    "validate",
     "vee",
 ]

@@ -7,11 +7,12 @@ estimators provide closed-form and asymptotic cross-checks that are
 independent of the stepping code they judge.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import det
+Q0_ORTH_TOL = 1e-8
 
 
 class IndeterminateOrderError(ArithmeticError):
@@ -35,59 +36,112 @@ class StepRecord:
     q: np.ndarray | None = None
 
 
+def _sum_squares(qs):
+    return np.einsum("nij,nij->n", qs, qs)
+
+
+def _orth_defects(qs):
+    # the Gram stack is built a block at a time so its temporary stays near
+    # 32 KB however large d is; each row's arithmetic is unchanged
+    n, d, _ = qs.shape
+    rows = max(1, 4096 // (d * d))
+    eye = np.eye(d)
+    out = np.empty(n)
+    for i in range(0, n, rows):
+        block = qs[i : i + rows]
+        gram = np.matmul(block.transpose(0, 2, 1), block)
+        gram -= eye
+        out[i : i + rows] = np.sqrt(_sum_squares(gram))
+    return out
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded samples of one propagation run."""
+    """Recorded samples of one propagation run, as parallel arrays.
+
+    Built from the record ``times`` (strictly increasing) and the
+    ``(n, d, d)`` stack ``qs`` of recorded states; every meter is computed
+    here in one batched pass over the stack.  ``energy_errors`` and
+    ``det_drifts`` are signed differences against the first record.  All
+    columns are read-only; ``qs`` is a read-only view, not a copy.
+    """
 
     method: str
     step: float
-    records: tuple
+    times: np.ndarray
+    qs: np.ndarray
+    energies: np.ndarray = field(init=False)
+    energy_errors: np.ndarray = field(init=False)
+    orth_defects: np.ndarray = field(init=False)
+    det_drifts: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        times = [r.t for r in self.records]
-        if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
+        times = np.array(self.times, dtype=float).reshape(-1)
+        qs = np.asarray(self.qs, dtype=float).view()
+        if qs.ndim != 3 or qs.shape[1] != qs.shape[2] or qs.shape[0] != times.shape[0]:
+            raise ValueError(
+                f"states must have shape (n, d, d) matching {times.shape[0]} times, "
+                f"got {qs.shape}"
+            )
+        if times.shape[0] < 1:
+            raise ValueError("a trajectory needs at least one record")
+        if np.any(np.diff(times) <= 0):
             raise ValueError("record times must be strictly increasing")
+        energies = _sum_squares(qs)
+        dets = np.linalg.det(qs)
+        columns = {
+            "times": times,
+            "qs": qs,
+            "energies": energies,
+            "energy_errors": energies - energies[0],
+            "orth_defects": _orth_defects(qs),
+            "det_drifts": dets - dets[0],
+        }
+        for name, column in columns.items():
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
 
     def __len__(self):
-        return len(self.records)
+        return self.times.shape[0]
 
-    @property
-    def times(self):
-        return np.array([r.t for r in self.records])
-
-    @property
-    def energies(self):
-        return np.array([r.energy for r in self.records])
-
-    @property
-    def energy_errors(self):
-        return np.array([r.energy_err for r in self.records])
-
-    @property
-    def orth_defects(self):
-        return np.array([r.orth_defect for r in self.records])
-
-    @property
-    def det_drifts(self):
-        return np.array([r.det_drift for r in self.records])
+    @cached_property
+    def records(self):
+        """Per-record :class:`StepRecord` view, built on first access."""
+        columns = (self.times, self.energies, self.energy_errors, self.orth_defects,
+                   self.det_drifts)
+        return tuple(
+            StepRecord(*values, q=q)
+            for *values, q in zip(*(c.tolist() for c in columns), self.qs)
+        )
 
 
 def energy(q):
     """Energy trace(q^T q), i.e. the sum of squared entries."""
-    q = np.asarray(q, dtype=float)
-    return float(np.sum(q * q))
+    return float(_sum_squares(np.asarray(q, dtype=float)[None])[0])
 
 
 def orthogonality_defect(q):
     """Distance from the orthogonal group: ||q^T q - I||_F."""
-    q = np.asarray(q, dtype=float)
-    return float(np.linalg.norm(q.T @ q - np.eye(q.shape[0])))
+    return float(_orth_defects(np.asarray(q, dtype=float)[None])[0])
+
+
+def require_orthogonal_start(q, what, override):
+    """Refuse a starting matrix farther than ``Q0_ORTH_TOL`` from orthogonal.
+
+    ``what`` names the matrix and ``override`` the way the caller lets a
+    non-orthogonal start through; both are quoted in the error.
+    """
+    defect = orthogonality_defect(q)
+    if defect > Q0_ORTH_TOL:
+        raise ValueError(
+            f"{what} is not orthogonal (defect {defect:.3e} > {Q0_ORTH_TOL:.0e}); "
+            f"pass {override} to override"
+        )
 
 
 def det_drift(q, det0):
     """Signed determinant drift det(q) - det0."""
-    return det(q) - float(det0)
+    return float(np.linalg.det(np.asarray(q, dtype=float))) - float(det0)
 
 
 def pseudo_symplectic_defect(phi, s):
@@ -151,7 +205,7 @@ def convergence_order(method, s, q0, t_end, steps):
     for h in steps:
         config = IntegratorConfig(method=method, step=h)
         traj = propagate(config, s, q0, t_end, record_every=2**62)
-        errors.append(float(np.linalg.norm(traj.records[-1].q - reference)))
+        errors.append(float(np.linalg.norm(traj.qs[-1] - reference)))
 
     if max(errors) < 1e-14:
         raise IndeterminateOrderError(

@@ -12,11 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import StepRecord, Trajectory, energy, orthogonality_defect
-from .integrators import _march, _resolve, method_label
-from .linalg import OrthogonalState, det, expm, hat
+from .diagnostics import Trajectory, require_orthogonal_start
+from .integrators import NonFiniteStateError, Span, method_label
+from .linalg import OrthogonalState, expm, hat
 
-Q0_ORTH_TOL = 1e-8
 GYRO_HEADER = "t,wx,wy,wz"
 
 
@@ -129,40 +128,17 @@ def _initial_state(log, q0, allow_nonorthogonal):
             f"starting state time {q0.t} must equal the first sample time {t0}"
         )
     if not allow_nonorthogonal:
-        defect = orthogonality_defect(q0.q)
-        if defect > Q0_ORTH_TOL:
-            raise ValueError(
-                f"starting attitude is not orthogonal (defect {defect:.3e} > "
-                f"{Q0_ORTH_TOL:.0e}); pass allow_nonorthogonal=True to override"
-            )
+        require_orthogonal_start(q0.q, "starting attitude", "allow_nonorthogonal=True")
     return q0
 
 
-def _boundary_trajectory(log, q0, label, step, advance):
-    """Record-at-boundaries propagation skeleton shared by both entry points."""
-    e0 = energy(q0.q)
-    det0 = det(q0.q)
-
-    def make_record(t, q):
-        en = energy(q)
-        return StepRecord(
-            t=float(t),
-            energy=en,
-            energy_err=en - e0,
-            orth_defect=orthogonality_defect(q),
-            det_drift=det(q) - det0,
-            q=q,
-        )
-
-    records = [make_record(q0.t, q0.q)]
-    q = q0.q
+def _boundary_states(log, q0, advance):
+    """Stack of the states at the sample boundaries; ``advance(i, q)`` crosses interval i."""
+    qs = np.empty((len(log), 3, 3))
+    qs[0] = q = q0.q
     for i in range(len(log) - 1):
-        t_start = float(log.times[i])
-        t_end = float(log.times[i + 1])
-        q = advance(log.rates[i], q, t_start, t_end)
-        q.setflags(write=False)
-        records.append(make_record(t_end, q))
-    return Trajectory(method=label, step=step, records=tuple(records))
+        qs[i + 1] = q = advance(i, q)
+    return qs
 
 
 def propagate_gyro(log, config, q0=None, allow_nonorthogonal=False):
@@ -172,23 +148,31 @@ def propagate_gyro(log, config, q0=None, allow_nonorthogonal=False):
     constant, the coefficient ``S = hat(omega_i)`` is built, and the state
     advances with the configured method at step ``config.step`` (the last
     step of each interval shrunk to land on the boundary).  Records are
-    emitted at the sample boundaries.
+    emitted at the sample boundaries.  Raises
+    :class:`~skewflow.integrators.NonFiniteStateError` when the state
+    overflows.
 
     ``q0`` defaults to the identity at the first sample time; a supplied
     starting attitude must be orthogonal to within ``Q0_ORTH_TOL`` unless
     ``allow_nonorthogonal`` is set.
     """
     state = _initial_state(log, q0, allow_nonorthogonal)
-    _, apply_fn = _resolve(
-        config.method, config.stage_solver, config.fp_tol, config.fp_max_iters
-    )
+    times = log.times.tolist()
 
-    def advance(rate, q, t_start, t_end):
-        return _march(apply_fn, hat(rate).mat, q, t_start, t_end, config.step)
+    def span(i):
+        return Span(config, hat(log.rates[i]).mat, times[i], times[i + 1])
 
-    return _boundary_trajectory(
-        log, state, method_label(config.method), config.step, advance
-    )
+    # overflow surfaces as NonFiniteStateError, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        qs = _boundary_states(log, state, lambda i, q: span(i).march(q))
+        finite = np.isfinite(qs).all(axis=(1, 2))
+        if not finite.all():
+            i = int(np.argmin(finite)) - 1
+            bad = span(i)
+            k = bad.first_nonfinite(qs[i])
+            before = sum(Span.count(times[j], times[j + 1], config.step) for j in range(i))
+            raise NonFiniteStateError(before + k, bad.time(k))
+    return Trajectory(method_label(config.method), config.step, log.times, qs)
 
 
 def reference_gyro(log, q0=None, allow_nonorthogonal=False):
@@ -198,8 +182,9 @@ def reference_gyro(log, q0=None, allow_nonorthogonal=False):
     the only difference between the two is the integrator's own error.
     """
     state = _initial_state(log, q0, allow_nonorthogonal)
+    times = log.times.tolist()
 
-    def advance(rate, q, t_start, t_end):
-        return expm(hat(rate), t_end - t_start) @ q
+    def advance(i, q):
+        return expm(hat(log.rates[i]), times[i + 1] - times[i]) @ q
 
-    return _boundary_trajectory(log, state, "exact", 0.0, advance)
+    return Trajectory("exact", 0.0, log.times, _boundary_states(log, state, advance))

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import StepRecord, Trajectory, energy, orthogonality_defect
-from .linalg import OrthogonalState, SingularMatrixError, det, solve_linear
+from .diagnostics import Trajectory
+from .linalg import OrthogonalState, SingularMatrixError, checked_solve
 from .tableaus import ButcherTableau
 
 CLOSED_FORM_METHODS = ("cayley-midpoint", "rk2-closed")
@@ -33,6 +33,15 @@ class ConvergenceError(ValueError):
             f"stage iteration did not converge within {iterations} iterations "
             f"(last residual {self.residual:.3e})"
         )
+
+
+class NonFiniteStateError(ArithmeticError):
+    """The propagated state overflowed; carries the first bad step and its time."""
+
+    def __init__(self, step, t):
+        self.step = int(step)
+        self.t = float(t)
+        super().__init__(f"state became non-finite at step {self.step} (t = {self.t!r})")
 
 
 @dataclass(frozen=True)
@@ -83,46 +92,47 @@ def method_label(method):
     return str(method)
 
 
-def _apply_cayley(m, q, h):
-    # (I - (h/2) S)^-1 (I + (h/2) S) Q via one linear solve, never inversion
-    n = m.shape[0]
-    eye = np.eye(n)
-    rhs = q + (h / 2.0) * (m @ q)
-    try:
-        return solve_linear(eye - (h / 2.0) * m, rhs)
-    except SingularMatrixError as exc:
-        raise StageSolveError(f"Cayley step failed: {exc}") from exc
+def one_step_map(config, m, h):
+    """The one-step map phi(S, h) of the configured method, as an array.
 
+    Built by stepping the identity once: every scheme here is linear in Q,
+    so a step of any state is exactly ``phi @ Q`` and a run with constant S
+    is a chain of matrix products with one phi.  ``m`` is the coefficient
+    array; ``h`` may be negative (for the adjoint).
+    """
+    method = config.method
+    eye = np.eye(m.shape[0])
+    if method == "cayley-midpoint":
+        # (I - (h/2) S)^-1 (I + (h/2) S) via one linear solve, never inversion
+        try:
+            return checked_solve(eye - (h / 2.0) * m, eye + (h / 2.0) * m)
+        except SingularMatrixError as exc:
+            raise StageSolveError(f"Cayley step failed: {exc}") from exc
+    if method == "rk2-closed":
+        return eye + h * m + (h * h / 2.0) * (m @ m)
 
-def _apply_rk2_closed(m, q, h):
-    sq = m @ q
-    return q + h * sq + (h * h / 2.0) * (m @ sq)
-
-
-def _apply_tableau(tab, m, q, h, stage_solver, fp_tol, fp_max_iters):
-    s = tab.stages
-    a, b = tab.a, tab.b
-    if tab.is_explicit:
+    s = method.stages
+    a, b = method.a, method.b
+    if method.is_explicit:
         sy = [None] * s
         for i in range(s):
-            yi = q.copy()
+            yi = eye.copy()
             for j in range(i):
                 if a[i, j] != 0.0:
                     yi += (h * a[i, j]) * sy[j]
             sy[i] = m @ yi
-    elif stage_solver == "direct":
+    elif config.stage_solver == "direct":
         dim = m.shape[0]
         system = np.eye(s * dim) - h * np.kron(a, m)
-        rhs = np.tile(q, (s, 1))
         try:
-            stacked = solve_linear(system, rhs)
+            stacked = checked_solve(system, np.tile(eye, (s, 1)))
         except SingularMatrixError as exc:
             raise StageSolveError(f"stacked stage system is singular: {exc}") from exc
         sy = [m @ stacked[i * dim : (i + 1) * dim] for i in range(s)]
     else:
-        sy = _fixed_point_stages(tab, m, q, h, fp_tol, fp_max_iters)
+        sy = _fixed_point_stages(method, m, eye, h, config.fp_tol, config.fp_max_iters)
 
-    out = q.copy()
+    out = eye.copy()
     for i in range(s):
         if b[i] != 0.0:
             out += (h * b[i]) * sy[i]
@@ -151,26 +161,9 @@ def _fixed_point_stages(tab, m, q, h, tol, max_iters):
     raise ConvergenceError(residual, max_iters)
 
 
-def _resolve(method, stage_solver="direct", fp_tol=1e-14, fp_max_iters=100):
-    """Return (label, apply(m, q, h)) for a method object."""
-    if isinstance(method, ButcherTableau):
-        def apply_fn(m, q, h):
-            return _apply_tableau(method, m, q, h, stage_solver, fp_tol, fp_max_iters)
-
-        return method_label(method), apply_fn
-    if method == "cayley-midpoint":
-        return method, _apply_cayley
-    if method == "rk2-closed":
-        return method, _apply_rk2_closed
-    raise ValueError(
-        f"unknown method {method!r}; expected a ButcherTableau or one of "
-        f"{CLOSED_FORM_METHODS}"
-    )
-
-
-def _require_step(h):
-    if not (np.isfinite(h) and h > 0):
-        raise ValueError("step must be positive and finite")
+def _step(config, s, q):
+    phi = one_step_map(config, s.mat, config.step)
+    return OrthogonalState(phi @ q.q, q.t + config.step)
 
 
 def rk_step(tableau, s, q, h, stage_solver="direct", fp_tol=1e-14, fp_max_iters=100):
@@ -179,8 +172,9 @@ def rk_step(tableau, s, q, h, stage_solver="direct", fp_tol=1e-14, fp_max_iters=
     The stages satisfy ``Y_i = Q + h sum_j a_ij S Y_j`` and the update is
     ``Q + h sum_i b_i S Y_i``.  Explicit tableaus are evaluated by forward
     substitution; implicit tableaus solve the stacked linear stage system
-    ``(I - h A (x) S)`` once per step (all columns of Q share the
-    factorization), or iterate to the same fixed point when requested.
+    ``(I - h A (x) S)`` (all columns share one factorization), or iterate to
+    the same fixed point when requested.  The stages are solved for the
+    identity, giving phi, and the step is ``phi @ Q``.
 
     Parameters
     ----------
@@ -195,9 +189,7 @@ def rk_step(tableau, s, q, h, stage_solver="direct", fp_tol=1e-14, fp_max_iters=
     OrthogonalState
         The state advanced to ``q.t + h``.
     """
-    _require_step(h)
-    out = _apply_tableau(tableau, s.mat, q.q, h, stage_solver, fp_tol, fp_max_iters)
-    return OrthogonalState(out, q.t + h)
+    return _step(IntegratorConfig(tableau, h, stage_solver, fp_tol, fp_max_iters), s, q)
 
 
 def cayley_step(s, q, h):
@@ -209,14 +201,12 @@ def cayley_step(s, q, h):
     applies; the map is orthogonal and preserves the Gram matrix of Q up to
     rounding.
     """
-    _require_step(h)
-    return OrthogonalState(_apply_cayley(s.mat, q.q, h), q.t + h)
+    return _step(IntegratorConfig("cayley-midpoint", h), s, q)
 
 
 def rk2_closed_step(s, q, h):
     """Explicit second-order step in closed form: (I + hS + (h^2/2)S^2) Q."""
-    _require_step(h)
-    return OrthogonalState(_apply_rk2_closed(s.mat, q.q, h), q.t + h)
+    return _step(IntegratorConfig("rk2-closed", h), s, q)
 
 
 def transfer_matrix(method, s, h, stage_solver="direct", fp_tol=1e-14, fp_max_iters=100):
@@ -225,11 +215,10 @@ def transfer_matrix(method, s, h, stage_solver="direct", fp_tol=1e-14, fp_max_it
     Valid because every implemented scheme is linear in Q, so
     ``step(Q) == phi @ Q`` exactly (to rounding) for any Q.
     """
-    _require_step(h)
-    label, apply_fn = _resolve(method, stage_solver, fp_tol, fp_max_iters)
-    phi = apply_fn(s.mat, np.eye(s.dim), h)
+    config = IntegratorConfig(method, h, stage_solver, fp_tol, fp_max_iters)
+    phi = one_step_map(config, s.mat, config.step)
     phi.setflags(write=False)
-    return TransferMatrix(phi=phi, method=label, step=float(h))
+    return TransferMatrix(phi=phi, method=method_label(method), step=config.step)
 
 
 def adjoint_defect(method, s, h, stage_solver="direct", fp_tol=1e-14, fp_max_iters=100):
@@ -238,48 +227,76 @@ def adjoint_defect(method, s, h, stage_solver="direct", fp_tol=1e-14, fp_max_ite
     A method equal to its adjoint (phi(-h)^-1) is symmetric and yields zero
     up to rounding; the Cayley midpoint is, the explicit RK2 map is not.
     """
-    _require_step(h)
-    _, apply_fn = _resolve(method, stage_solver, fp_tol, fp_max_iters)
-    eye = np.eye(s.dim)
-    forward = apply_fn(s.mat, eye, h)
-    backward = apply_fn(s.mat, eye, -h)
-    return float(np.linalg.norm(forward @ backward - eye))
+    config = IntegratorConfig(method, h, stage_solver, fp_tol, fp_max_iters)
+    forward = one_step_map(config, s.mat, config.step)
+    backward = one_step_map(config, s.mat, -config.step)
+    return float(np.linalg.norm(forward @ backward - np.eye(s.dim)))
 
 
-def _n_steps(t0, t_end, h):
-    # small slack so an interval that is a multiple of h up to rounding
-    # does not grow a spurious extra step
-    n = int(np.ceil((t_end - t0) / h - 1e-9))
-    return max(n, 1)
+class Span:
+    """The fixed-step grid over ``(t0, t_end]`` and its one-step maps.
 
-
-def _march(apply_fn, m, q, t0, t_end, h, visit=None):
-    """Advance q from t0 to t_end with fixed step h (last step shrunk).
-
-    Times are recomputed as ``t0 + k*h`` from the integer step index so a
-    long run does not accumulate additive drift; the final step lands
-    exactly on ``t_end``.  ``visit(k, t, q)`` is called after each step.
+    ``n`` steps: ``n - 1`` of length h at times ``t0 + k*h`` (recomputed from
+    the step index, so long runs do not accumulate additive drift), then one
+    shortened step landing exactly on ``t_end``.  phi is built once for h and
+    once more for the last step when its length differs.
     """
-    n = _n_steps(t0, t_end, h)
-    for k in range(1, n + 1):
-        if k < n:
-            hk = h
-            t = t0 + k * h
-        else:
-            hk = t_end - (t0 + (n - 1) * h)
-            t = t_end
-        q = apply_fn(m, q, hk)
-        if visit is not None:
-            visit(k, t, q)
-    return q
+
+    def __init__(self, config, m, t0, t_end):
+        h = config.step
+        self.t0, self.t_end, self.h = t0, t_end, h
+        self.n = self.count(t0, t_end, h)
+        h_last = t_end - (t0 + (self.n - 1) * h)
+        self.phi = one_step_map(config, m, h)
+        self.phi_last = self.phi if h_last == h else one_step_map(config, m, h_last)
+
+    @staticmethod
+    def count(t0, t_end, h):
+        """Number of steps; the 1e-9 slack keeps an interval that is a multiple
+        of h up to rounding from growing a spurious extra step."""
+        return max(int(np.ceil((t_end - t0) / h - 1e-9)), 1)
+
+    def time(self, k):
+        """Time of the state after step k."""
+        return self.t0 + k * self.h if k < self.n else self.t_end
+
+    def march(self, q, out=None, stride=None):
+        """Advance q over the span and return the final state.
+
+        With ``out``, every stride-th state and the final one are written to
+        ``out[0], out[1], ...`` in order.
+        """
+        phi = self.phi
+        stride = stride or self.n
+        j = 0
+        for k in range(1, self.n):
+            q = phi @ q
+            if k % stride == 0:
+                out[j] = q
+                j += 1
+        q = self.phi_last @ q
+        if out is not None:
+            out[j] = q
+        return q
+
+    def first_nonfinite(self, q, k0=0):
+        """First step after ``k0`` (where the state is ``q``) with a non-finite state."""
+        for k in range(k0 + 1, self.n + 1):
+            q = (self.phi if k < self.n else self.phi_last) @ q
+            if not np.all(np.isfinite(q)):
+                return k
+        return None
 
 
 def propagate(config, s, q0, t_end, record_every=1):
     """Propagate a state to ``t_end`` with a fixed step, recording meters.
 
-    A :class:`~skewflow.diagnostics.StepRecord` is emitted for the initial
-    state, after every ``record_every``-th step, and for the final state.
-    Energy and determinant drifts are measured against the first record.
+    A record is kept for the initial state, after every
+    ``record_every``-th step, and for the final state; the states are
+    stacked and metered in one pass by
+    :class:`~skewflow.diagnostics.Trajectory`.  Energy and determinant
+    drifts are measured against the first record.  Raises
+    :class:`NonFiniteStateError` when the state overflows.
 
     Parameters
     ----------
@@ -305,30 +322,18 @@ def propagate(config, s, q0, t_end, record_every=1):
             f"coefficient dimension {s.dim} does not match state dimension {q0.dim}"
         )
 
-    label, apply_fn = _resolve(
-        config.method, config.stage_solver, config.fp_tol, config.fp_max_iters
-    )
-    e0 = energy(q0.q)
-    det0 = det(q0.q)
-
-    def make_record(t, q):
-        en = energy(q)
-        return StepRecord(
-            t=float(t),
-            energy=en,
-            energy_err=en - e0,
-            orth_defect=orthogonality_defect(q),
-            det_drift=det(q) - det0,
-            q=q,
-        )
-
-    records = [make_record(q0.t, q0.q)]
-    n = _n_steps(q0.t, t_end, config.step)
-
-    def visit(k, t, q):
-        if k % record_every == 0 or k == n:
-            q.setflags(write=False)
-            records.append(make_record(t, q))
-
-    _march(apply_fn, s.mat, q0.q, q0.t, t_end, config.step, visit)
-    return Trajectory(method=label, step=config.step, records=tuple(records))
+    # overflow surfaces as NonFiniteStateError, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = Span(config, s.mat, q0.t, t_end)
+        ks = np.append(np.arange(0, span.n, record_every), span.n)
+        qs = np.empty((ks.shape[0], s.dim, s.dim))
+        qs[0] = q0.q
+        span.march(q0.q, qs[1:], record_every)
+        finite = np.isfinite(qs).all(axis=(1, 2))
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            k = span.first_nonfinite(qs[bad - 1], int(ks[bad - 1]))
+            raise NonFiniteStateError(k, span.time(k))
+    times = q0.t + ks * config.step
+    times[-1] = t_end
+    return Trajectory(method_label(config.method), config.step, times, qs)

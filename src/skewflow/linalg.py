@@ -1,9 +1,10 @@
 """Dense matrix kernels for the linear flow Q' = S*Q with skew-symmetric S.
 
 Everything here is small and dense (attitude-sized matrices, at most a few
-dozen rows after stage stacking), so the solvers favour determinism and
-tight error control over scalability. All returned arrays are freshly
-allocated; inputs are never mutated.
+dozen rows after stage stacking).  Linear systems go to LAPACK behind a
+reciprocal-condition guard, and the exact flow is computed to near machine
+precision. All returned arrays are freshly allocated; inputs are never
+mutated.
 """
 
 from dataclasses import dataclass
@@ -12,7 +13,7 @@ import numpy as np
 
 SKEW_TOL = 1e-12
 ROT3_SERIES_CUTOFF = 1e-4
-PIVOT_RTOL = 1e-14
+RCOND_MIN = 1e-14
 
 
 class SkewnessError(ValueError):
@@ -32,14 +33,14 @@ class SkewnessError(ValueError):
 
 
 class SingularMatrixError(ValueError):
-    """A linear solve hit a pivot too small to trust."""
+    """A linear solve met a matrix too ill-conditioned to trust."""
 
-    def __init__(self, pivot, threshold):
-        self.pivot = float(pivot)
+    def __init__(self, rcond, threshold):
+        self.rcond = float(rcond)
         self.threshold = float(threshold)
         super().__init__(
-            f"matrix is numerically singular: pivot {self.pivot:.3e} below "
-            f"threshold {self.threshold:.3e}"
+            f"matrix is numerically singular: reciprocal condition number "
+            f"{self.rcond:.3e} below threshold {self.threshold:.3e}"
         )
 
 
@@ -50,7 +51,7 @@ def as_square_matrix(a, name="matrix"):
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     if m.shape[0] < 1:
         raise ValueError(f"{name} must have dimension >= 1")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} has non-finite entries")
     return m
 
@@ -225,67 +226,32 @@ def _expm_spectral(x):
     return ((u * phases) @ u.conj().T).real
 
 
-def _plu(a):
-    """LU factorization with partial pivoting.
+def checked_solve(a, b):
+    """Solve ``a @ x = b`` with one LAPACK factorization, refusing singular ``a``.
 
-    Returns the packed LU matrix, the row swap per elimination step, and the
-    permutation sign.  A zero pivot skips elimination for its column, which
-    keeps the diagonal product meaningful for determinants.
-    """
-    lu = a.copy()
-    n = lu.shape[0]
-    swaps = np.arange(n)
-    sign = 1.0
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            swaps[k] = p
-            sign = -sign
-        pivot = lu[k, k]
-        if pivot == 0.0:
-            continue
-        lu[k + 1 :, k] /= pivot
-        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    return lu, swaps, sign
-
-
-def solve_linear(a, b):
-    """Solve ``a @ x = b`` by pivoted LU.
-
-    ``b`` may be a vector or a matrix of right-hand-side columns; the
-    factorization is computed once and reused across columns.  Raises
-    :class:`SingularMatrixError` when any pivot falls below
-    ``PIVOT_RTOL * ||a||_inf``.
+    ``b`` may be a vector or a matrix of right-hand-side columns.  The
+    identity rides along as extra right-hand columns, so the same
+    factorization also yields ``a^-1`` and with it the reciprocal condition
+    number ``1 / (||a||_1 ||a^-1||_1)``.  Raises :class:`SingularMatrixError`
+    when that falls below ``RCOND_MIN`` or LAPACK meets an exact zero pivot.
     """
     a = as_square_matrix(a, "coefficient matrix")
-    x = np.array(b, dtype=float)
+    x = np.asarray(b, dtype=float)
     vector = x.ndim == 1
     if vector:
         x = x.reshape(-1, 1)
-    if x.ndim != 2 or x.shape[0] != a.shape[0]:
+    n = a.shape[0]
+    if x.ndim != 2 or x.shape[0] != n:
         raise ValueError(
             f"right-hand side shape {np.shape(b)} does not conform to "
-            f"matrix of dimension {a.shape[0]}"
+            f"matrix of dimension {n}"
         )
-    lu, swaps, _ = _plu(a)
-    threshold = PIVOT_RTOL * max(_norm_inf(a), np.finfo(float).tiny)
-    small = float(np.min(np.abs(np.diag(lu))))
-    if small < threshold:
-        raise SingularMatrixError(small, threshold)
-    n = a.shape[0]
-    for k in range(n):
-        if swaps[k] != k:
-            x[[k, swaps[k]]] = x[[swaps[k], k]]
-    for k in range(n - 1):
-        x[k + 1 :] -= np.outer(lu[k + 1 :, k], x[k])
-    for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - lu[k, k + 1 :] @ x[k + 1 :]) / lu[k, k]
-    return x[:, 0] if vector else x
-
-
-def det(a):
-    """Determinant via the same pivoted factorization as :func:`solve_linear`."""
-    a = as_square_matrix(a, "matrix")
-    lu, _, sign = _plu(a)
-    return float(sign * np.prod(np.diag(lu)))
+    k = x.shape[1]
+    try:
+        sol = np.linalg.solve(a, np.hstack([x, np.eye(n)]))
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError(0.0, RCOND_MIN) from None
+    rcond = 1.0 / (np.abs(a).sum(axis=0).max() * np.abs(sol[:, k:]).sum(axis=0).max())
+    if not rcond >= RCOND_MIN:
+        raise SingularMatrixError(rcond, RCOND_MIN)
+    return sol[:, 0] if vector else sol[:, :k]

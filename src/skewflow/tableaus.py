@@ -79,15 +79,6 @@ class ButcherTableau:
         return bool(np.all(np.triu(self.a) == 0.0))
 
 
-def validate(t):
-    """Classify a tableau as ``"explicit"`` or ``"implicit"``.
-
-    The structural invariants are enforced at construction; this re-derives
-    the classification used for stage-solver dispatch and reporting.
-    """
-    return "explicit" if t.is_explicit else "implicit"
-
-
 def _midpoint():
     return ButcherTableau([[0.5]], [1.0], [0.5], name="midpoint")
 

@@ -26,7 +26,6 @@ from skewflow import (
     assert_skew,
     builtin,
     convergence_order,
-    det,
     propagate,
     propagate_gyro,
     pseudo_symplectic_defect,
@@ -139,7 +138,7 @@ def test_criterion_6_determinant_invariance(midpoint_run):
     dets = midpoint_run.det_drifts  # det0 of the identity is exactly 1
     max_drift = float(np.max(np.abs(dets)))
     assert max_drift <= 1e-9
-    rk2_det = det(transfer_matrix("rk2-closed", QUARTER, 1.0).phi)
+    rk2_det = np.linalg.det(transfer_matrix("rk2-closed", QUARTER, 1.0).phi)
     assert abs(rk2_det - 1.25) <= 1e-12
     print(
         f"criterion 6 (|det-1| {max_drift:.2e} <= 1e-9 over long run; "

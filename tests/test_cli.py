@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,31 @@ class TestPropagate:
             main(["propagate", "--method", "rk2-closed", "--omega", "0,0,1",
                   "--t-end", "1", "--out", str(tmp_path / "t.csv")])
         assert excinfo.value.code == 1
+
+    def test_overflow_exits_3_with_step_and_time(self, tmp_path, capsys):
+        # the RK2 map scales the rotation plane by |1 + 50i - 1250| ~ 1250 per
+        # step, and 1250**99 < 1.8e308 < 1250**100: step 100 overflows
+        argv = ["propagate", "--method", "rk2-closed", "--omega", "0,0,50", "--h", "1",
+                "--t-end", "400", "--out", str(tmp_path / "t.csv")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 3
+        assert caught == []
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "step 100 " in err and "t = 100.0" in err
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_singular_stage_system_exits_3(self, tmp_path, capsys):
+        # I - h*A(x)S is exactly singular for this A with S = hat(0, 0, 1), h = 1
+        rk_file = tmp_path / "singular.rk"
+        rk_file.write_text("2\n0 -1\n1 0\n0.5 0.5\n-1 1\n")
+        rc = main(["propagate", "--method", str(rk_file), "--omega", "0,0,1",
+                   "--h", "1", "--t-end", "3", "--out", str(tmp_path / "t.csv")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "Traceback" not in err
 
     def test_bad_omega_exits_2(self, tmp_path):
         rc = main(["propagate", "--method", "rk2-closed", "--omega", "1,2",

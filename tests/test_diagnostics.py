@@ -14,7 +14,6 @@ from skewflow import (
     IntegratorConfig,
     OrthogonalState,
     SkewMatrix,
-    StepRecord,
     Trajectory,
     assert_skew,
     builtin,
@@ -118,9 +117,8 @@ class TestPseudoSymplecticDefect:
 
 class TestRecordsAndTrajectory:
     def test_trajectory_requires_increasing_times(self):
-        rec = StepRecord(t=0.0, energy=3.0, energy_err=0.0, orth_defect=0.0, det_drift=0.0)
         with pytest.raises(ValueError, match="increasing"):
-            Trajectory(method="x", step=0.1, records=(rec, rec))
+            Trajectory(method="x", step=0.1, times=[0.0, 0.0], qs=np.stack([np.eye(3)] * 2))
 
     def test_column_properties(self):
         config = IntegratorConfig(method="rk2-closed", step=0.1)

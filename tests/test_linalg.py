@@ -11,11 +11,12 @@ from skewflow import (
     SkewMatrix,
     SkewnessError,
     apply_velocity,
+    Trajectory,
     assert_skew,
-    det,
+    checked_solve,
+    det_drift,
     expm,
     hat,
-    solve_linear,
     vee,
 )
 
@@ -171,7 +172,7 @@ class TestExpm:
             t2 = rng.uniform(-10, 10)
             e1 = expm(s, t1)
             assert np.linalg.norm(e1.T @ e1 - np.eye(dim)) <= 1e-13
-            assert abs(det(e1) - 1.0) <= 1e-12
+            assert abs(np.linalg.det(e1) - 1.0) <= 1e-12
             both = expm(s, t1 + t2)
             assert np.linalg.norm(both - e1 @ expm(s, t2)) <= 1e-12
 
@@ -179,19 +180,19 @@ class TestExpm:
 class TestSolveAndDet:
     def test_identity_system(self):
         b = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert_array_equal(solve_linear(np.eye(2), b), b)
+        assert_array_equal(checked_solve(np.eye(2), b), b)
 
     def test_scaled_identity(self):
-        assert_allclose(solve_linear(2.0 * np.eye(3), np.eye(3)), 0.5 * np.eye(3), atol=0)
+        assert_allclose(checked_solve(2.0 * np.eye(3), np.eye(3)), 0.5 * np.eye(3), atol=0)
 
     def test_hand_inversion(self):
         a = np.array([[1.0, -1.0], [1.0, 1.0]])
         expected = np.array([[0.5, 0.5], [-0.5, 0.5]])
-        assert_allclose(solve_linear(a, np.eye(2)), expected, atol=1e-16)
+        assert_allclose(checked_solve(a, np.eye(2)), expected, atol=1e-16)
 
     def test_vector_right_hand_side(self):
         a = np.array([[2.0, 1.0], [1.0, 3.0]])
-        x = solve_linear(a, np.array([3.0, 5.0]))
+        x = checked_solve(a, np.array([3.0, 5.0]))
         assert x.shape == (2,)
         assert_allclose(a @ x, [3.0, 5.0], rtol=1e-14)
 
@@ -201,29 +202,33 @@ class TestSolveAndDet:
             n = int(rng.integers(1, 13))
             a = rng.standard_normal((n, n)) + n * np.eye(n)
             b = rng.standard_normal((n, max(1, n // 2)))
-            x = solve_linear(a, b)
+            x = checked_solve(a, b)
             assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)
 
     def test_singular_matrix_raises(self):
         with pytest.raises(SingularMatrixError):
-            solve_linear(np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2))
+            checked_solve(np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2))
 
     def test_nonconformable_raises(self):
         with pytest.raises(ValueError, match="conform"):
-            solve_linear(np.eye(2), np.eye(3))
+            checked_solve(np.eye(2), np.eye(3))
 
     def test_det_examples(self):
-        assert det(np.eye(4)) == 1.0
-        assert det(np.array([[0.5, 1.0], [-1.0, 0.5]])) == pytest.approx(1.25, abs=1e-15)
-        assert det(np.zeros((2, 2))) == 0.0
+        assert det_drift(np.eye(4), 0.0) == 1.0
+        assert det_drift(np.array([[0.5, 1.0], [-1.0, 0.5]]), 0.0) == pytest.approx(
+            1.25, abs=1e-15
+        )
+        assert det_drift(np.zeros((2, 2)), 0.0) == 0.0
 
     def test_det_matches_numpy(self):
+        # the batched meter over an (n, d, d) stack against one matrix at a time
         rng = np.random.default_rng(11)
         for _ in range(50):
             n = int(rng.integers(1, 8))
-            a = rng.standard_normal((n, n))
-            expected = np.linalg.det(a)
-            assert det(a) == pytest.approx(expected, rel=1e-11, abs=1e-12)
+            qs = np.stack([np.eye(n), rng.standard_normal((n, n))])
+            got = Trajectory("x", 0.1, [0.0, 1.0], qs).det_drifts[1] + 1.0
+            expected = np.linalg.det(qs[1])
+            assert got == pytest.approx(expected, rel=1e-11, abs=1e-12)
 
 
 class TestOrthogonalState:

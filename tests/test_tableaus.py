@@ -13,7 +13,6 @@ from skewflow import (
     parse_tableau,
     serialize_tableau,
     symplecticity,
-    validate,
 )
 
 MIDPOINT_TEXT = "1\n0.5\n1\n"
@@ -73,19 +72,18 @@ class TestCatalogue:
 
     def test_every_builtin_validates(self):
         for name in BUILTIN_NAMES:
-            assert validate(builtin(name)) in ("explicit", "implicit")
+            assert builtin(name).is_explicit in (True, False)
 
 
 class TestValidation:
     def test_midpoint_is_implicit(self):
-        assert validate(builtin("midpoint")) == "implicit"
         assert not builtin("midpoint").is_explicit
 
     def test_rk2_is_explicit(self):
-        assert validate(builtin("rk2-explicit")) == "explicit"
+        assert builtin("rk2-explicit").is_explicit
 
     def test_gauss2_is_implicit(self):
-        assert validate(builtin("gauss2")) == "implicit"
+        assert not builtin("gauss2").is_explicit
 
     def test_inconsistent_c_names_the_row(self):
         with pytest.raises(TableauError, match="row 1"):
