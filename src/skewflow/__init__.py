@@ -11,7 +11,6 @@ checker, and a gyro-log front end for strapdown attitude propagation.
 
 from .diagnostics import (
     IndeterminateOrderError,
-    StepRecord,
     Trajectory,
     convergence_order,
     det_drift,
@@ -23,23 +22,17 @@ from .diagnostics import (
 from .gyro import (
     GyroLog,
     GyroLogError,
-    GyroSample,
     parse_gyro_csv,
     propagate_gyro,
     reference_gyro,
 )
 from .integrators import (
     CLOSED_FORM_METHODS,
-    ConvergenceError,
     IntegratorConfig,
     NonFiniteStateError,
     StageSolveError,
-    TransferMatrix,
     adjoint_defect,
-    cayley_step,
     propagate,
-    rk2_closed_step,
-    rk_step,
     transfer_matrix,
 )
 from .linalg import (
@@ -48,7 +41,6 @@ from .linalg import (
     SkewMatrix,
     SkewnessError,
     apply_velocity,
-    assert_skew,
     checked_solve,
     expm,
     hat,
@@ -72,10 +64,8 @@ __all__ = [
     "BUILTIN_NAMES",
     "ButcherTableau",
     "CLOSED_FORM_METHODS",
-    "ConvergenceError",
     "GyroLog",
     "GyroLogError",
-    "GyroSample",
     "IndeterminateOrderError",
     "IntegratorConfig",
     "NonFiniteStateError",
@@ -84,17 +74,13 @@ __all__ = [
     "SkewMatrix",
     "SkewnessError",
     "StageSolveError",
-    "StepRecord",
     "SymplecticityReport",
     "TableauError",
     "TableauParseError",
     "Trajectory",
-    "TransferMatrix",
     "adjoint_defect",
     "apply_velocity",
-    "assert_skew",
     "builtin",
-    "cayley_step",
     "checked_solve",
     "convergence_order",
     "det_drift",
@@ -108,9 +94,7 @@ __all__ = [
     "propagate_gyro",
     "pseudo_symplectic_defect",
     "reference_gyro",
-    "rk2_closed_step",
     "rk2_energy_forecast",
-    "rk_step",
     "serialize_tableau",
     "symplecticity",
     "transfer_matrix",

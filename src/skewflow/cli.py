@@ -25,19 +25,12 @@ from .diagnostics import require_orthogonal_start, rk2_energy_forecast
 from .gyro import GyroLogError, parse_gyro_csv, propagate_gyro, reference_gyro
 from .integrators import (
     CLOSED_FORM_METHODS,
-    ConvergenceError,
     IntegratorConfig,
     NonFiniteStateError,
     StageSolveError,
     propagate,
 )
-from .linalg import (
-    OrthogonalState,
-    SingularMatrixError,
-    SkewnessError,
-    assert_skew,
-    hat,
-)
+from .linalg import OrthogonalState, SingularMatrixError, SkewMatrix, SkewnessError, hat
 from .tableaus import (
     BUILTIN_NAMES,
     TableauError,
@@ -56,8 +49,7 @@ BENCH_OMEGA = (0.0, -0.1, -2.0)
 BENCH_STEP = 0.1
 BENCH_T_END = 2000.0
 
-_NUMERIC_ERRORS = (StageSolveError, ConvergenceError, SingularMatrixError,
-                   NonFiniteStateError)
+_NUMERIC_ERRORS = (StageSolveError, SingularMatrixError, NonFiniteStateError)
 _INPUT_ERRORS = (TableauError, GyroLogError, SkewnessError, ValueError, OSError)
 
 
@@ -184,7 +176,7 @@ def cmd_propagate(args):
         s = hat(_parse_omega(args.omega))
         source = f"omega={args.omega}"
     else:
-        s = assert_skew(_load_matrix_file(args.s_file))
+        s = SkewMatrix(_load_matrix_file(args.s_file))
         source = args.s_file
 
     if args.q0 is not None:

@@ -8,7 +8,6 @@ independent of the stepping code they judge.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -17,23 +16,6 @@ Q0_ORTH_TOL = 1e-8
 
 class IndeterminateOrderError(ArithmeticError):
     """All sampled errors sit at rounding level; no order can be fitted."""
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """Snapshot of one recorded step.
-
-    ``energy`` is trace(Q^T Q); ``energy_err`` and ``det_drift`` are signed
-    differences against the first record of the trajectory; ``orth_defect``
-    is ``||Q^T Q - I||_F``.
-    """
-
-    t: float
-    energy: float
-    energy_err: float
-    orth_defect: float
-    det_drift: float
-    q: np.ndarray | None = None
 
 
 def _sum_squares(qs):
@@ -104,16 +86,6 @@ class Trajectory:
     def __len__(self):
         return self.times.shape[0]
 
-    @cached_property
-    def records(self):
-        """Per-record :class:`StepRecord` view, built on first access."""
-        columns = (self.times, self.energies, self.energy_errors, self.orth_defects,
-                   self.det_drifts)
-        return tuple(
-            StepRecord(*values, q=q)
-            for *values, q in zip(*(c.tolist() for c in columns), self.qs)
-        )
-
 
 def energy(q):
     """Energy trace(q^T q), i.e. the sum of squared entries."""
@@ -149,9 +121,9 @@ def pseudo_symplectic_defect(phi, s):
 
     For one-step maps Q -> phi @ Q this measures (in Frobenius norm) the
     violation of the two-form conservation that symplectic tableaus
-    guarantee.  Accepts a TransferMatrix or a bare array for ``phi``.
+    guarantee.
     """
-    p = phi.phi if hasattr(phi, "phi") else np.asarray(phi, dtype=float)
+    p = np.asarray(phi, dtype=float)
     m = s.mat
     return float(np.linalg.norm(p.T @ m @ p - m))
 

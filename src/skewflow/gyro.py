@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import Trajectory, require_orthogonal_start
-from .integrators import NonFiniteStateError, Span, method_label
+from .integrators import NonFiniteStateError, Span, metered
 from .linalg import OrthogonalState, expm, hat
 
 GYRO_HEADER = "t,wx,wy,wz"
@@ -25,14 +25,6 @@ class GyroLogError(ValueError):
     def __init__(self, message, line=None):
         self.line = line
         super().__init__(f"line {line}: {message}" if line is not None else message)
-
-
-@dataclass(frozen=True)
-class GyroSample:
-    """One angular-rate sample: time in seconds, rate in rad/s."""
-
-    t: float
-    omega: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -67,10 +59,6 @@ class GyroLog:
 
     def __len__(self):
         return self.times.shape[0]
-
-    def __iter__(self):
-        for t, w in zip(self.times, self.rates):
-            yield GyroSample(float(t), w)
 
 
 def parse_gyro_csv(text):
@@ -149,8 +137,8 @@ def propagate_gyro(log, config, q0=None, allow_nonorthogonal=False):
     advances with the configured method at step ``config.step`` (the last
     step of each interval shrunk to land on the boundary).  Records are
     emitted at the sample boundaries.  Raises
-    :class:`~skewflow.integrators.NonFiniteStateError` when the state
-    overflows.
+    :class:`~skewflow.integrators.NonFiniteStateError` when the state or a
+    meter overflows.
 
     ``q0`` defaults to the identity at the first sample time; a supplied
     starting attitude must be orthogonal to within ``Q0_ORTH_TOL`` unless
@@ -162,6 +150,9 @@ def propagate_gyro(log, config, q0=None, allow_nonorthogonal=False):
     def span(i):
         return Span(config, hat(log.rates[i]).mat, times[i], times[i + 1])
 
+    def steps_before(i):
+        return sum(Span.count(times[j], times[j + 1], config.step) for j in range(i))
+
     # overflow surfaces as NonFiniteStateError, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         qs = _boundary_states(log, state, lambda i, q: span(i).march(q))
@@ -170,9 +161,8 @@ def propagate_gyro(log, config, q0=None, allow_nonorthogonal=False):
             i = int(np.argmin(finite)) - 1
             bad = span(i)
             k = bad.first_nonfinite(qs[i])
-            before = sum(Span.count(times[j], times[j + 1], config.step) for j in range(i))
-            raise NonFiniteStateError(before + k, bad.time(k))
-    return Trajectory(method_label(config.method), config.step, log.times, qs)
+            raise NonFiniteStateError(steps_before(i) + k, bad.time(k))
+    return metered(config, log.times, qs, steps_before)
 
 
 def reference_gyro(log, q0=None, allow_nonorthogonal=False):

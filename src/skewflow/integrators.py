@@ -1,19 +1,19 @@
 """Fixed-step integrators for the linear matrix flow Q' = S*Q.
 
-Three step families are provided: the general s-stage Runge-Kutta step
-driven by a Butcher tableau, and two closed forms obtained by eliminating
-the stage equations for specific tableaus — the Cayley-transform implicit
-midpoint step and the explicit second-order step.  Every scheme is linear
-in Q, which is what makes transfer-matrix extraction (stepping the
-identity) exact.
+A method is a general s-stage Runge-Kutta tableau or one of two closed
+forms obtained by eliminating the stage equations for specific tableaus —
+the Cayley-transform implicit midpoint step and the explicit second-order
+step.  Every method is linear in Q, so a step is ``Q -> phi(S, h) @ Q``
+with the one-step map phi built by stepping the identity.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .diagnostics import Trajectory
-from .linalg import OrthogonalState, SingularMatrixError, checked_solve
+from .linalg import SingularMatrixError, checked_solve
 from .tableaus import ButcherTableau
 
 CLOSED_FORM_METHODS = ("cayley-midpoint", "rk2-closed")
@@ -23,42 +23,28 @@ class StageSolveError(ValueError):
     """The linear stage system could not be solved."""
 
 
-class ConvergenceError(ValueError):
-    """Fixed-point stage iteration failed to converge; carries the residual."""
-
-    def __init__(self, residual, iterations):
-        self.residual = float(residual)
-        self.iterations = int(iterations)
-        super().__init__(
-            f"stage iteration did not converge within {iterations} iterations "
-            f"(last residual {self.residual:.3e})"
-        )
-
-
 class NonFiniteStateError(ArithmeticError):
-    """The propagated state overflowed; carries the first bad step and its time."""
+    """The propagated state or one of its meters overflowed; carries the
+    first bad step and its time."""
 
     def __init__(self, step, t):
         self.step = int(step)
         self.t = float(t)
-        super().__init__(f"state became non-finite at step {self.step} (t = {self.t!r})")
+        super().__init__(
+            f"state or its meters became non-finite at step {self.step} (t = {self.t!r})"
+        )
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Method selection plus fixed step size and stage-solver options.
+    """Method selection plus fixed step size.
 
     ``method`` is a :class:`ButcherTableau` or one of the closed-form labels
-    in :data:`CLOSED_FORM_METHODS`.  The implicit stage system is solved
-    directly by default; ``stage_solver="fixed-point"`` switches to simple
-    iteration (useful for cross-validation, converges for small h*||S||).
+    in :data:`CLOSED_FORM_METHODS`.
     """
 
     method: object
     step: float
-    stage_solver: str = "direct"
-    fp_tol: float = 1e-14
-    fp_max_iters: int = 100
 
     def __post_init__(self):
         if not (isinstance(self.method, ButcherTableau) or self.method in CLOSED_FORM_METHODS):
@@ -68,21 +54,6 @@ class IntegratorConfig:
             )
         if not (np.isfinite(self.step) and self.step > 0):
             raise ValueError("step must be positive and finite")
-        if self.stage_solver not in ("direct", "fixed-point"):
-            raise ValueError(f"unknown stage solver {self.stage_solver!r}")
-        if self.fp_tol <= 0:
-            raise ValueError("fixed-point tolerance must be positive")
-        if self.fp_max_iters < 1:
-            raise ValueError("fixed-point iteration limit must be >= 1")
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """One-step map phi with Q_next = phi @ Q, plus its provenance."""
-
-    phi: np.ndarray
-    method: str
-    step: float
 
 
 def method_label(method):
@@ -92,15 +63,18 @@ def method_label(method):
     return str(method)
 
 
-def one_step_map(config, m, h):
-    """The one-step map phi(S, h) of the configured method, as an array.
+def one_step_map(method, m, h):
+    """The one-step map phi(S, h) of ``method``, as an array.
 
     Built by stepping the identity once: every scheme here is linear in Q,
     so a step of any state is exactly ``phi @ Q`` and a run with constant S
     is a chain of matrix products with one phi.  ``m`` is the coefficient
     array; ``h`` may be negative (for the adjoint).
+
+    Explicit tableaus are evaluated by forward substitution; implicit ones
+    solve the stacked linear stage system ``(I - h A (x) S)`` for all
+    identity columns with one factorization.
     """
-    method = config.method
     eye = np.eye(m.shape[0])
     if method == "cayley-midpoint":
         # (I - (h/2) S)^-1 (I + (h/2) S) via one linear solve, never inversion
@@ -121,7 +95,7 @@ def one_step_map(config, m, h):
                 if a[i, j] != 0.0:
                     yi += (h * a[i, j]) * sy[j]
             sy[i] = m @ yi
-    elif config.stage_solver == "direct":
+    else:
         dim = m.shape[0]
         system = np.eye(s * dim) - h * np.kron(a, m)
         try:
@@ -129,8 +103,6 @@ def one_step_map(config, m, h):
         except SingularMatrixError as exc:
             raise StageSolveError(f"stacked stage system is singular: {exc}") from exc
         sy = [m @ stacked[i * dim : (i + 1) * dim] for i in range(s)]
-    else:
-        sy = _fixed_point_stages(method, m, eye, h, config.fp_tol, config.fp_max_iters)
 
     out = eye.copy()
     for i in range(s):
@@ -139,97 +111,27 @@ def one_step_map(config, m, h):
     return out
 
 
-def _fixed_point_stages(tab, m, q, h, tol, max_iters):
-    s = tab.stages
-    a = tab.a
-    scale = max(1.0, float(np.linalg.norm(q)))
-    y = [q.copy() for _ in range(s)]
-    residual = np.inf
-    for _ in range(max_iters):
-        sy = [m @ yi for yi in y]
-        new = []
-        for i in range(s):
-            yi = q.copy()
-            for j in range(s):
-                if a[i, j] != 0.0:
-                    yi += (h * a[i, j]) * sy[j]
-            new.append(yi)
-        residual = max(float(np.linalg.norm(n_ - o)) for n_, o in zip(new, y))
-        y = new
-        if residual <= tol * scale:
-            return [m @ yi for yi in y]
-    raise ConvergenceError(residual, max_iters)
+def transfer_matrix(method, s, h):
+    """The read-only one-step map phi of ``method`` for coefficient ``s`` and step h.
 
-
-def _step(config, s, q):
-    phi = one_step_map(config, s.mat, config.step)
-    return OrthogonalState(phi @ q.q, q.t + config.step)
-
-
-def rk_step(tableau, s, q, h, stage_solver="direct", fp_tol=1e-14, fp_max_iters=100):
-    """One Runge-Kutta step for Q' = S*Q.
-
-    The stages satisfy ``Y_i = Q + h sum_j a_ij S Y_j`` and the update is
-    ``Q + h sum_i b_i S Y_i``.  Explicit tableaus are evaluated by forward
-    substitution; implicit tableaus solve the stacked linear stage system
-    ``(I - h A (x) S)`` (all columns share one factorization), or iterate to
-    the same fixed point when requested.  The stages are solved for the
-    identity, giving phi, and the step is ``phi @ Q``.
-
-    Parameters
-    ----------
-    tableau : ButcherTableau
-    s : SkewMatrix
-    q : OrthogonalState
-    h : float
-        Step size, > 0.
-
-    Returns
-    -------
-    OrthogonalState
-        The state advanced to ``q.t + h``.
+    One step of any state Q is ``transfer_matrix(method, s, h) @ Q``.  For a
+    genuinely skew S the Cayley map is orthogonal for every real h and
+    preserves the Gram matrix of Q up to rounding.
     """
-    return _step(IntegratorConfig(tableau, h, stage_solver, fp_tol, fp_max_iters), s, q)
-
-
-def cayley_step(s, q, h):
-    """Implicit midpoint step in closed form: the Cayley transform of S.
-
-    Computes ``(I - (h/2)S)^-1 (I + (h/2)S) Q`` with a linear solve.  For a
-    genuinely skew S the system matrix has eigenvalues ``1 - i*h*theta/2``
-    and is nonsingular for every real h, so no step-size restriction
-    applies; the map is orthogonal and preserves the Gram matrix of Q up to
-    rounding.
-    """
-    return _step(IntegratorConfig("cayley-midpoint", h), s, q)
-
-
-def rk2_closed_step(s, q, h):
-    """Explicit second-order step in closed form: (I + hS + (h^2/2)S^2) Q."""
-    return _step(IntegratorConfig("rk2-closed", h), s, q)
-
-
-def transfer_matrix(method, s, h, stage_solver="direct", fp_tol=1e-14, fp_max_iters=100):
-    """Extract the one-step map phi by stepping the identity.
-
-    Valid because every implemented scheme is linear in Q, so
-    ``step(Q) == phi @ Q`` exactly (to rounding) for any Q.
-    """
-    config = IntegratorConfig(method, h, stage_solver, fp_tol, fp_max_iters)
-    phi = one_step_map(config, s.mat, config.step)
+    config = IntegratorConfig(method, h)
+    phi = one_step_map(method, s.mat, config.step)
     phi.setflags(write=False)
-    return TransferMatrix(phi=phi, method=method_label(method), step=config.step)
+    return phi
 
 
-def adjoint_defect(method, s, h, stage_solver="direct", fp_tol=1e-14, fp_max_iters=100):
+def adjoint_defect(method, s, h):
     """Symmetry meter ``||phi(h) @ phi(-h) - I||_F``.
 
     A method equal to its adjoint (phi(-h)^-1) is symmetric and yields zero
     up to rounding; the Cayley midpoint is, the explicit RK2 map is not.
     """
-    config = IntegratorConfig(method, h, stage_solver, fp_tol, fp_max_iters)
-    forward = one_step_map(config, s.mat, config.step)
-    backward = one_step_map(config, s.mat, -config.step)
+    forward = transfer_matrix(method, s, h)
+    backward = one_step_map(method, s.mat, -h)
     return float(np.linalg.norm(forward @ backward - np.eye(s.dim)))
 
 
@@ -247,14 +149,18 @@ class Span:
         self.t0, self.t_end, self.h = t0, t_end, h
         self.n = self.count(t0, t_end, h)
         h_last = t_end - (t0 + (self.n - 1) * h)
-        self.phi = one_step_map(config, m, h)
-        self.phi_last = self.phi if h_last == h else one_step_map(config, m, h_last)
+        self.phi = one_step_map(config.method, m, h)
+        self.phi_last = self.phi if h_last == h else one_step_map(config.method, m, h_last)
 
     @staticmethod
     def count(t0, t_end, h):
         """Number of steps; the 1e-9 slack keeps an interval that is a multiple
-        of h up to rounding from growing a spurious extra step."""
-        return max(int(np.ceil((t_end - t0) / h - 1e-9)), 1)
+        of h up to rounding from growing a spurious extra step.  The last full
+        grid point ``t0 + (n-1)*h`` must fall short of ``t_end`` in floating
+        point, or the last step would be empty or negative, so it is dropped
+        when it does not."""
+        n = max(math.ceil((t_end - t0) / h - 1e-9), 1)
+        return n - 1 if n > 1 and t0 + (n - 1) * h >= t_end else n
 
     def time(self, k):
         """Time of the state after step k."""
@@ -296,7 +202,7 @@ def propagate(config, s, q0, t_end, record_every=1):
     stacked and metered in one pass by
     :class:`~skewflow.diagnostics.Trajectory`.  Energy and determinant
     drifts are measured against the first record.  Raises
-    :class:`NonFiniteStateError` when the state overflows.
+    :class:`NonFiniteStateError` when the state or a meter overflows.
 
     Parameters
     ----------
@@ -336,4 +242,22 @@ def propagate(config, s, q0, t_end, record_every=1):
             raise NonFiniteStateError(k, span.time(k))
     times = q0.t + ks * config.step
     times[-1] = t_end
-    return Trajectory(method_label(config.method), config.step, times, qs)
+    return metered(config, times, qs, lambda j: ks[j])
+
+
+def metered(config, times, qs, step_of):
+    """The :class:`Trajectory` of a run, refusing meters that overflowed.
+
+    A meter can overflow while the state is still finite: the energy once
+    entries pass about 1e154, the Gram defect once they pass about 1e77.
+    That raises :class:`NonFiniteStateError` at the first such record j,
+    whose step index is ``step_of(j)``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = Trajectory(method_label(config.method), config.step, times, qs)
+    finite = (np.isfinite(traj.energy_errors) & np.isfinite(traj.orth_defects)
+              & np.isfinite(traj.det_drifts))
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise NonFiniteStateError(step_of(j), traj.times[j])
+    return traj

@@ -160,15 +160,6 @@ def vee(s):
     return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
 
-def assert_skew(a, tol=SKEW_TOL):
-    """Gate an arbitrary square matrix through the skew-symmetry check.
-
-    Returns a validated :class:`SkewMatrix` or raises :class:`SkewnessError`
-    reporting the defect norm.
-    """
-    return SkewMatrix(a, tol=tol)
-
-
 def apply_velocity(omega, x):
     """Velocity of point ``x`` under angular rate ``omega``: hat(omega) @ x."""
     x = np.asarray(x, dtype=float).reshape(-1)

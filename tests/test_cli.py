@@ -85,12 +85,9 @@ class TestPropagate:
             1.0,
         )
         _, rows = csv_rows(out)
-        for row, rec in zip(rows, traj.records):
-            assert row[0] == rec.t
-            assert row[1] == rec.energy
-            assert row[2] == rec.energy_err
-            assert row[3] == rec.orth_defect
-            assert row[4] == rec.det_drift
+        columns = [traj.times, traj.energies, traj.energy_errors, traj.orth_defects,
+                   traj.det_drifts]
+        assert rows == np.column_stack(columns).tolist()
 
     def test_manifest_written_next_to_output(self, tmp_path):
         out = tmp_path / "traj.csv"
@@ -192,6 +189,22 @@ class TestPropagate:
         assert "step 100 " in err and "t = 100.0" in err
         assert not (tmp_path / "t.csv").exists()
 
+    @pytest.mark.parametrize("t_end", ["30", "60"])
+    def test_meter_overflow_exits_3_with_step_and_time(self, tmp_path, capsys, t_end):
+        # the state is still finite at t = 30, but its entries pass 1e77 at
+        # step 25 (1250**25 ~ 2.6e77), so the Gram defect overflows there; at
+        # t = 60 the energy and determinant overflow too
+        argv = ["propagate", "--method", "rk2-closed", "--omega", "0,0,50", "--h", "1",
+                "--t-end", t_end, "--out", str(tmp_path / "t.csv")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 3
+        assert caught == []
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "step 25 " in err and "t = 25.0" in err
+        assert not (tmp_path / "t.csv").exists()
+
     def test_singular_stage_system_exits_3(self, tmp_path, capsys):
         # I - h*A(x)S is exactly singular for this A with S = hat(0, 0, 1), h = 1
         rk_file = tmp_path / "singular.rk"
@@ -230,6 +243,21 @@ class TestGyroCommand:
                      "--h", "0.1", "--out", str(out)]) == 0
         _, rows = csv_rows(out)
         assert all(row[1] == 3.0 for row in rows)
+
+    @pytest.mark.parametrize("n", [31, 61])
+    def test_meter_overflow_exits_3_with_step_and_time(self, tmp_path, capsys, n):
+        # the gyro twin of the propagate case: one RK2 step per 1 s interval
+        log = tmp_path / "gyro.csv"
+        log.write_text("t,wx,wy,wz\n" + "".join(f"{i},0,0,50\n" for i in range(n)))
+        argv = ["gyro", "--input", str(log), "--method", "rk2-closed", "--h", "1",
+                "--out", str(tmp_path / "att.csv")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 3
+        assert caught == []
+        err = capsys.readouterr().err
+        assert "step 25 " in err and "t = 25.0" in err
+        assert not (tmp_path / "att.csv").exists()
 
     def test_repeated_timestamp_exits_2(self, tmp_path, capsys):
         log = tmp_path / "gyro.csv"

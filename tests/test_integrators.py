@@ -1,29 +1,31 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import BENCH_MAT, random_orthogonal, random_skew
 from skewflow import (
     BUILTIN_NAMES,
     ButcherTableau,
-    ConvergenceError,
     IntegratorConfig,
     OrthogonalState,
     SkewMatrix,
-    assert_skew,
     builtin,
-    cayley_step,
     energy,
+    hat,
     propagate,
-    rk2_closed_step,
-    rk_step,
     symplecticity,
     transfer_matrix,
 )
 from skewflow import adjoint_defect
+from skewflow.integrators import Span
+from test_march_oracle import fixed_point_step, oracle_step
 
 QUARTER = SkewMatrix([[0.0, 1.0], [-1.0, 0.0]])
-BENCH = assert_skew(BENCH_MAT)
+BENCH = SkewMatrix(BENCH_MAT)
 
 
 def eye_state(dim, t=0.0):
@@ -49,10 +51,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="method"):
             IntegratorConfig(method="leapfrog", step=0.1)
 
-    def test_rejects_unknown_solver(self):
-        with pytest.raises(ValueError, match="solver"):
-            IntegratorConfig(method="rk2-closed", step=0.1, stage_solver="magic")
-
     def test_accepts_tableau(self):
         IntegratorConfig(method=builtin("gauss2"), step=0.5)
 
@@ -61,61 +59,62 @@ class TestSingleSteps:
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_zero_field_leaves_state_fixed(self, name):
         rng = np.random.default_rng(0)
-        q = OrthogonalState(rng.standard_normal((3, 3)), 1.0)
-        out = rk_step(builtin(name), SkewMatrix(np.zeros((3, 3))), q, 0.25)
-        assert_array_equal(out.q, q.q)
-        assert out.t == 1.25
+        q = rng.standard_normal((3, 3))
+        out = transfer_matrix(builtin(name), SkewMatrix(np.zeros((3, 3))), 0.25) @ q
+        assert_array_equal(out, q)
 
     def test_midpoint_hand_case(self):
-        out = rk_step(builtin("midpoint"), QUARTER, eye_state(2), 2.0)
-        assert_allclose(out.q, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-15)
+        out = transfer_matrix(builtin("midpoint"), QUARTER, 2.0) @ np.eye(2)
+        assert_allclose(out, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-15)
 
     def test_cayley_hand_case(self):
-        out = cayley_step(QUARTER, eye_state(2), 2.0)
-        assert_allclose(out.q, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-15)
+        out = transfer_matrix("cayley-midpoint", QUARTER, 2.0) @ np.eye(2)
+        assert_allclose(out, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-15)
 
     def test_cayley_zero_field(self):
-        q = OrthogonalState(np.diag([2.0, 3.0]), 0.0)
-        assert_array_equal(cayley_step(SkewMatrix(np.zeros((2, 2))), q, 1.0).q, q.q)
+        q = np.diag([2.0, 3.0])
+        phi = transfer_matrix("cayley-midpoint", SkewMatrix(np.zeros((2, 2))), 1.0)
+        assert_array_equal(phi @ q, q)
 
     def test_cayley_benchmark_step_is_orthogonal(self):
-        out = cayley_step(BENCH, eye_state(3), 0.1)
-        assert np.linalg.norm(out.q.T @ out.q - np.eye(3)) <= 1e-14
+        out = transfer_matrix("cayley-midpoint", BENCH, 0.1) @ np.eye(3)
+        assert np.linalg.norm(out.T @ out - np.eye(3)) <= 1e-14
 
     def test_cayley_preserves_gram_of_arbitrary_state(self):
         rng = np.random.default_rng(5)
-        q = OrthogonalState(rng.standard_normal((3, 3)) * 2.0, 0.0)
-        out = cayley_step(BENCH, q, 0.7)
-        gram0 = q.q.T @ q.q
-        gram1 = out.q.T @ out.q
+        q = rng.standard_normal((3, 3)) * 2.0
+        out = transfer_matrix("cayley-midpoint", BENCH, 0.7) @ q
+        gram0 = q.T @ q
+        gram1 = out.T @ out
         assert np.linalg.norm(gram1 - gram0) <= 1e-13 * np.linalg.norm(gram0)
 
     def test_rk2_closed_hand_case(self):
-        out = rk2_closed_step(QUARTER, eye_state(2), 1.0)
-        assert_array_equal(out.q, [[0.5, 1.0], [-1.0, 0.5]])
+        out = transfer_matrix("rk2-closed", QUARTER, 1.0) @ np.eye(2)
+        assert_array_equal(out, [[0.5, 1.0], [-1.0, 0.5]])
 
     def test_rk2_closed_single_step_energy(self):
         # eigenvalue arithmetic: E_1 = 1 + 2*(1 + h^4 theta^4 / 4) = 3.000804005
-        out = rk2_closed_step(BENCH, eye_state(3), 0.1)
-        assert energy(out.q) == pytest.approx(3.000804005, abs=1e-12)
+        out = transfer_matrix("rk2-closed", BENCH, 0.1) @ np.eye(3)
+        assert energy(out) == pytest.approx(3.000804005, abs=1e-12)
 
     def test_rk2_closed_zero_field(self):
-        q = eye_state(3)
-        assert_array_equal(rk2_closed_step(SkewMatrix(np.zeros((3, 3))), q, 0.3).q, q.q)
+        q = np.eye(3)
+        phi = transfer_matrix("rk2-closed", SkewMatrix(np.zeros((3, 3))), 0.3)
+        assert_array_equal(phi @ q, q)
 
     def test_step_must_be_positive(self):
-        for fn in (cayley_step, rk2_closed_step):
+        for method in ("cayley-midpoint", "rk2-closed"):
             with pytest.raises(ValueError, match="positive"):
-                fn(QUARTER, eye_state(2), -0.1)
+                transfer_matrix(method, QUARTER, -0.1)
         with pytest.raises(ValueError, match="positive"):
-            rk_step(builtin("midpoint"), QUARTER, eye_state(2), 0.0)
+            transfer_matrix(builtin("midpoint"), QUARTER, 0.0)
 
 
 class TestClosedFormTwins:
     def test_rk2_paths_agree_on_benchmark(self):
-        explicit = rk_step(builtin("rk2-explicit"), BENCH, eye_state(3), 0.1)
-        closed = rk2_closed_step(BENCH, eye_state(3), 0.1)
-        assert np.max(np.abs(explicit.q - closed.q)) <= 1e-15
+        explicit = transfer_matrix(builtin("rk2-explicit"), BENCH, 0.1) @ np.eye(3)
+        closed = transfer_matrix("rk2-closed", BENCH, 0.1) @ np.eye(3)
+        assert np.max(np.abs(explicit - closed)) <= 1e-15
 
     def test_twins_agree_on_random_problems(self):
         rng = np.random.default_rng(23)
@@ -124,36 +123,23 @@ class TestClosedFormTwins:
         for _ in range(100):
             dim = int(rng.integers(2, 7))
             s = SkewMatrix(random_skew(rng, dim, norm=rng.uniform(0.1, 5.0)))
-            q = OrthogonalState(rng.standard_normal((dim, dim)), 0.0)
+            q = rng.standard_normal((dim, dim))
             h = rng.uniform(1e-3, 1.0)
-            scale = np.linalg.norm(q.q)
-            a = rk_step(midpoint, s, q, h).q
-            b = cayley_step(s, q, h).q
+            scale = np.linalg.norm(q)
+            a = transfer_matrix(midpoint, s, h) @ q
+            b = transfer_matrix("cayley-midpoint", s, h) @ q
             assert np.linalg.norm(a - b) <= 1e-13 * scale
-            a = rk_step(rk2, s, q, h).q
-            b = rk2_closed_step(s, q, h).q
+            a = transfer_matrix(rk2, s, h) @ q
+            b = transfer_matrix("rk2-closed", s, h) @ q
             assert np.linalg.norm(a - b) <= 1e-13 * scale
 
 
 class TestStageSolvers:
     def test_direct_and_fixed_point_agree(self):
         for tableau in (builtin("midpoint"), builtin("gauss2")):
-            direct = rk_step(tableau, BENCH, eye_state(3), 0.1, stage_solver="direct")
-            fixed = rk_step(tableau, BENCH, eye_state(3), 0.1, stage_solver="fixed-point")
-            assert np.linalg.norm(direct.q - fixed.q) <= 1e-12
-
-    def test_fixed_point_divergence_reports_residual(self):
-        strong = SkewMatrix(random_skew(np.random.default_rng(1), 3, norm=50.0))
-        with pytest.raises(ConvergenceError) as excinfo:
-            rk_step(
-                builtin("midpoint"),
-                strong,
-                eye_state(3),
-                1.0,
-                stage_solver="fixed-point",
-                fp_max_iters=20,
-            )
-        assert excinfo.value.residual > 0
+            direct = transfer_matrix(tableau, BENCH, 0.1) @ np.eye(3)
+            fixed = fixed_point_step((tableau.a, tableau.b), BENCH.mat, np.eye(3), 0.1)
+            assert np.linalg.norm(direct - fixed) <= 1e-12
 
     def test_explicit_tableaus_never_touch_the_stage_solver(self, monkeypatch):
         import skewflow.integrators as integrators
@@ -163,24 +149,23 @@ class TestStageSolvers:
 
         monkeypatch.setattr(integrators, "checked_solve", forbidden)
         for name in ("rk2-explicit", "rk4-classical"):
-            rk_step(builtin(name), BENCH, eye_state(3), 0.1)
+            transfer_matrix(builtin(name), BENCH, 0.1)
 
 
 class TestTransferMatrix:
     def test_cayley_hand_case(self):
         phi = transfer_matrix("cayley-midpoint", QUARTER, 2.0)
-        assert_allclose(phi.phi, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-15)
-        assert phi.method == "cayley-midpoint"
-        assert phi.step == 2.0
+        assert_allclose(phi, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-15)
+        assert not phi.flags.writeable
 
     def test_rk2_hand_case_and_determinant(self):
         phi = transfer_matrix("rk2-closed", QUARTER, 1.0)
-        assert_array_equal(phi.phi, [[0.5, 1.0], [-1.0, 0.5]])
-        assert np.linalg.det(phi.phi) == pytest.approx(1.25, abs=1e-12)
+        assert_array_equal(phi, [[0.5, 1.0], [-1.0, 0.5]])
+        assert np.linalg.det(phi) == pytest.approx(1.25, abs=1e-12)
 
     def test_zero_field_gives_identity(self):
         phi = transfer_matrix(builtin("gauss2"), SkewMatrix(np.zeros((4, 4))), 0.5)
-        assert_array_equal(phi.phi, np.eye(4))
+        assert_array_equal(phi, np.eye(4))
 
     def test_linearity_of_every_method(self):
         rng = np.random.default_rng(9)
@@ -190,15 +175,11 @@ class TestTransferMatrix:
             s = SkewMatrix(random_skew(rng, dim, norm=3.0))
             h = rng.uniform(0.05, 1.0)
             phi = transfer_matrix(method, s, h)
+            oracle = (method.a, method.b) if isinstance(method, ButcherTableau) else method
             for _ in range(5):
-                q = OrthogonalState(rng.standard_normal((dim, dim)), 0.0)
-                if isinstance(method, ButcherTableau):
-                    stepped = rk_step(method, s, q, h).q
-                elif method == "cayley-midpoint":
-                    stepped = cayley_step(s, q, h).q
-                else:
-                    stepped = rk2_closed_step(s, q, h).q
-                assert np.linalg.norm(stepped - phi.phi @ q.q) <= 1e-13 * np.linalg.norm(q.q)
+                q = rng.standard_normal((dim, dim))
+                stepped = oracle_step(oracle, s.mat, q, h)
+                assert np.linalg.norm(stepped - phi @ q) <= 1e-13 * np.linalg.norm(q)
 
     def test_cayley_determinant_is_invariant(self):
         rng = np.random.default_rng(31)
@@ -206,7 +187,7 @@ class TestTransferMatrix:
             dim = int(rng.integers(2, 7))
             s = SkewMatrix(random_skew(rng, dim, norm=rng.uniform(0.1, 5.0)))
             phi = transfer_matrix("cayley-midpoint", s, rng.uniform(0.01, 1.0))
-            assert abs(np.linalg.det(phi.phi) - 1.0) <= 1e-13
+            assert abs(np.linalg.det(phi) - 1.0) <= 1e-13
 
 
 class TestAdjointDefect:
@@ -230,34 +211,54 @@ class TestPropagate:
         config = IntegratorConfig(method="cayley-midpoint", step=0.25)
         traj = propagate(config, SkewMatrix(np.zeros((3, 3))), eye_state(3), 2.0)
         assert len(traj) == 9
-        for rec in traj.records:
-            assert_array_equal(rec.q, np.eye(3))
-            assert rec.energy_err == 0.0
-            assert rec.det_drift == 0.0
+        for q in traj.qs:
+            assert_array_equal(q, np.eye(3))
+        assert np.all(traj.energy_errors == 0.0)
+        assert np.all(traj.det_drifts == 0.0)
 
     def test_times_recomputed_from_step_index(self):
         config = IntegratorConfig(method="rk2-closed", step=0.1)
         traj = propagate(config, BENCH, eye_state(3), 1.0)
-        for k, rec in enumerate(traj.records[:-1]):
-            assert rec.t == 0.0 + k * 0.1
-        assert traj.records[-1].t == 1.0
+        for k, t in enumerate(traj.times[:-1]):
+            assert t == 0.0 + k * 0.1
+        assert traj.times[-1] == 1.0
 
     def test_final_partial_step_lands_on_t_end(self):
         config = IntegratorConfig(method="cayley-midpoint", step=0.1)
         traj = propagate(config, BENCH, eye_state(3), 1.05)
         assert len(traj) == 12  # initial + 11 steps (last one shrunk to 0.05)
-        assert traj.records[-1].t == 1.05
+        assert traj.times[-1] == 1.05
 
     def test_interval_shorter_than_step(self):
         config = IntegratorConfig(method="cayley-midpoint", step=1.0)
         traj = propagate(config, BENCH, eye_state(3), 0.25)
         assert len(traj) == 2
-        assert traj.records[-1].t == 0.25
+        assert traj.times[-1] == 0.25
 
     def test_record_every_stride_plus_final(self):
         config = IntegratorConfig(method="rk2-closed", step=0.1)
         traj = propagate(config, BENCH, eye_state(3), 1.0, record_every=3)
-        assert [round(r.t, 10) for r in traj.records] == [0.0, 0.3, 0.6, 0.9, 1.0]
+        assert [round(t, 10) for t in traj.times] == [0.0, 0.3, 0.6, 0.9, 1.0]
+
+    @given(
+        t0=st.one_of(st.sampled_from([0.0, 3.3e4, 1e6, 1e12]), st.floats(1.6e9, 1.8e9)),
+        h=st.floats(1e-3, 1.0),
+        steps=st.floats(1e-2, 200.0),
+    )
+    def test_grid_steps_are_positive_and_sum_to_the_interval(self, t0, h, steps):
+        # at epoch-scale t0 the grid points t0 + k*h round; the last one must
+        # still fall short of t_end, or the last step is empty or negative
+        t_end = t0 + steps * h
+        assume(t_end > t0)
+        config = IntegratorConfig(method="rk2-closed", step=h)
+        traj = propagate(config, hat([0.0, 0.0, 1.0]), eye_state(3, t0), t_end)
+        dt = np.diff(traj.times)
+        assert np.all(dt > 0)
+        assert math.fsum(dt) == pytest.approx(t_end - t0, rel=1e-12)
+        assert traj.times[-1] == t_end
+        # each gyro interval is marched on the same grid
+        span = Span(config, hat([0.0, 0.0, 1.0]).mat, t0, t_end)
+        assert [span.time(k) for k in range(span.n + 1)] == traj.times.tolist()
 
     def test_rejects_bad_horizon_and_stride(self):
         config = IntegratorConfig(method="rk2-closed", step=0.1)
@@ -293,11 +294,11 @@ class TestConservation:
                 assert symplecticity(tableau).defect <= 1e-14
             dim = int(rng.integers(2, 7))
             s = SkewMatrix(random_skew(rng, dim, norm=rng.uniform(0.1, 5.0)))
-            q = OrthogonalState(rng.standard_normal((dim, dim)) * 3.0, 0.0)
+            q = rng.standard_normal((dim, dim)) * 3.0
             h = rng.uniform(1e-3, 1.0)
-            out = rk_step(tableau, s, q, h)
-            gram0 = q.q.T @ q.q
-            gram1 = out.q.T @ out.q
+            out = transfer_matrix(tableau, s, h) @ q
+            gram0 = q.T @ q
+            gram1 = out.T @ out
             assert np.linalg.norm(gram1 - gram0) <= 1e-12 * np.linalg.norm(gram0)
 
     def test_transfer_two_form_identity_for_symplectic_methods(self):

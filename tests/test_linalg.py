@@ -12,7 +12,6 @@ from skewflow import (
     SkewnessError,
     apply_velocity,
     Trajectory,
-    assert_skew,
     checked_solve,
     det_drift,
     expm,
@@ -48,7 +47,7 @@ class TestHatVee:
         assert_array_equal(vee(SkewMatrix(np.zeros((3, 3)))), np.zeros(3))
 
     def test_vee_benchmark_matrix(self):
-        assert_array_equal(vee(assert_skew(BENCH_MAT)), BENCH_RATE)
+        assert_array_equal(vee(SkewMatrix(BENCH_MAT)), BENCH_RATE)
 
     def test_vee_requires_dim_3(self):
         with pytest.raises(ValueError, match="dimension 3"):
@@ -61,23 +60,23 @@ class TestHatVee:
 
 class TestSkewGate:
     def test_accepts_planar_rotation_generator(self):
-        s = assert_skew([[0.0, 1.0], [-1.0, 0.0]], tol=1e-12)
+        s = SkewMatrix([[0.0, 1.0], [-1.0, 0.0]], tol=1e-12)
         assert s.dim == 2
 
     def test_rejects_symmetric_with_defect(self):
         with pytest.raises(SkewnessError) as excinfo:
-            assert_skew([[0.0, 1.0], [1.0, 0.0]], tol=1e-12)
+            SkewMatrix([[0.0, 1.0], [1.0, 0.0]], tol=1e-12)
         assert excinfo.value.defect == 2.0
 
     def test_accepts_benchmark_matrix(self):
-        assert assert_skew(BENCH_MAT, tol=1e-12).dim == 3
+        assert SkewMatrix(BENCH_MAT, tol=1e-12).dim == 3
 
     def test_loose_tolerance_admits_small_perturbations(self):
         # deliberate escape hatch used to demonstrate conservation breakage
         nearly = BENCH_MAT + 1e-3 * np.eye(3)
         with pytest.raises(SkewnessError):
-            assert_skew(nearly)
-        assert assert_skew(nearly, tol=1e-2).dim == 3
+            SkewMatrix(nearly)
+        assert SkewMatrix(nearly, tol=1e-2).dim == 3
 
     def test_matrix_is_read_only(self):
         s = hat([1.0, 0.0, 0.0])
@@ -133,7 +132,7 @@ class TestExpm:
         assert np.max(np.abs(got - oracle)) <= 1e-14
 
     def test_benchmark_flow_is_orthogonal(self):
-        q = expm(assert_skew(BENCH_MAT), 0.1)
+        q = expm(SkewMatrix(BENCH_MAT), 0.1)
         assert np.linalg.norm(q.T @ q - np.eye(3)) <= 1e-14
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])

@@ -1,9 +1,10 @@
-"""Per-step oracle for the cached one-step-map march of ``propagate``.
+"""Per-step oracles for the one-step map phi(S, h) and the march of ``propagate``.
 
-The oracle advances Q one step at a time on its own time grid and solves the
-stacked Runge-Kutta stage equations written out here with plain numpy, so
-it shares no code with the library: no cached map, no tableau catalogue, no
-closed forms beyond the textbook step formulas.
+The oracles advance Q one step at a time on their own time grid and solve
+the Runge-Kutta stage equations written out here with plain numpy, either
+stacked or by fixed-point iteration, so they share no code with the
+library: no cached map, no tableau catalogue, no closed forms beyond the
+textbook step formulas.
 """
 
 import math
@@ -45,6 +46,26 @@ def oracle_step(method, s, q, h):
             system[i * d : (i + 1) * d, j * d : (j + 1) * d] -= h * a[i, j] * s
     y = np.linalg.solve(system, np.vstack([q] * stages))
     return q + sum(h * b[i] * (s @ y[i * d : (i + 1) * d]) for i in range(stages))
+
+
+def fixed_point_step(method, s, q, h, tol=1e-14, max_iters=100):
+    """One Runge-Kutta step with the stages found by simple iteration.
+
+    Iterates ``Y_i <- Q + h sum_j a_ij S Y_j`` to a fixed point, which
+    converges for small ``h * ||S||``; ``method`` is an ``(A, b)`` pair.
+    """
+    a, b = (np.array(x, dtype=float) for x in method)
+    stages = len(b)
+    scale = max(1.0, float(np.linalg.norm(q)))
+    y = [q.copy() for _ in range(stages)]
+    for _ in range(max_iters):
+        sy = [s @ yi for yi in y]
+        new = [q + h * sum(a[i, j] * sy[j] for j in range(stages)) for i in range(stages)]
+        residual = max(float(np.linalg.norm(n - o)) for n, o in zip(new, y))
+        y = new
+        if residual <= tol * scale:
+            return q + h * sum(b[i] * (s @ y[i]) for i in range(stages))
+    raise AssertionError(f"stage iteration did not converge (residual {residual:.3e})")
 
 
 def oracle_run(method, s, q0, t_end, h, stride):
