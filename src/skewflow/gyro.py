@@ -1,11 +1,18 @@
 """Gyro-log ingestion and piecewise-constant attitude propagation.
 
 A gyro log is a time-stamped sequence of body angular rates.  Propagation
-holds the rate constant over each sampling interval (zero-order hold),
-builds the skew coefficient with the hat map, and advances the attitude
-with the configured integrator.  The hold makes the per-interval exact
-flow available as a reference, so integrator error can be measured without
-entangling it with interpolation error.
+holds the rate constant over each sampling interval (zero-order hold), so
+each interval is a constant-S problem with ``S = hat(omega_i)``.  The
+hold makes the per-interval exact flow available as a reference, so
+integrator error can be measured without entangling it with interpolation
+error.
+
+Both pipelines work through the log a block of intervals at a time: the
+skew coefficients of a block come straight from the already validated rate
+array, and its one-step maps (or exact rotations) are built in one stacked
+call, so the only per-interval Python work left is the chain of 3x3
+products that marches the state.  Blocks keep the temporaries a fixed size
+however long the log is.
 """
 
 from dataclasses import dataclass
@@ -13,10 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import Trajectory, require_orthogonal_start
-from .integrators import NonFiniteStateError, Span, metered
-from .linalg import OrthogonalState, expm, hat
+from .integrators import Span, metered, one_step_map
+from .linalg import OrthogonalState, _expm_rot3, hat_stack
 
 GYRO_HEADER = "t,wx,wy,wz"
+
+# intervals whose maps are built in one stacked call
+_BLOCK = 512
 
 
 class GyroLogError(ValueError):
@@ -120,13 +130,16 @@ def _initial_state(log, q0, allow_nonorthogonal):
     return q0
 
 
-def _boundary_states(log, q0, advance):
-    """Stack of the states at the sample boundaries; ``advance(i, q)`` crosses interval i."""
-    qs = np.empty((len(log), 3, 3))
-    qs[0] = q = q0.q
-    for i in range(len(log) - 1):
-        qs[i + 1] = q = advance(i, q)
-    return qs
+def _blocks(log):
+    """``(start, stop, skew stack)`` for each block of intervals of the log."""
+    for start in range(0, len(log) - 1, _BLOCK):
+        stop = min(start + _BLOCK, len(log) - 1)
+        yield start, stop, hat_stack(log.rates[start:stop])
+
+
+def _grid(log, start, stop, h):
+    """Step counts and last-step lengths of intervals ``start`` to ``stop - 1``."""
+    return Span.grid(log.times[start:stop], log.times[start + 1 : stop + 1], h)
 
 
 def propagate_gyro(log, config, q0=None, allow_nonorthogonal=False):
@@ -136,33 +149,43 @@ def propagate_gyro(log, config, q0=None, allow_nonorthogonal=False):
     constant, the coefficient ``S = hat(omega_i)`` is built, and the state
     advances with the configured method at step ``config.step`` (the last
     step of each interval shrunk to land on the boundary).  Records are
-    emitted at the sample boundaries.  Raises
-    :class:`~skewflow.integrators.NonFiniteStateError` when the state or a
-    meter overflows.
+    emitted at the sample boundaries.  The maps of a block of intervals are
+    built in two stacked calls, one for h and one for the last steps, and
+    each interval is then marched exactly as a direct run would march it.
+    Raises :class:`~skewflow.integrators.NonFiniteStateError` at the
+    earlier of the first non-finite state and the first record with a
+    non-finite meter.
 
     ``q0`` defaults to the identity at the first sample time; a supplied
     starting attitude must be orthogonal to within ``Q0_ORTH_TOL`` unless
     ``allow_nonorthogonal`` is set.
     """
     state = _initial_state(log, q0, allow_nonorthogonal)
-    times = log.times.tolist()
-
-    def span(i):
-        return Span(config, hat(log.rates[i]).mat, times[i], times[i + 1])
-
-    def steps_before(i):
-        return sum(Span.count(times[j], times[j + 1], config.step) for j in range(i))
-
+    h = config.step
+    qs = np.empty((len(log), 3, 3))
+    qs[0] = q = state.q
     # overflow surfaces as NonFiniteStateError, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        qs = _boundary_states(log, state, lambda i, q: span(i).march(q))
-        finite = np.isfinite(qs).all(axis=(1, 2))
-        if not finite.all():
-            i = int(np.argmin(finite)) - 1
-            bad = span(i)
-            k = bad.first_nonfinite(qs[i])
-            raise NonFiniteStateError(steps_before(i) + k, bad.time(k))
-    return metered(config, log.times, qs, steps_before)
+        for start, stop, m in _blocks(log):
+            counts, h_last = _grid(log, start, stop, h)
+            phi = one_step_map(config.method, m, h)
+            phi_last = one_step_map(config.method, m, h_last)
+            for j, n in enumerate(counts.tolist()):
+                p = phi[j]
+                for _ in range(n - 1):
+                    q = p @ q
+                qs[start + j + 1] = q = phi_last[j] @ q
+
+    def steps_before(j):
+        return int(_grid(log, 0, j, h)[0].sum())
+
+    def state_failure(j):
+        i = j - 1
+        span = Span(config, hat_stack(log.rates[i]), log.times[i], log.times[i + 1])
+        k = span.first_nonfinite(qs[i])
+        return steps_before(i) + k, span.time(k)
+
+    return metered(config, log.times, qs, steps_before, state_failure)
 
 
 def reference_gyro(log, q0=None, allow_nonorthogonal=False):
@@ -170,11 +193,14 @@ def reference_gyro(log, q0=None, allow_nonorthogonal=False):
 
     Serves as the oracle for :func:`propagate_gyro` — under the same hold
     the only difference between the two is the integrator's own error.
+    The exact rotations of a block of intervals come from one stacked
+    Rodrigues evaluation, the formula :func:`~skewflow.linalg.expm` uses.
     """
     state = _initial_state(log, q0, allow_nonorthogonal)
-    times = log.times.tolist()
-
-    def advance(i, q):
-        return expm(hat(log.rates[i]), times[i + 1] - times[i]) @ q
-
-    return Trajectory("exact", 0.0, log.times, _boundary_states(log, state, advance))
+    dt = np.diff(log.times)
+    qs = np.empty((len(log), 3, 3))
+    qs[0] = q = state.q
+    for start, stop, m in _blocks(log):
+        for j, r in enumerate(_expm_rot3(dt[start:stop, None, None] * m)):
+            qs[start + j + 1] = q = r @ q
+    return Trajectory("exact", 0.0, log.times, qs)

@@ -7,7 +7,6 @@ step.  Every method is linear in Q, so a step is ``Q -> phi(S, h) @ Q``
 with the one-step map phi built by stepping the identity.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,13 +68,17 @@ def one_step_map(method, m, h):
     Built by stepping the identity once: every scheme here is linear in Q,
     so a step of any state is exactly ``phi @ Q`` and a run with constant S
     is a chain of matrix products with one phi.  ``m`` is the coefficient
-    array; ``h`` may be negative (for the adjoint).
+    array, or a ``(k, d, d)`` stack of them; ``h`` is a scalar or a ``(k,)``
+    array of steps, and may be negative (for the adjoint).  A stack in
+    either gives the ``(k, d, d)`` stack of maps, each equal bit for bit to
+    the map built from its own ``m`` and ``h`` alone.
 
     Explicit tableaus are evaluated by forward substitution; implicit ones
     solve the stacked linear stage system ``(I - h A (x) S)`` for all
-    identity columns with one factorization.
+    identity columns with one factorization per map.
     """
-    eye = np.eye(m.shape[0])
+    eye = np.eye(m.shape[-1])
+    h = np.asarray(h, dtype=float)[..., None, None]
     if method == "cayley-midpoint":
         # (I - (h/2) S)^-1 (I + (h/2) S) via one linear solve, never inversion
         try:
@@ -90,21 +93,22 @@ def one_step_map(method, m, h):
     if method.is_explicit:
         sy = [None] * s
         for i in range(s):
-            yi = eye.copy()
+            yi = eye
             for j in range(i):
                 if a[i, j] != 0.0:
-                    yi += (h * a[i, j]) * sy[j]
+                    yi = yi + (h * a[i, j]) * sy[j]
             sy[i] = m @ yi
     else:
-        dim = m.shape[0]
+        dim = m.shape[-1]
         system = np.eye(s * dim) - h * np.kron(a, m)
         try:
             stacked = checked_solve(system, np.tile(eye, (s, 1)))
         except SingularMatrixError as exc:
             raise StageSolveError(f"stacked stage system is singular: {exc}") from exc
-        sy = [m @ stacked[i * dim : (i + 1) * dim] for i in range(s)]
+        sy = [m @ stacked[..., i * dim : (i + 1) * dim, :] for i in range(s)]
 
-    out = eye.copy()
+    # a copy of the full shape, so that a tableau with b = 0 still maps a stack
+    out = np.broadcast_to(eye, np.broadcast_shapes(m.shape, h.shape)).copy()
     for i in range(s):
         if b[i] != 0.0:
             out += (h * b[i]) * sy[i]
@@ -147,20 +151,31 @@ class Span:
     def __init__(self, config, m, t0, t_end):
         h = config.step
         self.t0, self.t_end, self.h = t0, t_end, h
-        self.n = self.count(t0, t_end, h)
-        h_last = t_end - (t0 + (self.n - 1) * h)
+        n, h_last = self.grid(t0, t_end, h)
+        self.n = int(n)
         self.phi = one_step_map(config.method, m, h)
         self.phi_last = self.phi if h_last == h else one_step_map(config.method, m, h_last)
 
     @staticmethod
-    def count(t0, t_end, h):
-        """Number of steps; the 1e-9 slack keeps an interval that is a multiple
-        of h up to rounding from growing a spurious extra step.  The last full
-        grid point ``t0 + (n-1)*h`` must fall short of ``t_end`` in floating
-        point, or the last step would be empty or negative, so it is dropped
-        when it does not."""
-        n = max(math.ceil((t_end - t0) / h - 1e-9), 1)
-        return n - 1 if n > 1 and t0 + (n - 1) * h >= t_end else n
+    def grid(t0, t_end, h):
+        """Step count and last-step length of each interval ``(t0, t_end]``.
+
+        ``t0`` and ``t_end`` are scalars or arrays, taken elementwise.  The
+        count is ``ceil((t_end - t0) / h)`` less a slack, so an interval
+        that is a whole number of steps up to rounding does not grow a
+        sliver of an extra step.  The slack is 1e-9 of a step plus four
+        ulps of the larger endpoint, the most by which rounding of the
+        endpoints can lengthen ``t_end - t0``; so the last step can exceed h
+        by at most that slack.  The last full grid point
+        ``t0 + (n-1)*h`` must fall short of ``t_end`` in floating point, or
+        the last step would be empty or negative, so it is dropped when it
+        does not.
+        """
+        t0, t_end = np.asarray(t0, dtype=float), np.asarray(t_end, dtype=float)
+        slack = 1e-9 + 4.0 * np.spacing(np.maximum(np.abs(t0), np.abs(t_end))) / h
+        n = np.maximum(np.ceil((t_end - t0) / h - slack), 1.0)
+        n = np.where((n > 1) & (t0 + (n - 1) * h >= t_end), n - 1, n)
+        return n.astype(np.int64), t_end - (t0 + (n - 1) * h)
 
     def time(self, k):
         """Time of the state after step k."""
@@ -235,29 +250,36 @@ def propagate(config, s, q0, t_end, record_every=1):
         qs = np.empty((ks.shape[0], s.dim, s.dim))
         qs[0] = q0.q
         span.march(q0.q, qs[1:], record_every)
-        finite = np.isfinite(qs).all(axis=(1, 2))
-        if not finite.all():
-            bad = int(np.argmin(finite))
-            k = span.first_nonfinite(qs[bad - 1], int(ks[bad - 1]))
-            raise NonFiniteStateError(k, span.time(k))
     times = q0.t + ks * config.step
     times[-1] = t_end
-    return metered(config, times, qs, lambda j: ks[j])
+
+    def state_failure(j):
+        k = span.first_nonfinite(qs[j - 1], int(ks[j - 1]))
+        return k, span.time(k)
+
+    return metered(config, times, qs, lambda j: ks[j], state_failure)
 
 
-def metered(config, times, qs, step_of):
-    """The :class:`Trajectory` of a run, refusing meters that overflowed.
+def metered(config, times, qs, step_of, state_failure):
+    """The :class:`Trajectory` of a run, refusing a state or meter that overflowed.
 
     A meter can overflow while the state is still finite: the energy once
     entries pass about 1e154, the Gram defect once they pass about 1e77.
-    That raises :class:`NonFiniteStateError` at the first such record j,
-    whose step index is ``step_of(j)``.
+    The meters are taken over the records before the first non-finite
+    state, and the earlier failure raises :class:`NonFiniteStateError`:
+    the first record j with a non-finite meter, at step ``step_of(j)``, or
+    else the first non-finite state, whose step and time
+    ``state_failure(j)`` finds from the last finite record ``j - 1``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        traj = Trajectory(method_label(config.method), config.step, times, qs)
-    finite = (np.isfinite(traj.energy_errors) & np.isfinite(traj.orth_defects)
-              & np.isfinite(traj.det_drifts))
-    if not finite.all():
-        j = int(np.argmin(finite))
-        raise NonFiniteStateError(step_of(j), traj.times[j])
+        finite = np.isfinite(qs).all(axis=(1, 2))
+        n = len(qs) if finite.all() else int(np.argmin(finite))
+        traj = Trajectory(method_label(config.method), config.step, times[:n], qs[:n])
+        meters = (np.isfinite(traj.energy_errors) & np.isfinite(traj.orth_defects)
+                  & np.isfinite(traj.det_drifts))
+        if not meters.all():
+            j = int(np.argmin(meters))
+            raise NonFiniteStateError(step_of(j), traj.times[j])
+        if n < len(qs):
+            raise NonFiniteStateError(*state_failure(n))
     return traj

@@ -44,12 +44,15 @@ class SingularMatrixError(ValueError):
         )
 
 
-def as_square_matrix(a, name="matrix"):
-    """Coerce to a finite, square, float64 array (always a fresh copy)."""
+def as_square_matrix(a, name="matrix", stack=False):
+    """Coerce to a finite, square, float64 array (always a fresh copy).
+
+    With ``stack``, an ``(..., n, n)`` stack of square matrices passes too.
+    """
     m = np.array(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    if m.shape[0] < 1:
+    if m.shape[-1] < 1:
         raise ValueError(f"{name} must have dimension >= 1")
     if not np.isfinite(m).all():
         raise ValueError(f"{name} has non-finite entries")
@@ -142,14 +145,21 @@ def hat(omega):
         raise ValueError(f"angular rate must be a 3-vector, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
         raise ValueError("angular rate has non-finite components")
-    m = np.array(
-        [
-            [0.0, -w[2], w[1]],
-            [w[2], 0.0, -w[0]],
-            [-w[1], w[0], 0.0],
-        ]
-    )
-    return SkewMatrix(m)
+    return SkewMatrix(hat_stack(w))
+
+
+def hat_stack(omegas):
+    """Skew matrices of an ``(..., 3)`` array of rates, as an ``(..., 3, 3)`` array.
+
+    The unvalidated kernel behind :func:`hat`, for callers that have
+    already checked a whole array of rates (a gyro log, say).
+    """
+    w = np.asarray(omegas, dtype=float)
+    m = np.zeros(w.shape[:-1] + (3, 3))
+    m[..., 0, 1], m[..., 0, 2] = -w[..., 2], w[..., 1]
+    m[..., 1, 0], m[..., 1, 2] = w[..., 2], -w[..., 0]
+    m[..., 2, 0], m[..., 2, 1] = -w[..., 1], w[..., 0]
+    return m
 
 
 def vee(s):
@@ -195,18 +205,20 @@ def expm(s, t=1.0):
 
 
 def _expm_rot3(x):
-    # x is 3x3 skew; its rotation angle is the norm of the axis vector
-    r = np.array([x[2, 1], x[0, 2], x[1, 0]])
-    th2 = float(r @ r)
+    # x is a 3x3 skew matrix or an (..., 3, 3) stack of them; each rotation
+    # angle is the norm of its axis vector r, with r.r taken as a matrix
+    # product so that every map of a stack rounds as it does alone
+    r = np.stack([x[..., 2, 1], x[..., 0, 2], x[..., 1, 0]], axis=-1)
+    th2 = (r[..., None, :] @ r[..., :, None])[..., 0, 0]
     th = np.sqrt(th2)
-    if th >= ROT3_SERIES_CUTOFF:
-        k1 = np.sin(th) / th
-        k2 = (1.0 - np.cos(th)) / th2
-    else:
-        th4 = th2 * th2
-        k1 = 1.0 - th2 / 6.0 + th4 / 120.0
-        k2 = 0.5 - th2 / 24.0 + th4 / 720.0
-    return np.eye(3) + k1 * x + k2 * (x @ x)
+    series = th < ROT3_SERIES_CUTOFF
+    # the trigonometric forms see 1 where the series applies, so th = 0
+    # divides nothing by zero
+    th_safe, th2_safe = np.where(series, 1.0, th), np.where(series, 1.0, th2)
+    th4 = th2 * th2
+    k1 = np.where(series, 1.0 - th2 / 6.0 + th4 / 120.0, np.sin(th_safe) / th_safe)
+    k2 = np.where(series, 0.5 - th2 / 24.0 + th4 / 720.0, (1.0 - np.cos(th_safe)) / th2_safe)
+    return np.eye(3) + k1[..., None, None] * x + k2[..., None, None] * (x @ x)
 
 
 def _expm_spectral(x):
@@ -220,29 +232,38 @@ def _expm_spectral(x):
 def checked_solve(a, b):
     """Solve ``a @ x = b`` with one LAPACK factorization, refusing singular ``a``.
 
-    ``b`` may be a vector or a matrix of right-hand-side columns.  The
-    identity rides along as extra right-hand columns, so the same
-    factorization also yields ``a^-1`` and with it the reciprocal condition
-    number ``1 / (||a||_1 ||a^-1||_1)``.  Raises :class:`SingularMatrixError`
-    when that falls below ``RCOND_MIN`` or LAPACK meets an exact zero pivot.
+    ``a`` is a square matrix or an ``(..., n, n)`` stack of them.  ``b`` is a
+    vector (single ``a`` only) or an ``(..., n, k)`` array of right-hand-side
+    columns that broadcasts against ``a``.  The identity rides along as
+    extra right-hand columns, so the same factorization also yields
+    ``a^-1`` and with it the reciprocal condition number
+    ``1 / (||a||_1 ||a^-1||_1)``.  Raises :class:`SingularMatrixError` when
+    that falls below ``RCOND_MIN`` for any matrix of the stack, or LAPACK
+    meets an exact zero pivot.
     """
-    a = as_square_matrix(a, "coefficient matrix")
+    a = as_square_matrix(a, "coefficient matrix", stack=True)
     x = np.asarray(b, dtype=float)
-    vector = x.ndim == 1
+    vector = x.ndim == 1 and a.ndim == 2
     if vector:
         x = x.reshape(-1, 1)
-    n = a.shape[0]
-    if x.ndim != 2 or x.shape[0] != n:
+    n = a.shape[-1]
+    if x.ndim < 2 or x.shape[-2] != n:
         raise ValueError(
             f"right-hand side shape {np.shape(b)} does not conform to "
             f"matrix of dimension {n}"
         )
-    k = x.shape[1]
+    k = x.shape[-1]
+    batch = np.broadcast_shapes(a.shape[:-2], x.shape[:-2])
     try:
-        sol = np.linalg.solve(a, np.hstack([x, np.eye(n)]))
+        sol = np.linalg.solve(a, np.concatenate(
+            [np.broadcast_to(x, batch + x.shape[-2:]), np.broadcast_to(np.eye(n), batch + (n, n))],
+            axis=-1,
+        ))
     except np.linalg.LinAlgError:
         raise SingularMatrixError(0.0, RCOND_MIN) from None
-    rcond = 1.0 / (np.abs(a).sum(axis=0).max() * np.abs(sol[:, k:]).sum(axis=0).max())
+    norm_a = np.abs(a).sum(axis=-2).max(axis=-1)
+    norm_inv = np.abs(sol[..., k:]).sum(axis=-2).max(axis=-1)
+    rcond = np.min(1.0 / (norm_a * norm_inv))
     if not rcond >= RCOND_MIN:
         raise SingularMatrixError(rcond, RCOND_MIN)
-    return sol[:, 0] if vector else sol[:, :k]
+    return sol[:, 0] if vector else sol[..., :k]

@@ -177,7 +177,8 @@ class TestPropagate:
 
     def test_overflow_exits_3_with_step_and_time(self, tmp_path, capsys):
         # the RK2 map scales the rotation plane by |1 + 50i - 1250| ~ 1250 per
-        # step, and 1250**99 < 1.8e308 < 1250**100: step 100 overflows
+        # step, and 1250**99 < 1.8e308 < 1250**100: step 100 overflows, but
+        # the Gram defect of the step-25 record overflowed first
         argv = ["propagate", "--method", "rk2-closed", "--omega", "0,0,50", "--h", "1",
                 "--t-end", "400", "--out", str(tmp_path / "t.csv")]
         with warnings.catch_warnings(record=True) as caught:
@@ -186,7 +187,7 @@ class TestPropagate:
         assert caught == []
         err = capsys.readouterr().err
         assert "numerical failure" in err
-        assert "step 100 " in err and "t = 100.0" in err
+        assert "step 25 " in err and "t = 25.0" in err
         assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("t_end", ["30", "60"])
@@ -257,6 +258,36 @@ class TestGyroCommand:
         assert caught == []
         err = capsys.readouterr().err
         assert "step 25 " in err and "t = 25.0" in err
+        assert not (tmp_path / "att.csv").exists()
+
+    def test_overflow_exits_3_with_step_and_time(self, tmp_path, capsys):
+        # the gyro twin of the propagate case: the state overflows in the
+        # interval ending at t = 100, after the step-25 meters did
+        log = tmp_path / "gyro.csv"
+        log.write_text("t,wx,wy,wz\n" + "".join(f"{i},0,0,50\n" for i in range(401)))
+        argv = ["gyro", "--input", str(log), "--method", "rk2-closed", "--h", "1",
+                "--out", str(tmp_path / "att.csv")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 3
+        assert caught == []
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "step 25 " in err and "t = 25.0" in err
+        assert not (tmp_path / "att.csv").exists()
+
+    def test_singular_stage_system_exits_3(self, tmp_path, capsys):
+        # the singular tableau of the propagate case, applied to a gyro log
+        rk_file = tmp_path / "singular.rk"
+        rk_file.write_text("2\n0 -1\n1 0\n0.5 0.5\n-1 1\n")
+        log = tmp_path / "gyro.csv"
+        log.write_text("t,wx,wy,wz\n0,0,0,1\n3,0,0,1\n4,0,0,0\n")
+        rc = main(["gyro", "--input", str(log), "--method", str(rk_file), "--h", "1",
+                   "--out", str(tmp_path / "att.csv")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "att.csv").exists()
 
     def test_repeated_timestamp_exits_2(self, tmp_path, capsys):

@@ -123,15 +123,18 @@ class TestPropagateGyro:
 
     def test_overflow_reports_the_same_step_as_direct_propagation(self):
         # two RK2 steps per interval, 312.5x growth per step: the state
-        # overflows mid-log, at the step and time a direct run reports
+        # overflows at step 124, but the Gram defect already at step 31, so
+        # the first record past it (step 32) fails, here and in a direct run
+        # that records the same steps
         log = constant_rate_log([0.0, 0.0, 50.0], 150.0, n=151)
         config = IntegratorConfig(method="rk2-closed", step=0.5)
         with pytest.raises(NonFiniteStateError) as from_log:
             propagate_gyro(log, config)
         with pytest.raises(NonFiniteStateError) as direct:
-            propagate(config, hat([0.0, 0.0, 50.0]), OrthogonalState(np.eye(3), 0.0), 150.0)
-        assert from_log.value.step == direct.value.step == 124
-        assert from_log.value.t == direct.value.t == 62.0
+            propagate(config, hat([0.0, 0.0, 50.0]), OrthogonalState(np.eye(3), 0.0), 150.0,
+                      record_every=2)
+        assert from_log.value.step == direct.value.step == 32
+        assert from_log.value.t == direct.value.t == 16.0
 
     def test_multi_interval_records_at_boundaries(self):
         times = np.array([0.0, 0.4, 1.0, 1.5])

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from conftest import BENCH_MAT, random_orthogonal, random_skew
 from skewflow import (
     BUILTIN_NAMES,
+    CLOSED_FORM_METHODS,
     ButcherTableau,
     IntegratorConfig,
     OrthogonalState,
@@ -21,7 +22,7 @@ from skewflow import (
     transfer_matrix,
 )
 from skewflow import adjoint_defect
-from skewflow.integrators import Span
+from skewflow.integrators import Span, one_step_map
 from test_march_oracle import fixed_point_step, oracle_step
 
 QUARTER = SkewMatrix([[0.0, 1.0], [-1.0, 0.0]])
@@ -190,6 +191,25 @@ class TestTransferMatrix:
             assert abs(np.linalg.det(phi) - 1.0) <= 1e-13
 
 
+class TestStackedMaps:
+    @pytest.mark.parametrize("name", list(CLOSED_FORM_METHODS) + list(BUILTIN_NAMES))
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_stacked_map_equals_per_matrix_map_bitwise(self, name, dim):
+        rng = np.random.default_rng(dim)
+        method = builtin(name) if name in BUILTIN_NAMES else name
+        ms = np.array([random_skew(rng, dim, norm=x) for x in rng.uniform(0.1, 3.0, 6)])
+        hs = np.array([0.1, -0.1, 0.37, -1.3, 1e-3, 0.1])
+        for m, h, phi in zip(ms, hs, one_step_map(method, ms, hs)):
+            assert_array_equal(phi, one_step_map(method, m, float(h)))
+        for m, phi in zip(ms, one_step_map(method, ms, -0.25)):
+            assert_array_equal(phi, one_step_map(method, m, -0.25))
+
+    def test_zero_weight_tableau_keeps_the_stack_shape(self):
+        tableau = ButcherTableau([[0.0]], [0.0], [0.0])
+        ms = np.zeros((4, 3, 3))
+        assert_array_equal(one_step_map(tableau, ms, 0.1), np.tile(np.eye(3), (4, 1, 1)))
+
+
 class TestAdjointDefect:
     def test_zero_field(self):
         assert adjoint_defect("rk2-closed", SkewMatrix(np.zeros((3, 3))), 1.0) == 0.0
@@ -259,6 +279,39 @@ class TestPropagate:
         # each gyro interval is marched on the same grid
         span = Span(config, hat([0.0, 0.0, 1.0]).mat, t0, t_end)
         assert [span.time(k) for k in range(span.n + 1)] == traj.times.tolist()
+
+    @given(
+        t0=st.one_of(st.sampled_from([0.0, 3.3e4, 1e6, 1.7e9, 1.8e9]), st.floats(0.0, 1.8e9)),
+        h=st.floats(1e-3, 1.0),
+        steps=st.integers(1, 200),
+        ulps=st.integers(-2, 2),
+    )
+    def test_whole_number_of_steps_up_to_rounding_takes_exactly_that_many(
+        self, t0, h, steps, ulps
+    ):
+        # t_end rounds when it is formed and is then nudged by a few ulps, as
+        # the sample times of a log are; no sliver of an extra step may appear
+        t_end = t0 + steps * h
+        for _ in range(abs(ulps)):
+            t_end = math.nextafter(t_end, math.copysign(math.inf, ulps))
+        n, h_last = Span.grid(t0, t_end, h)
+        assert n == steps
+        assert h_last > 0
+
+    def test_gyro_benchmark_grid_is_unchanged(self):
+        # a 100 Hz log of 10^4 samples marched at h = 0.0025
+        times = np.arange(10_000) / 100
+        n, _ = Span.grid(times[:-1], times[1:], 0.0025)
+        assert np.all(n == 4) and n.sum() == 39_996
+
+    @pytest.mark.parametrize(
+        "base, dt, h, steps",
+        [(3.3e4, 0.005, 0.001, 5), (1.7e9, 0.01, 0.0025, 4), (1.7e9, 0.01, 0.001, 10)],
+    )
+    def test_log_intervals_at_large_times_take_whole_steps(self, base, dt, h, steps):
+        times = base + dt * np.arange(20_000)
+        n, _ = Span.grid(times[:-1], times[1:], h)
+        assert np.all(n == steps)
 
     def test_rejects_bad_horizon_and_stride(self):
         config = IntegratorConfig(method="rk2-closed", step=0.1)

@@ -18,6 +18,7 @@ from skewflow import (
     hat,
     vee,
 )
+from skewflow.linalg import ROT3_SERIES_CUTOFF, _expm_rot3, hat_stack
 
 finite_rates = st.lists(
     st.floats(min_value=-1e3, max_value=1e3, allow_nan=False), min_size=3, max_size=3
@@ -251,3 +252,44 @@ class TestOrthogonalState:
         state = OrthogonalState(np.eye(2), 0.0)
         with pytest.raises(ValueError):
             state.q[0, 0] = 7.0
+
+
+class TestStacks:
+    def test_hat_stack_matches_hat_bitwise(self):
+        rates = np.random.default_rng(2).uniform(-5.0, 5.0, size=(20, 3))
+        rates[0] = 0.0
+        for w, m in zip(rates, hat_stack(rates)):
+            assert_array_equal(m, hat(w).mat)
+
+    def test_stacked_rotations_match_expm(self):
+        # every branch of the closed form: th = 0, the series below the
+        # cutoff, either side of the cutoff, and th on and around pi
+        rng = np.random.default_rng(4)
+        angles = np.array([0.0, 1e-12, 1e-6, 0.5 * ROT3_SERIES_CUTOFF, ROT3_SERIES_CUTOFF,
+                           1.5 * ROT3_SERIES_CUTOFF, 0.3, 2.0, np.pi - 1e-7, np.pi,
+                           np.pi + 1e-7, 7.5])
+        axes = rng.standard_normal((angles.shape[0], 3))
+        rates = axes / np.linalg.norm(axes, axis=1)[:, None] * angles[:, None]
+        stacked = _expm_rot3(hat_stack(rates))
+        for w, r in zip(rates, stacked):
+            assert np.max(np.abs(r - expm(hat(w)))) <= 2e-16
+
+    def test_stacked_solve_matches_per_matrix_solve_bitwise(self):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((6, 4, 4)) + 4.0 * np.eye(4)
+        b = rng.standard_normal((6, 4, 2))
+        for ai, bi, xi in zip(a, b, checked_solve(a, b)):
+            assert_array_equal(xi, checked_solve(ai, bi))
+        # one right-hand side shared by the whole stack
+        for ai, xi in zip(a, checked_solve(a, b[0])):
+            assert_array_equal(xi, checked_solve(ai, b[0]))
+
+    @pytest.mark.parametrize(
+        "bad", [[[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0 + 1e-15]]],
+        ids=["exactly-singular", "below-rcond"],
+    )
+    def test_one_singular_matrix_in_a_stack_raises(self, bad):
+        a = np.tile(np.eye(2), (5, 1, 1))
+        a[3] = bad
+        with pytest.raises(SingularMatrixError):
+            checked_solve(a, np.eye(2))

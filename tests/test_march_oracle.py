@@ -1,6 +1,7 @@
 """Per-step oracles for the one-step map phi(S, h) and the march of ``propagate``.
 
-The oracles advance Q one step at a time on their own time grid and solve
+The oracles advance Q one step at a time on their own time grid (per
+interval of a gyro log, under zero-order hold) and solve
 the Runge-Kutta stage equations written out here with plain numpy, either
 stacked or by fixed-point iteration, so they share no code with the
 library: no cached map, no tableau catalogue, no closed forms beyond the
@@ -13,7 +14,16 @@ import numpy as np
 import pytest
 
 from conftest import random_skew
-from skewflow import IntegratorConfig, OrthogonalState, SkewMatrix, builtin, propagate
+from skewflow import (
+    GyroLog,
+    IntegratorConfig,
+    OrthogonalState,
+    SkewMatrix,
+    builtin,
+    propagate,
+    propagate_gyro,
+)
+from skewflow.gyro import _BLOCK
 
 R = math.sqrt(3.0) / 6.0
 # (A, b) of the two tableaus, copied from the literature, not the catalogue
@@ -98,3 +108,34 @@ def test_cached_map_march_matches_per_step_oracle(name, dim, t_end, stride):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     energies = np.array([np.sum(q * q) for q in states])
     assert np.max(np.abs(traj.energies - energies) / energies) <= 1e-12
+
+
+def oracle_gyro(method, times, rates, h):
+    """Per-step zero-order-hold march of a gyro log, one state per sample."""
+    q = np.eye(3)
+    states = [q]
+    for t0, t1, (w1, w2, w3) in zip(times[:-1], times[1:], rates):
+        s = np.array([[0.0, -w3, w2], [w3, 0.0, -w1], [-w2, w1, 0.0]])
+        n = max(math.ceil((t1 - t0) / h - 1e-9), 1)
+        for k in range(1, n + 1):
+            q = oracle_step(method, s, q, h if k < n else t1 - (t0 + (n - 1) * h))
+        states.append(q)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("name", sorted(METHODS))
+def test_batched_gyro_matches_per_step_oracle(name):
+    # uneven intervals from 0.2 h to 3.7 h, so some take one shortened step
+    # and the rest a few, over more than two blocks of stacked maps
+    rng = np.random.default_rng(7)
+    samples = 2 * _BLOCK + 77
+    h = 0.01
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 3.7, samples - 1) * h)])
+    rates = rng.uniform(-2.0, 2.0, size=(samples, 3))
+    method = builtin(name) if name in ("gauss2", "rk4-classical") else name
+    traj = propagate_gyro(GyroLog(times, rates), IntegratorConfig(method=method, step=h))
+
+    want = oracle_gyro(METHODS[name], times.tolist(), rates.tolist(), h)
+    assert np.array_equal(traj.times, times)
+    err = np.linalg.norm(traj.qs - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
+    assert np.max(err) <= 1e-12
