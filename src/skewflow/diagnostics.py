@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import stack_rows
+
 Q0_ORTH_TOL = 1e-8
 
 
@@ -26,7 +28,7 @@ def _orth_defects(qs):
     # the Gram stack is built a block at a time so its temporary stays near
     # 32 KB however large d is; each row's arithmetic is unchanged
     n, d, _ = qs.shape
-    rows = max(1, 4096 // (d * d))
+    rows = stack_rows(d)
     eye = np.eye(d)
     out = np.empty(n)
     for i in range(0, n, rows):

@@ -10,9 +10,11 @@ error.
 Both pipelines work through the log a block of intervals at a time: the
 skew coefficients of a block come straight from the already validated rate
 array, and its one-step maps (or exact rotations) are built in one stacked
-call, so the only per-interval Python work left is the chain of 3x3
-products that marches the state.  Blocks keep the temporaries a fixed size
-however long the log is.
+call.  Each interval's map is reduced to one matrix (its power of phi by
+binary powering, for the integrators), and the block's states are the
+prefix products of those matrices applied to the state that starts the
+block, so no Python-level loop runs per interval or per step.  Blocks keep
+the temporaries a fixed size however long the log is.
 """
 
 from dataclasses import dataclass
@@ -21,7 +23,7 @@ import numpy as np
 
 from .diagnostics import Trajectory, require_orthogonal_start
 from .integrators import Span, metered, one_step_map
-from .linalg import OrthogonalState, _expm_rot3, hat_stack
+from .linalg import OrthogonalState, _expm_rot3, hat_stack, power, scan
 
 GYRO_HEADER = "t,wx,wy,wz"
 
@@ -150,11 +152,15 @@ def propagate_gyro(log, config, q0=None, allow_nonorthogonal=False):
     advances with the configured method at step ``config.step`` (the last
     step of each interval shrunk to land on the boundary).  Records are
     emitted at the sample boundaries.  The maps of a block of intervals are
-    built in two stacked calls, one for h and one for the last steps, and
-    each interval is then marched exactly as a direct run would march it.
-    Raises :class:`~skewflow.integrators.NonFiniteStateError` at the
-    earlier of the first non-finite state and the first record with a
-    non-finite meter.
+    built in two stacked calls, one for h and one for the last steps; an
+    interval of n steps becomes the one matrix ``phi_last @ phi^(n-1)``, the
+    expression a direct run uses for its last record, and the block's
+    records are the prefix products of these matrices applied to the state
+    at the start of the block.  The products are grouped differently from a
+    step-by-step march, so records agree with one to rounding, not bit for
+    bit; a single interval agrees with a direct run exactly.  Raises
+    :class:`~skewflow.integrators.NonFiniteStateError` at the earlier of the
+    first non-finite state and the first record with a non-finite meter.
 
     ``q0`` defaults to the identity at the first sample time; a supplied
     starting attitude must be orthogonal to within ``Q0_ORTH_TOL`` unless
@@ -169,12 +175,9 @@ def propagate_gyro(log, config, q0=None, allow_nonorthogonal=False):
         for start, stop, m in _blocks(log):
             counts, h_last = _grid(log, start, stop, h)
             phi = one_step_map(config.method, m, h)
-            phi_last = one_step_map(config.method, m, h_last)
-            for j, n in enumerate(counts.tolist()):
-                p = phi[j]
-                for _ in range(n - 1):
-                    q = p @ q
-                qs[start + j + 1] = q = phi_last[j] @ q
+            maps = one_step_map(config.method, m, h_last) @ power(phi, counts - 1)
+            qs[start + 1 : stop + 1] = scan(maps) @ q
+            q = qs[stop]
 
     def steps_before(j):
         return int(_grid(log, 0, j, h)[0].sum())
@@ -194,13 +197,15 @@ def reference_gyro(log, q0=None, allow_nonorthogonal=False):
     Serves as the oracle for :func:`propagate_gyro` — under the same hold
     the only difference between the two is the integrator's own error.
     The exact rotations of a block of intervals come from one stacked
-    Rodrigues evaluation, the formula :func:`~skewflow.linalg.expm` uses.
+    Rodrigues evaluation, the formula :func:`~skewflow.linalg.expm` uses,
+    and the block's states are their prefix products applied to the state
+    at the start of the block.
     """
     state = _initial_state(log, q0, allow_nonorthogonal)
     dt = np.diff(log.times)
     qs = np.empty((len(log), 3, 3))
     qs[0] = q = state.q
     for start, stop, m in _blocks(log):
-        for j, r in enumerate(_expm_rot3(dt[start:stop, None, None] * m)):
-            qs[start + j + 1] = q = r @ q
+        qs[start + 1 : stop + 1] = scan(_expm_rot3(dt[start:stop, None, None] * m)) @ q
+        q = qs[stop]
     return Trajectory("exact", 0.0, log.times, qs)

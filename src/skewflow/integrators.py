@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import Trajectory
-from .linalg import SingularMatrixError, checked_solve
+from .linalg import SingularMatrixError, checked_solve, power, scan, stack_rows
 from .tableaus import ButcherTableau
 
 CLOSED_FORM_METHODS = ("cayley-midpoint", "rk2-closed")
@@ -145,7 +145,10 @@ class Span:
     ``n`` steps: ``n - 1`` of length h at times ``t0 + k*h`` (recomputed from
     the step index, so long runs do not accumulate additive drift), then one
     shortened step landing exactly on ``t_end``.  phi is built once for h and
-    once more for the last step when its length differs.
+    once more for the last step when its length differs.  :func:`propagate`
+    reaches its records through powers and prefix products of phi;
+    :meth:`first_nonfinite` is the per-step march that defines where a
+    failed run went bad.
     """
 
     def __init__(self, config, m, t0, t_end):
@@ -181,39 +184,35 @@ class Span:
         """Time of the state after step k."""
         return self.t0 + k * self.h if k < self.n else self.t_end
 
-    def march(self, q, out=None, stride=None):
-        """Advance q over the span and return the final state.
+    def first_nonfinite(self, q, k0=0, k1=None):
+        """First step in ``(k0, k1]`` with a non-finite state, else ``k1``.
 
-        With ``out``, every stride-th state and the final one are written to
-        ``out[0], out[1], ...`` in order.
+        The state after step ``k0`` is ``q``; ``k1`` defaults to the last
+        step.  This is the slow per-step definition of the failure step.
+        The march forms powers and products of the maps before it applies
+        them to a state, so a record at step ``k1`` can overflow where the
+        per-step states up to it stay finite; that record's step is then
+        the failure.
         """
-        phi = self.phi
-        stride = stride or self.n
-        j = 0
-        for k in range(1, self.n):
-            q = phi @ q
-            if k % stride == 0:
-                out[j] = q
-                j += 1
-        q = self.phi_last @ q
-        if out is not None:
-            out[j] = q
-        return q
-
-    def first_nonfinite(self, q, k0=0):
-        """First step after ``k0`` (where the state is ``q``) with a non-finite state."""
-        for k in range(k0 + 1, self.n + 1):
+        k1 = self.n if k1 is None else k1
+        for k in range(k0 + 1, k1 + 1):
             q = (self.phi if k < self.n else self.phi_last) @ q
             if not np.all(np.isfinite(q)):
                 return k
-        return None
+        return k1
 
 
 def propagate(config, s, q0, t_end, record_every=1):
     """Propagate a state to ``t_end`` with a fixed step, recording meters.
 
     A record is kept for the initial state, after every
-    ``record_every``-th step, and for the final state; the states are
+    ``record_every``-th step, and for the final state.  No step is taken
+    one at a time: with ``P = phi^record_every`` formed by binary powering,
+    a table of the prefix products ``P, P^2, ...`` (as many as fit a
+    ``STACK_ENTRIES`` temporary) carries each block of records on from the
+    last record of the block before, and the final state is
+    ``phi_last @ phi^(n-1) @ q0``, taken straight from the start so that it
+    does not depend on ``record_every``.  The records are
     stacked and metered in one pass by
     :class:`~skewflow.diagnostics.Trajectory`.  Energy and determinant
     drifts are measured against the first record.  Raises
@@ -248,13 +247,24 @@ def propagate(config, s, q0, t_end, record_every=1):
         span = Span(config, s.mat, q0.t, t_end)
         ks = np.append(np.arange(0, span.n, record_every), span.n)
         qs = np.empty((ks.shape[0], s.dim, s.dim))
-        qs[0] = q0.q
-        span.march(q0.q, qs[1:], record_every)
+        qs[0] = q = q0.q
+        inner = qs[1:-1]
+        if len(inner):
+            # table[j] = (phi^record_every)^(j+1): each block of records
+            # starts from the last record of the block before
+            rows = min(stack_rows(s.dim), len(inner))
+            stride_map = power(span.phi, record_every)
+            table = scan(np.broadcast_to(stride_map, (rows, s.dim, s.dim)))
+            for i in range(0, len(inner), rows):
+                block = inner[i : i + rows]
+                np.matmul(table[: len(block)], q, out=block)
+                q = block[-1]
+        qs[-1] = (span.phi_last @ power(span.phi, span.n - 1)) @ q0.q
     times = q0.t + ks * config.step
     times[-1] = t_end
 
     def state_failure(j):
-        k = span.first_nonfinite(qs[j - 1], int(ks[j - 1]))
+        k = span.first_nonfinite(qs[j - 1], int(ks[j - 1]), int(ks[j]))
         return k, span.time(k)
 
     return metered(config, times, qs, lambda j: ks[j], state_failure)

@@ -14,6 +14,8 @@ import numpy as np
 SKEW_TOL = 1e-12
 ROT3_SERIES_CUTOFF = 1e-4
 RCOND_MIN = 1e-14
+# entries in one stacked temporary (32 KB of float64)
+STACK_ENTRIES = 4096
 
 
 class SkewnessError(ValueError):
@@ -227,6 +229,52 @@ def _expm_spectral(x):
     lam, u = np.linalg.eigh(1j * x)
     phases = np.exp(-1j * lam)
     return ((u * phases) @ u.conj().T).real
+
+
+def stack_rows(d):
+    """How many d x d matrices fit a stacked temporary of ``STACK_ENTRIES``."""
+    return max(1, STACK_ENTRIES // (d * d))
+
+
+def power(a, k):
+    """``a^k`` by binary powering, for a matrix or a ``(n, d, d)`` stack.
+
+    ``k`` is a nonnegative integer or an array of them that broadcasts
+    against the stack.  ``a^(2^b)`` is squared up once per bit, and each set
+    bit multiplies it onto the product from the left, so the lowest bit is
+    innermost; ``k = 0`` gives the identity.  Every matrix of a stack comes
+    out equal bit for bit to its own call.  Squaring stops at the highest
+    set bit, so the squares of a growing ``a`` overflow no sooner than
+    ``a^k`` itself.
+    """
+    a = np.asarray(a, dtype=float)
+    k = np.asarray(k, dtype=np.int64)
+    if np.any(k < 0):
+        raise ValueError("exponent must be nonnegative")
+    d = a.shape[-1]
+    out = np.broadcast_to(np.eye(d), np.broadcast_shapes(a.shape[:-2], k.shape) + (d, d))
+    square = a
+    while True:
+        out = np.where((k & 1).astype(bool)[..., None, None], square @ out, out)
+        k = k >> 1
+        if not k.any():
+            return out
+        square = square @ square
+
+
+def scan(maps):
+    """Inclusive prefix products ``p[j] = maps[j] @ ... @ maps[0]`` of a stack.
+
+    Log-depth doubling: after the pass with shift s each ``p[j]`` holds the
+    product of up to 2s consecutive maps ending at j, so ``ceil(log2 n)``
+    stacked products cover a stack of n.  ``p[0]`` is ``maps[0]`` unchanged.
+    """
+    p = np.array(maps, dtype=float)
+    shift = 1
+    while shift < p.shape[0]:
+        p[shift:] = p[shift:] @ p[:-shift]
+        shift *= 2
+    return p
 
 
 def checked_solve(a, b):

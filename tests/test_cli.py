@@ -190,6 +190,25 @@ class TestPropagate:
         assert "step 25 " in err and "t = 25.0" in err
         assert not (tmp_path / "t.csv").exists()
 
+    def test_overflow_of_the_map_power_alone_exits_3(self, tmp_path, capsys):
+        # from q0 = 1e-3 I the state stays finite (1e-3 * 1250**100 ~ 5e306),
+        # but the one record past the start is phi_last @ phi**99 @ q0, and
+        # the map power overflows first; the per-step search finds no
+        # non-finite state, so the failure is the record's own step
+        q0 = tmp_path / "q0.txt"
+        q0.write_text("1e-3 0 0\n0 1e-3 0\n0 0 1e-3\n")
+        argv = ["propagate", "--method", "rk2-closed", "--omega", "0,0,50", "--h", "1",
+                "--t-end", "100", "--q0", str(q0), "--allow-nonorthogonal",
+                "--record-every", "1000", "--out", str(tmp_path / "t.csv")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 3
+        assert caught == []
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "step 100 " in err and "t = 100.0" in err
+        assert not (tmp_path / "t.csv").exists()
+
     @pytest.mark.parametrize("t_end", ["30", "60"])
     def test_meter_overflow_exits_3_with_step_and_time(self, tmp_path, capsys, t_end):
         # the state is still finite at t = 30, but its entries pass 1e77 at

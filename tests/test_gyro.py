@@ -136,6 +136,18 @@ class TestPropagateGyro:
         assert from_log.value.step == direct.value.step == 32
         assert from_log.value.t == direct.value.t == 16.0
 
+    def test_overflow_of_the_interval_map_alone_reports_the_interval_end(self):
+        # one 100-step RK2 interval from q0 = 1e-3 I: every per-step state is
+        # finite, but the interval's map phi_last @ phi**99 overflows, so the
+        # failure is the record at the interval's end, as in a direct run
+        log = constant_rate_log([0.0, 0.0, 50.0], 100.0)
+        config = IntegratorConfig(method="rk2-closed", step=1.0)
+        q0 = OrthogonalState(1e-3 * np.eye(3), 0.0)
+        with pytest.raises(NonFiniteStateError) as excinfo:
+            propagate_gyro(log, config, q0, allow_nonorthogonal=True)
+        assert excinfo.value.step == 100
+        assert excinfo.value.t == 100.0
+
     def test_multi_interval_records_at_boundaries(self):
         times = np.array([0.0, 0.4, 1.0, 1.5])
         rates = np.array([[0, 0, 1.0], [0, 1.0, 0], [1.0, 0, 0], [0, 0, 0]])

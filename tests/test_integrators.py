@@ -22,7 +22,7 @@ from skewflow import (
     transfer_matrix,
 )
 from skewflow import adjoint_defect
-from skewflow.integrators import Span, one_step_map
+from skewflow.integrators import NonFiniteStateError, Span, one_step_map
 from test_march_oracle import fixed_point_step, oracle_step
 
 QUARTER = SkewMatrix([[0.0, 1.0], [-1.0, 0.0]])
@@ -259,6 +259,31 @@ class TestPropagate:
         config = IntegratorConfig(method="rk2-closed", step=0.1)
         traj = propagate(config, BENCH, eye_state(3), 1.0, record_every=3)
         assert [round(t, 10) for t in traj.times] == [0.0, 0.3, 0.6, 0.9, 1.0]
+
+    def test_record_whose_map_power_overflows_fails_at_its_own_step(self):
+        # from q0 = 1e-3 I the RK2 states stay finite to step 100 and overflow
+        # at step 101, but phi**100 overflows, so the step-100 record does;
+        # the per-step search from the start stops at that record's step
+        config = IntegratorConfig(method="rk2-closed", step=1.0)
+        q0 = OrthogonalState(1e-3 * np.eye(3), 0.0)
+        with pytest.raises(NonFiniteStateError) as excinfo:
+            propagate(config, hat([0.0, 0.0, 50.0]), q0, 150.0, record_every=100)
+        assert excinfo.value.step == 100
+        assert excinfo.value.t == 100.0
+
+    @pytest.mark.parametrize("name", ["cayley-midpoint", "rk2-closed", "gauss2", "rk4-classical"])
+    def test_final_state_does_not_depend_on_record_every(self, name):
+        # 57 steps, the last one shortened; the final state comes straight
+        # from q0 whatever records are kept on the way
+        rng = np.random.default_rng(11)
+        s = SkewMatrix(random_skew(rng, 6, norm=2.0))
+        q0 = OrthogonalState(rng.standard_normal((6, 6)), 0.0)
+        method = builtin(name) if name in BUILTIN_NAMES else name
+        config = IntegratorConfig(method=method, step=0.1)
+        ends = [propagate(config, s, q0, 5.65, record_every=r).qs[-1]
+                for r in (1, 3, 7, 57, 2**62)]
+        for q in ends[1:]:
+            assert_array_equal(q, ends[0])
 
     @given(
         t0=st.one_of(st.sampled_from([0.0, 3.3e4, 1e6, 1e12]), st.floats(1.6e9, 1.8e9)),

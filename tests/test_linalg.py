@@ -18,7 +18,7 @@ from skewflow import (
     hat,
     vee,
 )
-from skewflow.linalg import ROT3_SERIES_CUTOFF, _expm_rot3, hat_stack
+from skewflow.linalg import ROT3_SERIES_CUTOFF, _expm_rot3, hat_stack, power, scan
 
 finite_rates = st.lists(
     st.floats(min_value=-1e3, max_value=1e3, allow_nan=False), min_size=3, max_size=3
@@ -293,3 +293,62 @@ class TestStacks:
         a[3] = bad
         with pytest.raises(SingularMatrixError):
             checked_solve(a, np.eye(2))
+
+
+def repeated_product(a, k):
+    out = np.eye(a.shape[-1])
+    for _ in range(k):
+        out = a @ out
+    return out
+
+
+class TestPowerAndScan:
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 7, 8, 31, 32, 63, 64, 100])
+    def test_power_matches_repeated_products(self, k):
+        # exponents 0, 1, 2^b - 1 and 2^b: the widest and narrowest bit patterns
+        rng = np.random.default_rng(k)
+        a = np.linalg.qr(rng.standard_normal((5, 5)))[0] + 0.01 * rng.standard_normal((5, 5))
+        want = repeated_product(a, k)
+        got = power(a, k)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        if k == 0:
+            assert_array_equal(got, np.eye(5))
+        if k == 1:
+            assert_array_equal(got, a)
+
+    def test_stacked_power_equals_per_matrix_power_bitwise(self):
+        # mixed per-element exponents, so matrices drop out at different bits
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((9, 3, 3)) / 2.0
+        ks = np.array([0, 1, 2, 3, 5, 16, 31, 40, 0])
+        for ai, ki, pi in zip(a, ks, power(a, ks)):
+            assert_array_equal(pi, power(ai, ki))
+            assert np.linalg.norm(pi - repeated_product(ai, ki)) <= (
+                1e-13 * np.linalg.norm(repeated_product(ai, ki)))
+        # one matrix raised to a stack of exponents, and a stack to one exponent
+        for ki, pi in zip(ks, power(a[0], ks)):
+            assert_array_equal(pi, power(a[0], ki))
+        for ai, pi in zip(a, power(a, 6)):
+            assert_array_equal(pi, power(ai, 6))
+
+    def test_power_rejects_negative_exponent(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            power(np.eye(2), np.array([1, -1]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 512, 513])
+    def test_scan_matches_sequential_products(self, n):
+        rng = np.random.default_rng(n)
+        maps = np.array([np.linalg.qr(m)[0] for m in rng.standard_normal((n, 4, 4))])
+        p = scan(maps)
+        assert p.shape == maps.shape
+        assert_array_equal(p[0], maps[0])
+        want = maps[0]
+        for j in range(1, n):
+            want = maps[j] @ want
+            assert np.linalg.norm(p[j] - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_scan_leaves_its_input_alone(self):
+        maps = np.random.default_rng(8).standard_normal((6, 2, 2))
+        before = maps.copy()
+        scan(maps)
+        assert_array_equal(maps, before)

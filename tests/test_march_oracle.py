@@ -24,6 +24,7 @@ from skewflow import (
     propagate_gyro,
 )
 from skewflow.gyro import _BLOCK
+from skewflow.linalg import stack_rows
 
 R = math.sqrt(3.0) / 6.0
 # (A, b) of the two tableaus, copied from the literature, not the catalogue
@@ -110,6 +111,28 @@ def test_cached_map_march_matches_per_step_oracle(name, dim, t_end, stride):
     assert np.max(np.abs(traj.energies - energies) / energies) <= 1e-12
 
 
+@pytest.mark.parametrize("name", sorted(METHODS))
+@pytest.mark.parametrize("dim, records", [(3, 600), (10, 300), (40, 300)])
+@pytest.mark.parametrize("stride", [1, 7])
+def test_march_across_record_tables_matches_per_step_oracle(name, dim, records, stride):
+    # more records than one table of prefix products holds, so each later
+    # block of records starts from the last record of the block before
+    assert records > stack_rows(dim)
+    rng = np.random.default_rng(100 * dim + stride)
+    s = random_skew(rng, dim, norm=1.0)
+    q0 = rng.standard_normal((dim, dim))
+    t_end = (records * stride - 0.5) * 0.1
+    method = builtin(name) if name in ("gauss2", "rk4-classical") else name
+    config = IntegratorConfig(method=method, step=0.1)
+    traj = propagate(config, SkewMatrix(s), OrthogonalState(q0, 0.0), t_end, stride)
+
+    times, states = oracle_run(METHODS[name], s, q0, t_end, 0.1, stride)
+    assert len(traj) == records + 1
+    assert np.array_equal(traj.times, times)
+    err = np.linalg.norm(traj.qs - states, axis=(1, 2)) / np.linalg.norm(states, axis=(1, 2))
+    assert np.max(err) <= 1e-12
+
+
 def oracle_gyro(method, times, rates, h):
     """Per-step zero-order-hold march of a gyro log, one state per sample."""
     q = np.eye(3)
@@ -131,6 +154,24 @@ def test_batched_gyro_matches_per_step_oracle(name):
     samples = 2 * _BLOCK + 77
     h = 0.01
     times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 3.7, samples - 1) * h)])
+    rates = rng.uniform(-2.0, 2.0, size=(samples, 3))
+    method = builtin(name) if name in ("gauss2", "rk4-classical") else name
+    traj = propagate_gyro(GyroLog(times, rates), IntegratorConfig(method=method, step=h))
+
+    want = oracle_gyro(METHODS[name], times.tolist(), rates.tolist(), h)
+    assert np.array_equal(traj.times, times)
+    err = np.linalg.norm(traj.qs - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
+    assert np.max(err) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(METHODS))
+def test_long_gyro_intervals_match_per_step_oracle(name):
+    # intervals of 0.2 h to 40 h take up to 40 steps, so the power of each
+    # interval's map runs over six bits, across a block boundary
+    rng = np.random.default_rng(9)
+    samples = _BLOCK + 89
+    h = 0.01
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 40.0, samples - 1) * h)])
     rates = rng.uniform(-2.0, 2.0, size=(samples, 3))
     method = builtin(name) if name in ("gauss2", "rk4-classical") else name
     traj = propagate_gyro(GyroLog(times, rates), IntegratorConfig(method=method, step=h))
