@@ -3,7 +3,7 @@
 The exact flow of this linear matrix ODE conserves the energy
 trace(Q^T Q), the Gram matrix Q^T Q, and det(Q).  Runge-Kutta tableaus
 satisfying the symplectic condition reproduce the Gram invariant exactly
-in exact arithmetic; non-symplectic ones do not, and their energy drifts.
+in exact arithmetic; explicit ones cannot, and their energy drifts.
 This package provides the integrators, the conservation meters that
 measure such drift, a Butcher-tableau toolkit with a symplecticity
 checker, and a gyro-log front end for strapdown attitude propagation.

@@ -9,12 +9,13 @@ error.
 
 Both pipelines work through the log a block of intervals at a time: the
 skew coefficients of a block come straight from the already validated rate
-array, and its one-step maps (or exact rotations) are built in one stacked
-call.  Each interval's map is reduced to one matrix (its power of phi by
-binary powering, for the integrators), and the block's states are the
-prefix products of those matrices applied to the state that starts the
-block, so no Python-level loop runs per interval or per step.  Blocks keep
-the temporaries a fixed size however long the log is.
+array, and its one-step maps (or exact rotations) come from one stacked
+closed-form evaluation, with no linear solve.  Each interval's map is
+reduced to one matrix (its power of phi by binary powering, for the
+integrators), and the block's states are the prefix products of those
+matrices applied to the state that starts the block, so no Python-level
+loop runs per interval or per step.  Blocks keep the temporaries a fixed
+size however long the log is.
 """
 
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ import numpy as np
 
 from .diagnostics import Trajectory, require_orthogonal_start
 from .integrators import Span, metered, one_step_map
-from .linalg import OrthogonalState, _expm_rot3, hat_stack, power, scan
+from .linalg import OrthogonalState, _exp_coefficients, hat_stack, power, rodrigues, scan
 
 GYRO_HEADER = "t,wx,wy,wz"
 
@@ -151,12 +152,12 @@ def propagate_gyro(log, config, q0=None, allow_nonorthogonal=False):
     constant, the coefficient ``S = hat(omega_i)`` is built, and the state
     advances with the configured method at step ``config.step`` (the last
     step of each interval shrunk to land on the boundary).  Records are
-    emitted at the sample boundaries.  The maps of a block of intervals are
-    built in two stacked calls, one for h and one for the last steps; an
-    interval of n steps becomes the one matrix ``phi_last @ phi^(n-1)``, the
-    expression a direct run uses for its last record, and the block's
-    records are the prefix products of these matrices applied to the state
-    at the start of the block.  The products are grouped differently from a
+    emitted at the sample boundaries.  The maps of a block of intervals come
+    in closed form, with no stage solve, in two stacked calls: one for h and
+    one for the last steps.  An interval of n steps becomes the one matrix
+    ``phi_last @ phi^(n-1)``, the expression a direct run uses for its last
+    record, and the block's records are the prefix products of these
+    matrices applied to the state at the start of the block.  The products are grouped differently from a
     step-by-step march, so records agree with one to rounding, not bit for
     bit; a single interval agrees with a direct run exactly.  Raises
     :class:`~skewflow.integrators.NonFiniteStateError` at the earlier of the
@@ -206,6 +207,7 @@ def reference_gyro(log, q0=None, allow_nonorthogonal=False):
     qs = np.empty((len(log), 3, 3))
     qs[0] = q = state.q
     for start, stop, m in _blocks(log):
-        qs[start + 1 : stop + 1] = scan(_expm_rot3(dt[start:stop, None, None] * m)) @ q
+        rotations = rodrigues(dt[start:stop, None, None] * m, _exp_coefficients)
+        qs[start + 1 : stop + 1] = scan(rotations) @ q
         q = qs[stop]
     return Trajectory("exact", 0.0, log.times, qs)

@@ -4,7 +4,7 @@ A method is a general s-stage Runge-Kutta tableau or one of two closed
 forms obtained by eliminating the stage equations for specific tableaus —
 the Cayley-transform implicit midpoint step and the explicit second-order
 step.  Every method is linear in Q, so a step is ``Q -> phi(S, h) @ Q``
-with the one-step map phi built by stepping the identity.
+with the one-step map phi, the method's stability function at hS.
 """
 
 from dataclasses import dataclass
@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import Trajectory
-from .linalg import SingularMatrixError, checked_solve, power, scan, stack_rows
+from .linalg import (SingularMatrixError, checked_inverse, checked_solve, power, rodrigues,
+                     scan, stack_rows)
 from .tableaus import ButcherTableau
 
 CLOSED_FORM_METHODS = ("cayley-midpoint", "rk2-closed")
@@ -63,56 +64,65 @@ def method_label(method):
 
 
 def one_step_map(method, m, h):
-    """The one-step map phi(S, h) of ``method``, as an array.
+    """The one-step map phi(S, h) of ``method``: ``Q -> phi @ Q`` is one step.
 
-    Built by stepping the identity once: every scheme here is linear in Q,
-    so a step of any state is exactly ``phi @ Q`` and a run with constant S
-    is a chain of matrix products with one phi.  ``m`` is the coefficient
-    array, or a ``(k, d, d)`` stack of them; ``h`` is a scalar or a ``(k,)``
-    array of steps, and may be negative (for the adjoint).  A stack in
-    either gives the ``(k, d, d)`` stack of maps, each equal bit for bit to
-    the map built from its own ``m`` and ``h`` alone.
-
-    Explicit tableaus are evaluated by forward substitution; implicit ones
-    solve the stacked linear stage system ``(I - h A (x) S)`` for all
-    identity columns with one factorization per map.
+    A Runge-Kutta map is the stability function ``R(z) = 1 + z b^T (I -
+    z A)^-1 1`` at ``z = hS``; ``h`` may be negative (for the adjoint).
+    Explicit tableaus evaluate their polynomial R by Horner's rule.  For an
+    exactly antisymmetric ``m`` of dimension at most 3 the other maps come
+    in closed form (:func:`~skewflow.linalg.rodrigues`), with no stage
+    solve.  These paths and ``rk2-closed`` also take a ``(k, d, d)`` stack
+    of ``m`` with a scalar or ``(k,)`` array of ``h``, each map bit for bit
+    its own call's.  Otherwise an implicit map solves the stacked linear
+    stage system ``(I - h A (x) S)`` for all identity columns at once.
     """
-    eye = np.eye(m.shape[-1])
     h = np.asarray(h, dtype=float)[..., None, None]
-    if method == "cayley-midpoint":
-        # (I - (h/2) S)^-1 (I + (h/2) S) via one linear solve, never inversion
-        try:
-            return checked_solve(eye - (h / 2.0) * m, eye + (h / 2.0) * m)
-        except SingularMatrixError as exc:
-            raise StageSolveError(f"Cayley step failed: {exc}") from exc
+    eye = np.eye(m.shape[-1])
     if method == "rk2-closed":
         return eye + h * m + (h * h / 2.0) * (m @ m)
+    x = h * m
+    if isinstance(method, ButcherTableau) and method.is_explicit:
+        # R(x) = I + x (r_1 I + x (r_2 I + ...)) with r_k = b^T A^(k-1) 1
+        r = [method.b @ np.linalg.matrix_power(method.a, k) @ np.ones(method.stages)
+             for k in range(method.stages)]
+        p = r[-1] * eye
+        for rk in r[-2::-1]:
+            p = rk * eye + x @ p
+        return eye + x @ p
+    if m.shape[-1] <= 3 and np.array_equal(m, -np.swapaxes(m, -1, -2)):
+        if method == "cayley-midpoint":
+            # the Gibbs-vector form I + 2 / (1 + |a|^2) (A + A^2) with A = x / 2
+            return rodrigues(x / 2.0, lambda a2: (2.0 / (1.0 + a2),) * 2)
+        return rodrigues(x, lambda th2: _stage_coefficients(method, np.sqrt(th2)))
 
-    s = method.stages
-    a, b = method.a, method.b
-    if method.is_explicit:
-        sy = [None] * s
-        for i in range(s):
-            yi = eye
-            for j in range(i):
-                if a[i, j] != 0.0:
-                    yi = yi + (h * a[i, j]) * sy[j]
-            sy[i] = m @ yi
-    else:
-        dim = m.shape[-1]
-        system = np.eye(s * dim) - h * np.kron(a, m)
+    if method == "cayley-midpoint":
+        # (I - x/2)^-1 (I + x/2) via one linear solve, never inversion
         try:
-            stacked = checked_solve(system, np.tile(eye, (s, 1)))
+            return checked_solve(eye - x / 2.0, eye + x / 2.0)
         except SingularMatrixError as exc:
-            raise StageSolveError(f"stacked stage system is singular: {exc}") from exc
-        sy = [m @ stacked[..., i * dim : (i + 1) * dim, :] for i in range(s)]
+            raise StageSolveError(f"Cayley step failed: {exc}") from exc
+    s, d = method.stages, m.shape[0]
+    try:
+        y = checked_solve(np.eye(s * d) - np.kron(method.a, x), np.tile(eye, (s, 1)))
+    except SingularMatrixError as exc:
+        raise StageSolveError(f"stacked stage system is singular: {exc}") from exc
+    # phi = I + sum_i b_i x Y_i over the stage blocks Y_i of the solution
+    return eye + x @ sum(b * y[i * d : (i + 1) * d] for i, b in enumerate(method.b))
 
-    # a copy of the full shape, so that a tableau with b = 0 still maps a stack
-    out = np.broadcast_to(eye, np.broadcast_shapes(m.shape, h.shape)).copy()
-    for i in range(s):
-        if b[i] != 0.0:
-            out += (h * b[i]) * sy[i]
-    return out
+
+def _stage_coefficients(method, th):
+    # u = (I - i th A)^-1 1 gives R(i th) = 1 + i th b.1 - th^2 (b^T A) u, so
+    # k1 = b.1 - th Im((b^T A) u) and k2 = Re((b^T A) u) cancel nothing as
+    # th -> 0.  hS has eigenvalues 0 and +-i th, so the stage system
+    # I - h A (x) S is singular exactly when I - i th A is.
+    a, b, s = method.a, method.b, method.stages
+    try:
+        inv = checked_inverse(np.eye(s) - 1j * np.multiply.outer(th, a))
+    except SingularMatrixError as exc:
+        raise StageSolveError(f"stage system is singular: {exc}") from exc
+    ba = b @ a
+    bau = sum(ba[i] * inv[..., i, j] for i in range(s) for j in range(s))
+    return b.sum() - th * bau.imag, bau.real
 
 
 def transfer_matrix(method, s, h):

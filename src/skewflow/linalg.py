@@ -3,8 +3,8 @@
 Everything here is small and dense (attitude-sized matrices, at most a few
 dozen rows after stage stacking).  Linear systems go to LAPACK behind a
 reciprocal-condition guard, and the exact flow is computed to near machine
-precision. All returned arrays are freshly allocated; inputs are never
-mutated.
+precision; power series of small skew matrices come in closed form.  All
+returned arrays are freshly allocated; inputs are never mutated.
 """
 
 from dataclasses import dataclass
@@ -46,15 +46,12 @@ class SingularMatrixError(ValueError):
         )
 
 
-def as_square_matrix(a, name="matrix", stack=False):
-    """Coerce to a finite, square, float64 array (always a fresh copy).
-
-    With ``stack``, an ``(..., n, n)`` stack of square matrices passes too.
-    """
+def as_square_matrix(a, name="matrix"):
+    """Coerce to a finite, square, float64 array (always a fresh copy)."""
     m = np.array(a, dtype=float)
-    if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-1] != m.shape[-2]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    if m.shape[-1] < 1:
+    if m.shape[0] < 1:
         raise ValueError(f"{name} must have dimension >= 1")
     if not np.isfinite(m).all():
         raise ValueError(f"{name} has non-finite entries")
@@ -183,44 +180,48 @@ def apply_velocity(omega, x):
 def expm(s, t=1.0):
     """Exponential ``exp(t*S)`` of a skew-symmetric matrix: the exact flow.
 
-    This is the reference oracle the integrators are measured against, so it
-    is computed to near machine precision:
-
-    * dimension 3: the closed-form rotation expansion
-      ``I + (sin th / th) * X + ((1 - cos th) / th^2) * X @ X`` with
-      ``X = t*S`` and ``th`` the rotation angle, switching to truncated
-      series for the two scalar coefficients when ``th`` is small enough
-      for the trigonometric forms to cancel;
-    * any other dimension: the spectral route through the Hermitian matrix
-      ``i*S`` — unitary diagonalization and a unit-modulus phase per
-      eigenvalue.  Unlike scaling-and-squaring, whose repeated products
-      amplify the orthogonality defect in proportion to ``||t*S||``, this
-      keeps the defect at a dimension-sized multiple of machine epsilon
-      for arbitrarily large arguments.
-
-    The result is orthogonal and has unit determinant up to rounding.
+    The reference oracle the integrators are measured against, computed to
+    near machine precision and orthogonal with unit determinant up to
+    rounding.  Dimension 3 takes Rodrigues' formula (:func:`rodrigues` with
+    R = exp), with truncated series for its two coefficients where the
+    trigonometric forms would cancel.  Any other dimension diagonalizes the
+    Hermitian ``i*t*S`` and applies a unit-modulus phase per eigenvalue;
+    unlike scaling-and-squaring, whose products amplify the orthogonality
+    defect with ``||t*S||``, this keeps it at a dimension-sized multiple of
+    machine epsilon for arbitrarily large arguments.
     """
     x = float(t) * s.mat
     if s.dim == 3:
-        return _expm_rot3(x)
+        return rodrigues(x, _exp_coefficients)
     return _expm_spectral(x)
 
 
-def _expm_rot3(x):
-    # x is a 3x3 skew matrix or an (..., 3, 3) stack of them; each rotation
-    # angle is the norm of its axis vector r, with r.r taken as a matrix
-    # product so that every map of a stack rounds as it does alone
-    r = np.stack([x[..., 2, 1], x[..., 0, 2], x[..., 1, 0]], axis=-1)
-    th2 = (r[..., None, :] @ r[..., :, None])[..., 0, 0]
+def rodrigues(x, coefficients):
+    """A power series R(x) of a skew x of dimension <= 3, or of each of a stack.
+
+    ``x^3 = -th^2 x``, with ``th^2`` the sum of squares above the diagonal,
+    so R(x) is Rodrigues' formula ``I + k1 x + k2 x^2`` with R in place of
+    exp: ``(k1, k2) = coefficients(th^2)`` are ``Im R(i th) / th`` and
+    ``(1 - Re R(i th)) / th^2``.  ``th^2`` is summed entry by entry, so each
+    matrix of a stack rounds as it does alone.
+    """
+    d = x.shape[-1]
+    th2 = sum((x[..., i, j] ** 2 for i in range(d) for j in range(i + 1, d)),
+              np.zeros(x.shape[:-2]))
+    k1, k2 = coefficients(th2)
+    return np.eye(d) + k1[..., None, None] * x + k2[..., None, None] * (x @ x)
+
+
+def _exp_coefficients(th2):
     th = np.sqrt(th2)
     series = th < ROT3_SERIES_CUTOFF
-    # the trigonometric forms see 1 where the series applies, so th = 0
-    # divides nothing by zero
+    # the trigonometric forms cancel for small th and see 1 where the
+    # series applies, so th = 0 divides nothing by zero
     th_safe, th2_safe = np.where(series, 1.0, th), np.where(series, 1.0, th2)
     th4 = th2 * th2
     k1 = np.where(series, 1.0 - th2 / 6.0 + th4 / 120.0, np.sin(th_safe) / th_safe)
     k2 = np.where(series, 0.5 - th2 / 24.0 + th4 / 720.0, (1.0 - np.cos(th_safe)) / th2_safe)
-    return np.eye(3) + k1[..., None, None] * x + k2[..., None, None] * (x @ x)
+    return k1, k2
 
 
 def _expm_spectral(x):
@@ -277,41 +278,50 @@ def scan(maps):
     return p
 
 
+def _require_rcond(a, inv):
+    # 1 / (||a||_1 ||a^-1||_1), the worst over a stack
+    norm_a = np.abs(a).sum(axis=-2).max(axis=-1)
+    norm_inv = np.abs(inv).sum(axis=-2).max(axis=-1)
+    rcond = np.min(1.0 / (norm_a * norm_inv))
+    if not rcond >= RCOND_MIN:
+        raise SingularMatrixError(rcond, RCOND_MIN)
+
+
 def checked_solve(a, b):
     """Solve ``a @ x = b`` with one LAPACK factorization, refusing singular ``a``.
 
-    ``a`` is a square matrix or an ``(..., n, n)`` stack of them.  ``b`` is a
-    vector (single ``a`` only) or an ``(..., n, k)`` array of right-hand-side
-    columns that broadcasts against ``a``.  The identity rides along as
-    extra right-hand columns, so the same factorization also yields
-    ``a^-1`` and with it the reciprocal condition number
-    ``1 / (||a||_1 ||a^-1||_1)``.  Raises :class:`SingularMatrixError` when
-    that falls below ``RCOND_MIN`` for any matrix of the stack, or LAPACK
-    meets an exact zero pivot.
+    ``b`` may be a vector or a matrix of right-hand-side columns.  The
+    identity rides along as extra right-hand columns, so the same
+    factorization also yields ``a^-1`` and with it the reciprocal condition
+    number ``1 / (||a||_1 ||a^-1||_1)``.  Raises :class:`SingularMatrixError`
+    when that falls below ``RCOND_MIN`` or LAPACK meets an exact zero pivot.
     """
-    a = as_square_matrix(a, "coefficient matrix", stack=True)
+    a = as_square_matrix(a, "coefficient matrix")
     x = np.asarray(b, dtype=float)
-    vector = x.ndim == 1 and a.ndim == 2
+    vector = x.ndim == 1
     if vector:
         x = x.reshape(-1, 1)
-    n = a.shape[-1]
-    if x.ndim < 2 or x.shape[-2] != n:
+    n = a.shape[0]
+    if x.ndim != 2 or x.shape[0] != n:
         raise ValueError(
             f"right-hand side shape {np.shape(b)} does not conform to "
             f"matrix of dimension {n}"
         )
-    k = x.shape[-1]
-    batch = np.broadcast_shapes(a.shape[:-2], x.shape[:-2])
+    k = x.shape[1]
     try:
-        sol = np.linalg.solve(a, np.concatenate(
-            [np.broadcast_to(x, batch + x.shape[-2:]), np.broadcast_to(np.eye(n), batch + (n, n))],
-            axis=-1,
-        ))
+        sol = np.linalg.solve(a, np.hstack([x, np.eye(n)]))
     except np.linalg.LinAlgError:
         raise SingularMatrixError(0.0, RCOND_MIN) from None
-    norm_a = np.abs(a).sum(axis=-2).max(axis=-1)
-    norm_inv = np.abs(sol[..., k:]).sum(axis=-2).max(axis=-1)
-    rcond = np.min(1.0 / (norm_a * norm_inv))
-    if not rcond >= RCOND_MIN:
-        raise SingularMatrixError(rcond, RCOND_MIN)
-    return sol[:, 0] if vector else sol[..., :k]
+    _require_rcond(a, sol[:, k:])
+    return sol[:, 0] if vector else sol[:, :k]
+
+
+def checked_inverse(a):
+    """Inverse of a square matrix or ``(..., n, n)`` stack, real or complex,
+    refused as by :func:`checked_solve` when any matrix of it is singular."""
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError(0.0, RCOND_MIN) from None
+    _require_rcond(a, inv)
+    return inv

@@ -1,7 +1,7 @@
 """Butcher tableaus: validation, built-in catalogue, symplecticity checking.
 
 A tableau collects the Runge-Kutta coefficients (A, b, c).  The symplectic
-condition ``diag(b) @ A + A^T @ diag(b) - b b^T = 0`` decides whether the
+condition ``diag(b) @ A + A^T @ diag(b) - b b^T = 0`` guarantees that the
 method preserves the Gram matrix of the linear flow; :func:`symplecticity`
 reports the defect matrix and its Frobenius norm.
 """
@@ -150,10 +150,14 @@ class SymplecticityReport:
 def symplecticity(t):
     """Evaluate the symplectic condition for a tableau.
 
-    The method preserves the Gram matrix of the linear flow exactly (in exact
-    arithmetic) iff the defect matrix vanishes; the verdict uses an absolute
-    threshold of ``SYMPLECTIC_TOL`` on the Frobenius norm, which exactly
-    symplectic tableaus meet up to rounding in irrational coefficients.
+    A vanishing defect matrix guarantees that the method preserves the Gram
+    matrix of the linear flow exactly (in exact arithmetic).  On Q' = S*Q
+    this is sufficient, not necessary: the map is R(hS) for the stability
+    function R, and keeps the Gram matrix whenever ``|R(iy)| = 1`` for real
+    y, as it is for the non-symplectic 2-stage Lobatto IIIA rule, whose R
+    is the midpoint rule's.  The verdict uses an absolute threshold of
+    ``SYMPLECTIC_TOL`` on the Frobenius norm, which exactly symplectic
+    tableaus meet up to rounding in irrational coefficients.
     """
     bmat = np.diag(t.b)
     m = bmat @ t.a + t.a.T @ bmat - np.outer(t.b, t.b)

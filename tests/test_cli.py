@@ -1,7 +1,11 @@
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from skewflow.cli import main
 
@@ -236,6 +240,15 @@ class TestPropagate:
         assert "numerical failure" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("method", ["cayley-midpoint", "rk2-closed", "gauss2", "rk4-classical"])
+    def test_overflowing_step_coefficient_exits_3(self, tmp_path, capsys, method):
+        # h * omega overflows to inf: a numerical failure for every method,
+        # not an input error for the implicit ones
+        rc = main(["propagate", "--method", method, "--omega", "1e200,0,0", "--h", "1e200",
+                   "--t-end", "1e201", "--out", str(tmp_path / "t.csv")])
+        assert rc == 3
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_bad_omega_exits_2(self, tmp_path):
         rc = main(["propagate", "--method", "rk2-closed", "--omega", "1,2",
                    "--h", "0.1", "--t-end", "1", "--out", str(tmp_path / "t.csv")])
@@ -316,6 +329,60 @@ class TestGyroCommand:
                    "--h", "0.1", "--out", str(tmp_path / "att.csv")])
         assert rc == 2
         assert "line 3" in capsys.readouterr().err
+
+
+GRID = [-1.0, -0.5, 0.0, 0.5, 1.0]
+
+
+@st.composite
+def user_tableaus(draw):
+    """s <= 4 stages with entries on a small grid, so that stage systems
+    I - h A (x) S that are exactly singular do occur (A = [[0, -1], [1, 0]]
+    with h |omega| = 1, say)."""
+    s = draw(st.integers(1, 4))
+    row = st.lists(st.sampled_from(GRID), min_size=s, max_size=s)
+    a, b = draw(st.lists(row, min_size=s, max_size=s)), draw(row)
+    return "\n".join([str(s)] + [" ".join(map(str, r)) for r in a + [b]]) + "\n"
+
+
+class TestRandomUserTableaus:
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        tableau=user_tableaus(),
+        omega=st.sampled_from(["0,0,1", "0,-1,0", "2,0,0", "0,0,0.5"]),
+        h=st.sampled_from(["0.5", "1", "2"]),
+        dim=st.sampled_from([1, 2, 4, 5]),
+        upper=st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=10, max_size=10),
+    )
+    # exactly singular at h |omega| = 1 and 2, on every path; random draws
+    # hit a singular system in about 1 of 250 runs
+    @example(tableau="2\n0 -1\n1 0\n0.5 0.5\n", omega="0,0,1", h="1", dim=4,
+             upper=[1.0] + [0.0] * 9)
+    @example(tableau="2\n0 0.5\n-0.5 0\n1 0\n", omega="2,0,0", h="1", dim=5,
+             upper=[0.0] * 9 + [2.0])
+    def test_every_run_exits_0_or_3(self, capsys, tableau, omega, h, dim, upper):
+        # the closed-form 3x3 maps (--omega, gyro) and the general path
+        # (--s-file) guard their stage systems alike: a singular one exits
+        # 3, never 1 and never with a traceback
+        s = np.zeros((dim, dim))
+        s[np.triu_indices(dim, 1)] = upper[: dim * (dim - 1) // 2]
+        s -= s.T
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "user.rk").write_text(tableau)
+            (tmp / "s.txt").write_text("\n".join(" ".join(map(str, r)) for r in s) + "\n")
+            (tmp / "gyro.csv").write_text(f"t,wx,wy,wz\n0,{omega}\n3,{omega}\n4,0,0,0\n")
+            common = ["--method", str(tmp / "user.rk"), "--h", h, "--out", str(tmp / "t.csv")]
+            runs = [["propagate", "--omega", omega, "--t-end", "3"] + common,
+                    ["propagate", "--s-file", str(tmp / "s.txt"), "--t-end", "3"] + common,
+                    ["gyro", "--input", str(tmp / "gyro.csv")] + common]
+            for argv in runs:
+                rc = main(argv)
+                err = capsys.readouterr().err
+                assert rc in (0, 3), err
+                assert "Traceback" not in err
+                assert (rc == 3) == ("numerical failure" in err)
 
 
 class TestBenchmark:

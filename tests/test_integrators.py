@@ -11,6 +11,7 @@ from skewflow import (
     BUILTIN_NAMES,
     CLOSED_FORM_METHODS,
     ButcherTableau,
+    GyroLog,
     IntegratorConfig,
     OrthogonalState,
     SkewMatrix,
@@ -18,6 +19,7 @@ from skewflow import (
     energy,
     hat,
     propagate,
+    propagate_gyro,
     symplecticity,
     transfer_matrix,
 )
@@ -151,6 +153,31 @@ class TestStageSolvers:
         monkeypatch.setattr(integrators, "checked_solve", forbidden)
         for name in ("rk2-explicit", "rk4-classical"):
             transfer_matrix(builtin(name), BENCH, 0.1)
+
+    @pytest.mark.parametrize("name", ["cayley-midpoint", "gauss2"])
+    def test_gyro_runs_make_no_stage_solve(self, monkeypatch, name):
+        # the maps of a hat log come in closed form
+        import skewflow.integrators as integrators
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("stage solver invoked for a hat coefficient")
+
+        monkeypatch.setattr(integrators, "checked_solve", forbidden)
+        rates = np.random.default_rng(3).uniform(-2.0, 2.0, size=(600, 3))
+        log = GyroLog(np.arange(600) * 0.01, rates)
+        method = builtin(name) if name in BUILTIN_NAMES else name
+        traj = propagate_gyro(log, IntegratorConfig(method=method, step=0.003))
+        assert np.max(traj.orth_defects) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["cayley-midpoint", "rk2-closed", "gauss2", "rk4-classical"])
+    def test_near_skew_coefficient_keeps_the_general_path(self, name):
+        # inside a loose gate but not antisymmetric, so the closed form,
+        # which assumes S^3 = -theta^2 S, would be off by about 2e-6
+        s = SkewMatrix(BENCH_MAT + 1e-3 * np.eye(3), tol=1e-2)
+        method = builtin(name) if name in BUILTIN_NAMES else name
+        oracle = (method.a, method.b) if isinstance(method, ButcherTableau) else method
+        want = oracle_step(oracle, s.mat, np.eye(3), 0.1)
+        assert np.max(np.abs(transfer_matrix(method, s, 0.1) - want)) <= 1e-14
 
 
 class TestTransferMatrix:
