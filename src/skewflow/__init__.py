@@ -41,7 +41,6 @@ from .linalg import (
     SkewMatrix,
     SkewnessError,
     apply_velocity,
-    checked_solve,
     expm,
     hat,
     vee,
@@ -81,7 +80,6 @@ __all__ = [
     "adjoint_defect",
     "apply_velocity",
     "builtin",
-    "checked_solve",
     "convergence_order",
     "det_drift",
     "energy",

@@ -121,11 +121,15 @@ def _dump_q_text(traj):
 def _load_matrix_file(path):
     rows = []
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             stripped = raw.strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            rows.append([float(tok) for tok in stripped.split()])
+            try:
+                rows.append([float(tok) for tok in stripped.split()])
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: non-numeric value in "
+                                 f"{stripped!r}") from None
     if not rows:
         raise ValueError(f"{path}: no matrix data found")
     width = len(rows[0])
@@ -148,10 +152,11 @@ def _resolve_method(label):
 
 
 def _parse_omega(text):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"--omega expects wx,wy,wz, got {text!r}")
-    return np.array([float(p) for p in parts])
+    try:
+        wx, wy, wz = (float(p) for p in text.split(","))
+    except ValueError:
+        raise ValueError(f"--omega expects three numbers wx,wy,wz, got {text!r}") from None
+    return np.array([wx, wy, wz])
 
 
 def cmd_check_tableau(args):

@@ -1,22 +1,23 @@
 """Fixed-step integrators for the linear matrix flow Q' = S*Q.
 
-A method is a general s-stage Runge-Kutta tableau or one of two closed
-forms obtained by eliminating the stage equations for specific tableaus —
-the Cayley-transform implicit midpoint step and the explicit second-order
-step.  Every method is linear in Q, so a step is ``Q -> phi(S, h) @ Q``
-with the one-step map phi, the method's stability function at hS.
+Every method is an s-stage Runge-Kutta tableau; the labels
+``cayley-midpoint`` and ``rk2-closed`` name the built-in ``midpoint`` and
+``rk2-explicit`` tableaus.  Every method is linear in Q, so a step is
+``Q -> phi(S, h) @ Q`` with the one-step map phi, the method's stability
+function at hS.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .diagnostics import Trajectory
-from .linalg import (SingularMatrixError, checked_inverse, checked_solve, power, rodrigues,
-                     scan, stack_rows)
-from .tableaus import ButcherTableau
+from .linalg import SingularMatrixError, checked_inverse, power, rodrigues, scan, stack_rows
+from .tableaus import ButcherTableau, builtin
 
-CLOSED_FORM_METHODS = ("cayley-midpoint", "rk2-closed")
+# each label and the built-in tableau it names
+_LABELS = {"cayley-midpoint": "midpoint", "rk2-closed": "rk2-explicit"}
+CLOSED_FORM_METHODS = tuple(_LABELS)
 
 
 class StageSolveError(ValueError):
@@ -39,15 +40,19 @@ class NonFiniteStateError(ArithmeticError):
 class IntegratorConfig:
     """Method selection plus fixed step size.
 
-    ``method`` is a :class:`ButcherTableau` or one of the closed-form labels
-    in :data:`CLOSED_FORM_METHODS`.
+    ``method`` is a :class:`ButcherTableau` or a label in
+    :data:`CLOSED_FORM_METHODS`, which resolves here to its built-in
+    tableau renamed to the label; after construction it is a tableau.
     """
 
-    method: object
+    method: ButcherTableau
     step: float
 
     def __post_init__(self):
-        if not (isinstance(self.method, ButcherTableau) or self.method in CLOSED_FORM_METHODS):
+        if isinstance(self.method, str) and self.method in _LABELS:
+            tableau = replace(builtin(_LABELS[self.method]), name=self.method)
+            object.__setattr__(self, "method", tableau)
+        if not isinstance(self.method, ButcherTableau):
             raise ValueError(
                 f"method must be a ButcherTableau or one of {CLOSED_FORM_METHODS}, "
                 f"got {self.method!r}"
@@ -56,70 +61,60 @@ class IntegratorConfig:
             raise ValueError("step must be positive and finite")
 
 
-def method_label(method):
-    """Human-readable label for a method object."""
-    if isinstance(method, ButcherTableau):
-        return method.name or f"rk-{method.stages}-stage"
-    return str(method)
+def one_step_map(tableau, m, h):
+    """The one-step map phi(S, h) of ``tableau``: ``Q -> phi @ Q`` is one step.
 
+    The map is the stability function ``R(z) = 1 + z b^T (I - z A)^-1 1``
+    at ``z = hS``; ``h`` may be negative (for the adjoint).  It takes one
+    of three paths:
 
-def one_step_map(method, m, h):
-    """The one-step map phi(S, h) of ``method``: ``Q -> phi @ Q`` is one step.
+    - explicit tableaus evaluate their polynomial R by Horner's rule;
+    - an exactly antisymmetric ``m`` of dimension at most 3 takes R in
+      closed form (:func:`~skewflow.linalg.rodrigues`), with no stage solve;
+    - any other ``m`` inverts the stage system ``I - A (x) hS``.
 
-    A Runge-Kutta map is the stability function ``R(z) = 1 + z b^T (I -
-    z A)^-1 1`` at ``z = hS``; ``h`` may be negative (for the adjoint).
-    Explicit tableaus evaluate their polynomial R by Horner's rule.  For an
-    exactly antisymmetric ``m`` of dimension at most 3 the other maps come
-    in closed form (:func:`~skewflow.linalg.rodrigues`), with no stage
-    solve.  These paths and ``rk2-closed`` also take a ``(k, d, d)`` stack
-    of ``m`` with a scalar or ``(k,)`` array of ``h``, each map bit for bit
-    its own call's.  Otherwise an implicit map solves the stacked linear
-    stage system ``(I - h A (x) S)`` for all identity columns at once.
+    The first two also take a ``(k, d, d)`` stack of ``m`` with a scalar or
+    ``(k,)`` array of ``h``, each map bit for bit its own call's.
     """
     h = np.asarray(h, dtype=float)[..., None, None]
     eye = np.eye(m.shape[-1])
-    if method == "rk2-closed":
-        return eye + h * m + (h * h / 2.0) * (m @ m)
     x = h * m
-    if isinstance(method, ButcherTableau) and method.is_explicit:
+    if tableau.is_explicit:
         # R(x) = I + x (r_1 I + x (r_2 I + ...)) with r_k = b^T A^(k-1) 1
-        r = [method.b @ np.linalg.matrix_power(method.a, k) @ np.ones(method.stages)
-             for k in range(method.stages)]
+        r = [tableau.b @ np.linalg.matrix_power(tableau.a, k) @ np.ones(tableau.stages)
+             for k in range(tableau.stages)]
         p = r[-1] * eye
         for rk in r[-2::-1]:
             p = rk * eye + x @ p
         return eye + x @ p
-    if m.shape[-1] <= 3 and np.array_equal(m, -np.swapaxes(m, -1, -2)):
-        if method == "cayley-midpoint":
-            # the Gibbs-vector form I + 2 / (1 + |a|^2) (A + A^2) with A = x / 2
-            return rodrigues(x / 2.0, lambda a2: (2.0 / (1.0 + a2),) * 2)
-        return rodrigues(x, lambda th2: _stage_coefficients(method, np.sqrt(th2)))
-
-    if method == "cayley-midpoint":
-        # (I - x/2)^-1 (I + x/2) via one linear solve, never inversion
-        try:
-            return checked_solve(eye - x / 2.0, eye + x / 2.0)
-        except SingularMatrixError as exc:
-            raise StageSolveError(f"Cayley step failed: {exc}") from exc
-    s, d = method.stages, m.shape[0]
     try:
-        y = checked_solve(np.eye(s * d) - np.kron(method.a, x), np.tile(eye, (s, 1)))
+        if m.shape[-1] <= 3 and np.array_equal(m, -np.swapaxes(m, -1, -2)):
+            return rodrigues(x, lambda th2: _stage_coefficients(tableau, th2))
+        s, d = tableau.stages, m.shape[0]
+        inv = checked_inverse(np.eye(s * d) - np.kron(tableau.a, x))
     except SingularMatrixError as exc:
-        raise StageSolveError(f"stacked stage system is singular: {exc}") from exc
-    # phi = I + sum_i b_i x Y_i over the stage blocks Y_i of the solution
-    return eye + x @ sum(b * y[i * d : (i + 1) * d] for i, b in enumerate(method.b))
+        raise StageSolveError(f"stage system is singular: {exc}") from exc
+    # phi = I + x (b^T kron I) Y, where Y = (I - A kron x)^-1 (1 kron I) is
+    # the inverse summed over its s column blocks
+    y = inv.reshape(s * d, s, d).sum(axis=1)
+    return eye + x @ (np.kron(tableau.b, eye) @ y)
 
 
-def _stage_coefficients(method, th):
+def _stage_coefficients(tableau, th2):
+    # Rodrigues' k1 = Im R(i th) / th and k2 = (1 - Re R(i th)) / th^2.
+    # One stage (a, b): R(i th) = 1 + i th b / (1 - i a th), so k1 = b q and
+    # k2 = a b q with q = 1 / (1 + a^2 th^2); |1 - i a th| >= 1, so there is
+    # nothing to invert and nothing singular.
+    a, b, s = tableau.a, tableau.b, tableau.stages
+    if s == 1:
+        q = 1.0 / (1.0 + a[0, 0] ** 2 * th2)
+        return b[0] * q, a[0, 0] * b[0] * q
     # u = (I - i th A)^-1 1 gives R(i th) = 1 + i th b.1 - th^2 (b^T A) u, so
     # k1 = b.1 - th Im((b^T A) u) and k2 = Re((b^T A) u) cancel nothing as
     # th -> 0.  hS has eigenvalues 0 and +-i th, so the stage system
     # I - h A (x) S is singular exactly when I - i th A is.
-    a, b, s = method.a, method.b, method.stages
-    try:
-        inv = checked_inverse(np.eye(s) - 1j * np.multiply.outer(th, a))
-    except SingularMatrixError as exc:
-        raise StageSolveError(f"stage system is singular: {exc}") from exc
+    th = np.sqrt(th2)
+    inv = checked_inverse(np.eye(s) - 1j * np.multiply.outer(th, a))
     ba = b @ a
     bau = sum(ba[i] * inv[..., i, j] for i in range(s) for j in range(s))
     return b.sum() - th * bau.imag, bau.real
@@ -133,7 +128,7 @@ def transfer_matrix(method, s, h):
     preserves the Gram matrix of Q up to rounding.
     """
     config = IntegratorConfig(method, h)
-    phi = one_step_map(method, s.mat, config.step)
+    phi = one_step_map(config.method, s.mat, config.step)
     phi.setflags(write=False)
     return phi
 
@@ -145,7 +140,7 @@ def adjoint_defect(method, s, h):
     up to rounding; the Cayley midpoint is, the explicit RK2 map is not.
     """
     forward = transfer_matrix(method, s, h)
-    backward = one_step_map(method, s.mat, -h)
+    backward = one_step_map(IntegratorConfig(method, h).method, s.mat, -h)
     return float(np.linalg.norm(forward @ backward - np.eye(s.dim)))
 
 
@@ -182,11 +177,15 @@ class Span:
         by at most that slack.  The last full grid point
         ``t0 + (n-1)*h`` must fall short of ``t_end`` in floating point, or
         the last step would be empty or negative, so it is dropped when it
-        does not.
+        does not.  A count that does not fit an int64 is refused.
         """
         t0, t_end = np.asarray(t0, dtype=float), np.asarray(t_end, dtype=float)
         slack = 1e-9 + 4.0 * np.spacing(np.maximum(np.abs(t0), np.abs(t_end))) / h
         n = np.maximum(np.ceil((t_end - t0) / h - slack), 1.0)
+        if not np.all(n < 2.0**63):
+            i = np.unravel_index(np.argmin(n < 2.0**63), n.shape)
+            raise ValueError(f"step {h!r} is too short for ({float(t0[i])!r}, "
+                             f"{float(t_end[i])!r}]: it takes more than 2**63 - 1 steps")
         n = np.where((n > 1) & (t0 + (n - 1) * h >= t_end), n - 1, n)
         return n.astype(np.int64), t_end - (t0 + (n - 1) * h)
 
@@ -294,7 +293,8 @@ def metered(config, times, qs, step_of, state_failure):
     with np.errstate(over="ignore", invalid="ignore"):
         finite = np.isfinite(qs).all(axis=(1, 2))
         n = len(qs) if finite.all() else int(np.argmin(finite))
-        traj = Trajectory(method_label(config.method), config.step, times[:n], qs[:n])
+        label = config.method.name or f"rk-{config.method.stages}-stage"
+        traj = Trajectory(label, config.step, times[:n], qs[:n])
         meters = (np.isfinite(traj.energy_errors) & np.isfinite(traj.orth_defects)
                   & np.isfinite(traj.det_drifts))
         if not meters.all():

@@ -1,10 +1,11 @@
 """Dense matrix kernels for the linear flow Q' = S*Q with skew-symmetric S.
 
 Everything here is small and dense (attitude-sized matrices, at most a few
-dozen rows after stage stacking).  Linear systems go to LAPACK behind a
-reciprocal-condition guard, and the exact flow is computed to near machine
-precision; power series of small skew matrices come in closed form.  All
-returned arrays are freshly allocated; inputs are never mutated.
+dozen rows after stage stacking).  The one linear-algebra kernel is
+:func:`checked_inverse`, a LAPACK inverse behind a reciprocal-condition
+guard.  The exact flow is computed to near machine precision, and power
+series of small skew matrices come in closed form.  All returned arrays
+are freshly allocated; inputs are never mutated.
 """
 
 from dataclasses import dataclass
@@ -278,50 +279,20 @@ def scan(maps):
     return p
 
 
-def _require_rcond(a, inv):
-    # 1 / (||a||_1 ||a^-1||_1), the worst over a stack
+def checked_inverse(a):
+    """Inverse of a square matrix or ``(..., n, n)`` stack, real or complex.
+
+    Raises :class:`SingularMatrixError` when LAPACK meets an exact zero
+    pivot or the reciprocal condition number ``1 / (||a||_1 ||a^-1||_1)`` of
+    any matrix of the stack falls below ``RCOND_MIN``.
+    """
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError(0.0, RCOND_MIN) from None
     norm_a = np.abs(a).sum(axis=-2).max(axis=-1)
     norm_inv = np.abs(inv).sum(axis=-2).max(axis=-1)
     rcond = np.min(1.0 / (norm_a * norm_inv))
     if not rcond >= RCOND_MIN:
         raise SingularMatrixError(rcond, RCOND_MIN)
-
-
-def checked_solve(a, b):
-    """Solve ``a @ x = b`` with one LAPACK factorization, refusing singular ``a``.
-
-    ``b`` may be a vector or a matrix of right-hand-side columns.  The
-    identity rides along as extra right-hand columns, so the same
-    factorization also yields ``a^-1`` and with it the reciprocal condition
-    number ``1 / (||a||_1 ||a^-1||_1)``.  Raises :class:`SingularMatrixError`
-    when that falls below ``RCOND_MIN`` or LAPACK meets an exact zero pivot.
-    """
-    a = as_square_matrix(a, "coefficient matrix")
-    x = np.asarray(b, dtype=float)
-    vector = x.ndim == 1
-    if vector:
-        x = x.reshape(-1, 1)
-    n = a.shape[0]
-    if x.ndim != 2 or x.shape[0] != n:
-        raise ValueError(
-            f"right-hand side shape {np.shape(b)} does not conform to "
-            f"matrix of dimension {n}"
-        )
-    k = x.shape[1]
-    try:
-        sol = np.linalg.solve(a, np.hstack([x, np.eye(n)]))
-    except np.linalg.LinAlgError:
-        raise SingularMatrixError(0.0, RCOND_MIN) from None
-    _require_rcond(a, sol[:, k:])
-    return sol[:, 0] if vector else sol[:, :k]
-
-
-def checked_inverse(a):
-    """Inverse of a square matrix or ``(..., n, n)`` stack, real or complex,
-    refused as by :func:`checked_solve` when any matrix of it is singular."""
-    try:
-        inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        raise SingularMatrixError(0.0, RCOND_MIN) from None
-    _require_rcond(a, inv)
     return inv

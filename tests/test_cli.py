@@ -254,6 +254,31 @@ class TestPropagate:
                    "--h", "0.1", "--t-end", "1", "--out", str(tmp_path / "t.csv")])
         assert rc == 2
 
+    def test_non_numeric_omega_exits_2_naming_the_flag(self, tmp_path, capsys):
+        rc = main(["propagate", "--method", "rk2-closed", "--omega", "0,0,x",
+                   "--h", "0.1", "--t-end", "1", "--out", str(tmp_path / "t.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--omega" in err and "'0,0,x'" in err
+
+    def test_non_numeric_s_file_exits_2_with_path_and_line(self, tmp_path, capsys):
+        s_file = tmp_path / "s.mat"
+        s_file.write_text("# a comment\n0 1\n\n-1 x\n")
+        rc = main(["propagate", "--method", "cayley-midpoint", "--s-file", str(s_file),
+                   "--h", "0.1", "--t-end", "1", "--out", str(tmp_path / "t.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{s_file}: line 4:" in err and "'-1 x'" in err
+
+    def test_step_count_past_int64_exits_2(self, tmp_path, capsys):
+        # 1e300 steps: refused before anything is allocated for them
+        rc = main(["propagate", "--method", "cayley-midpoint", "--omega", "0,0,1",
+                   "--h", "1e-300", "--t-end", "1", "--out", str(tmp_path / "t.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "2**63 - 1 steps" in err and "Traceback" not in err
+        assert not (tmp_path / "t.csv").exists()
+
 
 class TestGyroCommand:
     def test_reference_error_column(self, tmp_path):
@@ -320,6 +345,17 @@ class TestGyroCommand:
         err = capsys.readouterr().err
         assert "numerical failure" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "att.csv").exists()
+
+    def test_step_count_past_int64_exits_2(self, tmp_path, capsys):
+        # (1e308 - 0) / 0.1 overflows to an infinite step count
+        log = tmp_path / "gyro.csv"
+        log.write_text("t,wx,wy,wz\n0,0,0,1\n1e308,0,0,1\n")
+        rc = main(["gyro", "--input", str(log), "--method", "cayley-midpoint",
+                   "--h", "0.1", "--out", str(tmp_path / "att.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "2**63 - 1 steps" in err and "(0.0, 1e+308]" in err
         assert not (tmp_path / "att.csv").exists()
 
     def test_repeated_timestamp_exits_2(self, tmp_path, capsys):

@@ -25,6 +25,7 @@ from skewflow import (
 )
 from skewflow import adjoint_defect
 from skewflow.integrators import NonFiniteStateError, Span, one_step_map
+from skewflow.linalg import rodrigues
 from test_march_oracle import fixed_point_step, oracle_step
 
 QUARTER = SkewMatrix([[0.0, 1.0], [-1.0, 0.0]])
@@ -113,28 +114,32 @@ class TestSingleSteps:
             transfer_matrix(builtin("midpoint"), QUARTER, 0.0)
 
 
-class TestClosedFormTwins:
-    def test_rk2_paths_agree_on_benchmark(self):
-        explicit = transfer_matrix(builtin("rk2-explicit"), BENCH, 0.1) @ np.eye(3)
-        closed = transfer_matrix("rk2-closed", BENCH, 0.1) @ np.eye(3)
-        assert np.max(np.abs(explicit - closed)) <= 1e-15
+class TestLabels:
+    @pytest.mark.parametrize("label, name", [("cayley-midpoint", "midpoint"),
+                                             ("rk2-closed", "rk2-explicit")])
+    def test_label_is_the_renamed_builtin(self, label, name):
+        tableau = IntegratorConfig(method=label, step=0.1).method
+        assert isinstance(tableau, ButcherTableau)
+        assert tableau.name == label
+        want = builtin(name)
+        for got, ref in ((tableau.a, want.a), (tableau.b, want.b), (tableau.c, want.c)):
+            assert_array_equal(got, ref)
 
-    def test_twins_agree_on_random_problems(self):
-        rng = np.random.default_rng(23)
-        midpoint = builtin("midpoint")
-        rk2 = builtin("rk2-explicit")
-        for _ in range(100):
-            dim = int(rng.integers(2, 7))
-            s = SkewMatrix(random_skew(rng, dim, norm=rng.uniform(0.1, 5.0)))
-            q = rng.standard_normal((dim, dim))
-            h = rng.uniform(1e-3, 1.0)
-            scale = np.linalg.norm(q)
-            a = transfer_matrix(midpoint, s, h) @ q
-            b = transfer_matrix("cayley-midpoint", s, h) @ q
-            assert np.linalg.norm(a - b) <= 1e-13 * scale
-            a = transfer_matrix(rk2, s, h) @ q
-            b = transfer_matrix("rk2-closed", s, h) @ q
-            assert np.linalg.norm(a - b) <= 1e-13 * scale
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_cayley_map_is_the_gibbs_form_bitwise(self, dim):
+        # I + 2 / (1 + |a|^2) (A + A^2) with A = hS / 2, the Cayley
+        # transform of a skew matrix of dimension at most 3
+        def gibbs(m, h):
+            x = np.asarray(h)[..., None, None] * m
+            return rodrigues(x / 2.0, lambda a2: (2.0 / (1.0 + a2),) * 2)
+
+        tableau = IntegratorConfig(method="cayley-midpoint", step=0.1).method
+        rng = np.random.default_rng(40 + dim)
+        ms = np.array([random_skew(rng, dim, norm=x) for x in rng.uniform(0.0, 30.0, 200)])
+        hs = rng.uniform(-2.0, 2.0, 200)
+        assert_array_equal(one_step_map(tableau, ms, hs), gibbs(ms, hs))
+        for m, h in zip(ms[:20], hs):
+            assert_array_equal(one_step_map(tableau, m, float(h)), gibbs(m, float(h)))
 
 
 class TestStageSolvers:
@@ -150,23 +155,29 @@ class TestStageSolvers:
         def forbidden(*args, **kwargs):
             raise AssertionError("stage solver invoked for an explicit tableau")
 
-        monkeypatch.setattr(integrators, "checked_solve", forbidden)
+        monkeypatch.setattr(integrators, "checked_inverse", forbidden)
         for name in ("rk2-explicit", "rk4-classical"):
             transfer_matrix(builtin(name), BENCH, 0.1)
 
     @pytest.mark.parametrize("name", ["cayley-midpoint", "gauss2"])
     def test_gyro_runs_make_no_stage_solve(self, monkeypatch, name):
-        # the maps of a hat log come in closed form
+        # the maps of a hat log come in closed form: at most an s x s
+        # inverse per map, never the (s d) x (s d) stage system
         import skewflow.integrators as integrators
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("stage solver invoked for a hat coefficient")
+        config = IntegratorConfig(method=builtin(name) if name in BUILTIN_NAMES else name,
+                                  step=0.003)
+        inverse = integrators.checked_inverse
 
-        monkeypatch.setattr(integrators, "checked_solve", forbidden)
+        def guarded(a):
+            if a.shape[-1] > config.method.stages:
+                raise AssertionError("stage system solved for a hat coefficient")
+            return inverse(a)
+
+        monkeypatch.setattr(integrators, "checked_inverse", guarded)
         rates = np.random.default_rng(3).uniform(-2.0, 2.0, size=(600, 3))
         log = GyroLog(np.arange(600) * 0.01, rates)
-        method = builtin(name) if name in BUILTIN_NAMES else name
-        traj = propagate_gyro(log, IntegratorConfig(method=method, step=0.003))
+        traj = propagate_gyro(log, config)
         assert np.max(traj.orth_defects) <= 1e-12
 
     @pytest.mark.parametrize("name", ["cayley-midpoint", "rk2-closed", "gauss2", "rk4-classical"])
@@ -223,7 +234,8 @@ class TestStackedMaps:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_stacked_map_equals_per_matrix_map_bitwise(self, name, dim):
         rng = np.random.default_rng(dim)
-        method = builtin(name) if name in BUILTIN_NAMES else name
+        method = IntegratorConfig(method=builtin(name) if name in BUILTIN_NAMES else name,
+                                  step=0.1).method
         ms = np.array([random_skew(rng, dim, norm=x) for x in rng.uniform(0.1, 3.0, 6)])
         hs = np.array([0.1, -0.1, 0.37, -1.3, 1e-3, 0.1])
         for m, h, phi in zip(ms, hs, one_step_map(method, ms, hs)):
@@ -355,6 +367,18 @@ class TestPropagate:
         times = np.arange(10_000) / 100
         n, _ = Span.grid(times[:-1], times[1:], 0.0025)
         assert np.all(n == 4) and n.sum() == 39_996
+
+    @pytest.mark.parametrize("t_end, h", [(1.0, 1e-300), (1e308, 0.1), (1.0, 5e-324)],
+                             ids=["huge", "infinite", "nan"])
+    def test_step_count_past_int64_is_refused(self, t_end, h):
+        # the callers run the grid with overflow warnings off, as here
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match=r"2\*\*63 - 1 steps"):
+            Span.grid(np.array([0.0, 0.0]), np.array([1.0, t_end]), h)
+
+    def test_step_count_just_inside_int64_is_kept(self):
+        n, h_last = Span.grid(0.0, 1.0, 2.0**-62)
+        assert 2**62 - 2**12 <= int(n) <= 2**62 and h_last > 0
 
     @pytest.mark.parametrize(
         "base, dt, h, steps",

@@ -12,14 +12,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_skew
 from skewflow import (
+    CLOSED_FORM_METHODS,
     GyroLog,
     IntegratorConfig,
     OrthogonalState,
     SkewMatrix,
     builtin,
+    expm,
     propagate,
     propagate_gyro,
 )
@@ -39,6 +43,13 @@ METHODS = {
     "gauss2": GAUSS2,
     "rk4-classical": RK4,
 }
+# every built-in tableau and both labels
+ALL_METHODS = {
+    **METHODS,
+    "midpoint": ([[0.5]], [1.0]),
+    "rk2-explicit": ([[0, 0], [0.5, 0]], [0, 1]),
+}
+SYMPLECTIC = ("cayley-midpoint", "gauss2", "midpoint")
 
 
 def oracle_step(method, s, q, h):
@@ -180,3 +191,39 @@ def test_long_gyro_intervals_match_per_step_oracle(name):
     assert np.array_equal(traj.times, times)
     err = np.linalg.norm(traj.qs - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
     assert np.max(err) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(ALL_METHODS))
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2]),
+    rate=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+    h=st.floats(1e-3, 0.5),
+    steps=st.integers(1, 150),
+    short=st.floats(0.0, 0.9),
+    stride=st.integers(1, 10),
+)
+def test_dims_1_and_2_match_the_per_step_oracle_and_expm(name, dim, rate, h, steps, short,
+                                                         stride):
+    # S = 0, and in dimension 2 the generator of plane rotations at any rate;
+    # the last step falls short of h by ``short`` of a step
+    s = rate * np.array([[0.0, 1.0], [-1.0, 0.0]]) if dim == 2 else np.zeros((1, 1))
+    q0 = np.random.default_rng(steps).standard_normal((dim, dim))
+    t_end = (steps - short) * h
+    method = name if name in CLOSED_FORM_METHODS else builtin(name)
+    config = IntegratorConfig(method=method, step=h)
+    traj = propagate(config, SkewMatrix(s), OrthogonalState(q0, 0.0), t_end, stride)
+
+    times, states = oracle_run(ALL_METHODS[name], s, q0, t_end, h, stride)
+    assert np.array_equal(traj.times, times)
+    err = np.linalg.norm(traj.qs - states, axis=(1, 2)) / np.linalg.norm(states, axis=(1, 2))
+    assert np.max(err) <= 1e-12
+    exact = np.array([expm(SkewMatrix(s), t) @ q0 for t in times])
+    if not s.any():
+        # every map of S = 0 is the identity, exactly
+        assert np.array_equal(traj.qs, exact)
+    if name in SYMPLECTIC:
+        # the Gram matrix of the exact flow, kept for every rate and step
+        gram = np.einsum("kij,kil->kjl", traj.qs, traj.qs)
+        want = np.einsum("kij,kil->kjl", exact, exact)
+        assert np.max(np.abs(gram - want)) <= 1e-12 * np.sum(q0 * q0)

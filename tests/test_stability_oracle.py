@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import BENCH_MAT, BENCH_STEP, random_skew
 from skewflow import (
+    CLOSED_FORM_METHODS,
     ButcherTableau,
     IntegratorConfig,
     OrthogonalState,
@@ -58,7 +59,7 @@ def oracle_map(method, s, h):
 
 
 def library_method(name):
-    return name if name in ("cayley-midpoint", "rk2-closed") else builtin(name)
+    return IntegratorConfig(name, 1.0).method if name in CLOSED_FORM_METHODS else builtin(name)
 
 
 @pytest.mark.parametrize("name", sorted(TABLEAUS))
