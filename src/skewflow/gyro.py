@@ -16,6 +16,11 @@ integrators), and the block's states are the prefix products of those
 matrices applied to the state that starts the block, so no Python-level
 loop runs per interval or per step.  Blocks keep the temporaries a fixed
 size however long the log is.
+
+Parsing has two paths.  A clean log, whose first line is the header and
+whose body is four numbers a line, is read in one ``np.loadtxt`` call;
+any other text goes to a line-by-line parser that gives the same log
+wherever both succeed, and whose errors carry the physical line number.
 """
 
 from dataclasses import dataclass
@@ -81,12 +86,42 @@ def parse_gyro_csv(text):
     must be the header ``t,wx,wy,wz``; each following line holds four reals
     (time in seconds, rates in rad/s).  Errors report the physical 1-based
     line number, including ordering violations.
+
+    Text whose first line is exactly the header is read in one
+    ``np.loadtxt`` call over the lines ``str.splitlines`` gives.  Anything
+    that call refuses, or that is empty, not four wide or not strictly
+    increasing in time, goes to the line-by-line parser, which gives the
+    same log for any text both accept and is the one that reports errors.
     """
+    log = _loadtxt_log(text)
+    return _parse_lines(text.splitlines()) if log is None else log
+
+
+def _loadtxt_log(text):
+    """The log of a header line and a four-wide body in one loadtxt call, or None."""
+    lines = text.splitlines()
+    body = lines[1:]
+    # float() does not strip the separator \x1f inside a field, which
+    # loadtxt does (the other separators \x1c-\x1e break lines); and
+    # loadtxt warns on a body of blank lines
+    if not lines or lines[0] != GYRO_HEADER or "\x1f" in text or not any(body):
+        return None
+    try:
+        table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[1] != 4 or not np.all(table[1:, 0] > table[:-1, 0]):
+        return None
+    return GyroLog(table[:, 0], table[:, 1:])
+
+
+def _parse_lines(lines):
+    """The line-by-line parser: every error names its physical line."""
     times = []
     rates = []
     header_seen = False
     last_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         stripped = raw.strip()
         last_line = lineno
         if not stripped or stripped.startswith("#"):

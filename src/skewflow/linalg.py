@@ -8,6 +8,7 @@ series of small skew matrices come in closed form.  All returned arrays
 are freshly allocated; inputs are never mutated.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -267,16 +268,30 @@ def power(a, k):
 def scan(maps):
     """Inclusive prefix products ``p[j] = maps[j] @ ... @ maps[0]`` of a stack.
 
-    Log-depth doubling: after the pass with shift s each ``p[j]`` holds the
-    product of up to 2s consecutive maps ending at j, so ``ceil(log2 n)``
-    stacked products cover a stack of n.  ``p[0]`` is ``maps[0]`` unchanged.
+    Work-efficient, about 2n products for a stack of n: the maps are laid
+    out as r rows of c = ceil(sqrt(n)) consecutive maps (the tail padded
+    with identities), one stacked product per column carries each row's
+    running product, the r row totals are scanned in turn, and one stacked
+    product applies each row's carry.  ``p[0]`` is ``maps[0]`` unchanged;
+    the input is never written, so it may be a read-only view.
     """
-    p = np.array(maps, dtype=float)
-    shift = 1
-    while shift < p.shape[0]:
-        p[shift:] = p[shift:] @ p[:-shift]
-        shift *= 2
-    return p
+    maps = np.asarray(maps, dtype=float)
+    n, d = maps.shape[0], maps.shape[-1]
+    if n < 2:
+        return maps.copy()
+    c = math.isqrt(n - 1) + 1
+    r = -(-n // c)
+    p = np.empty((r * c, d, d))
+    p[:n] = maps
+    p[n:] = np.eye(d)
+    p = p.reshape(r, c, d, d)
+    for j in range(1, c):
+        p[:, j] = p[:, j] @ p[:, j - 1]
+    if r > 1:
+        # row i carries the product of every map before it: the prefix
+        # product of the totals of rows 0 to i-1
+        p[1:] = p[1:] @ scan(p[:-1, -1])[:, None]
+    return p.reshape(r * c, d, d)[:n]
 
 
 def checked_inverse(a):
@@ -284,8 +299,12 @@ def checked_inverse(a):
 
     Raises :class:`SingularMatrixError` when LAPACK meets an exact zero
     pivot or the reciprocal condition number ``1 / (||a||_1 ||a^-1||_1)`` of
-    any matrix of the stack falls below ``RCOND_MIN``.
+    any matrix of the stack falls below ``RCOND_MIN``, and ``ValueError``
+    naming the shape, before LAPACK is called, when ``a`` is not square.
     """
+    a = np.asarray(a)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"checked_inverse needs square matrices, got shape {a.shape}")
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:

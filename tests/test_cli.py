@@ -279,6 +279,21 @@ class TestPropagate:
         assert "2**63 - 1 steps" in err and "Traceback" not in err
         assert not (tmp_path / "t.csv").exists()
 
+    def test_record_stack_past_the_budget_exits_2(self, tmp_path, capsys):
+        # 1e18 steps fit an int64, but 1e18 records of 72 bytes fit no
+        # memory: refused before the record steps or states are allocated
+        args = ["propagate", "--method", "cayley-midpoint", "--omega", "0,0,1",
+                "--h", "1e-18", "--t-end", "1", "--out", str(tmp_path / "t.csv")]
+        rc = main(args)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--record-every" in err and "record budget" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "t.csv").exists()
+        # the remedy the message names: 11 records of the same run
+        assert main(args + ["--record-every", str(10**17)]) == 0
+        assert len(csv_rows(tmp_path / "t.csv")[1]) == 11
+
 
 class TestGyroCommand:
     def test_reference_error_column(self, tmp_path):

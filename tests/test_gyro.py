@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from conftest import BENCH_RATE, random_orthogonal
@@ -16,6 +18,8 @@ from skewflow import (
     propagate_gyro,
     reference_gyro,
 )
+from skewflow import gyro
+from skewflow.gyro import GYRO_HEADER, _loadtxt_log, _parse_lines
 
 CONSTANT_LOG = "t,wx,wy,wz\n0,0,0,1\n1,0,0,1\n"
 
@@ -71,6 +75,88 @@ class TestParsing:
     def test_scientific_notation(self):
         log = parse_gyro_csv("t,wx,wy,wz\n0,1e-3,-2E2,0.5\n1,0,0,0\n")
         assert_array_equal(log.rates[0], [1e-3, -200.0, 0.5])
+
+
+# every line break str.splitlines honours
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+# text pieces on which float() and loadtxt may disagree: underscores, the
+# Arabic-Indic digit one (float() reads it, loadtxt does not), the unit
+# separator \x1f (loadtxt strips it inside a field, float() does not)
+TOKENS = list("0123456789,.+-eE_# \t") + ["nan", "inf", "\u0661", "\x1f"] + LINE_BREAKS
+JUNK = st.lists(st.sampled_from(TOKENS), max_size=6).map("".join)
+PADDING = st.one_of(st.text(alphabet=" \t\x1f", max_size=2), JUNK)
+NUMBERS = st.one_of(st.floats(width=64).map(repr), st.integers(-10**20, 10**20).map(str))
+
+
+@st.composite
+def gyro_texts(draw):
+    """Well-formed logs with a few fields corrupted and any line breaks."""
+    n = draw(st.integers(0, 5))
+    fields = [[repr(0.5 * i)] + draw(st.lists(NUMBERS, min_size=3, max_size=3))
+              for i in range(n)]
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        row, col = draw(st.integers(0, n - 1)), draw(st.integers(0, 3))
+        wrapped = draw(PADDING) + fields[row][col] + draw(PADDING)
+        fields[row][col] = draw(st.one_of(st.just(wrapped), JUNK, NUMBERS))
+    header = draw(st.sampled_from([GYRO_HEADER, " " + GYRO_HEADER, "# log\n" + GYRO_HEADER, ""]))
+    breaks = draw(st.lists(st.sampled_from(LINE_BREAKS), min_size=n + 1, max_size=n + 1))
+    return header + "".join(b + ",".join(f) for b, f in zip(breaks, fields))
+
+
+def outcome(parse, text):
+    """What a parser makes of ``text``: the log's bytes, its error, or None."""
+    try:
+        log = parse(text)
+    except GyroLogError as exc:
+        return "error", str(exc), exc.line
+    return None if log is None else ("log", log.times.tobytes(), log.rates.tobytes())
+
+
+class TestParsePaths:
+    """The one-call loadtxt path against the line-by-line parser."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(gyro_texts(), st.lists(st.sampled_from(TOKENS + [GYRO_HEADER]),
+                                            max_size=30).map("".join)))
+    @example("t,wx,wy,wz\n0\x0c,0,0,1\n")
+    @example("t,wx,wy,wz\n1_0,0,0,1\n2_0,0,0,1\n")
+    @example("t,wx,wy,wz\r\n0,0,0,1\r\n1,0,0,1\r\n")
+    @example("t,wx,wy,wz\n")
+    @example("t,wx,wy,wz\n\n")
+    @example("t,wx,wy,wz\n0,0,0,1,\n1,0,0,1\n")
+    @example("t,wx,wy,wz\n0,0,0,1\n1,0,0,1\n1,0,0,1\n")
+    @example("t,wx,wy,wz\ninf,0,0,1\ninf,0,0,1\n")
+    @example("t,wx,wy,wz\n0,\x1f1,0,1\n1,0,0,1\n")
+    @example("t,wx,wy,wz\n\u0661,0,0,1\n")
+    def test_both_paths_agree(self, text):
+        slow = outcome(lambda t: _parse_lines(t.splitlines()), text)
+        assert outcome(parse_gyro_csv, text) == slow
+        fast = outcome(_loadtxt_log, text)
+        assert fast is None or fast == slow
+
+    @pytest.mark.parametrize("text", [
+        CONSTANT_LOG,
+        "t,wx,wy,wz\r\n0,0,0,1\r\n1,0,0,1\r\n",
+        "t,wx,wy,wz\n0,1e-3,-2E2,0.5\n\n 1 ,0,\t0,0\n",
+    ])
+    def test_clean_logs_take_the_one_call_path(self, monkeypatch, text):
+        def refuse(lines):
+            raise AssertionError("line-by-line parser called")
+
+        monkeypatch.setattr(gyro, "_parse_lines", refuse)
+        assert len(parse_gyro_csv(text)) == 2
+
+    @pytest.mark.parametrize("text, line", [
+        ("t,wx,wy,wz\n0,0,0,1\n1,0,0,1\n1,0,0,1\n", 4),
+        ("t,wx,wy,wz\n0\x0c,0,0,1\n", 2),
+        ("t,wx,wy,wz\n0,0,0,1,\n", 2),
+        ("t,wx,wy,wz\r\n0,0,0,1\r\n# c\r\n0,0,0,1\r\n", 4),
+    ])
+    def test_errors_keep_their_physical_line(self, text, line):
+        with pytest.raises(GyroLogError) as info:
+            parse_gyro_csv(text)
+        assert info.value.line == line
 
 
 class TestGyroLog:

@@ -209,6 +209,13 @@ class TestSolveAndDet:
             checked_inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
         assert info.value.rcond == 0.0
 
+    @pytest.mark.parametrize("shape", [(2, 3), (4, 3, 2), (3,)])
+    def test_non_square_input_is_a_shape_error(self, shape):
+        # a shape bug, not a numerical failure, and refused before LAPACK
+        with pytest.raises(ValueError, match=rf"shape \({shape[0]},") as info:
+            checked_inverse(np.ones(shape))
+        assert not isinstance(info.value, SingularMatrixError)
+
     def test_det_examples(self):
         assert det_drift(np.eye(4), 0.0) == 1.0
         assert det_drift(np.array([[0.5, 1.0], [-1.0, 0.5]]), 0.0) == pytest.approx(
@@ -324,12 +331,15 @@ class TestPowerAndScan:
         with pytest.raises(ValueError, match="nonnegative"):
             power(np.eye(2), np.array([1, -1]))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 512, 513])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 511, 512, 513, 4097])
     def test_scan_matches_sequential_products(self, n):
+        # square, non-square and prime lengths, and one past a block
         rng = np.random.default_rng(n)
         maps = np.array([np.linalg.qr(m)[0] for m in rng.standard_normal((n, 4, 4))])
         p = scan(maps)
         assert p.shape == maps.shape
+        # no padding identity comes back: no prefix product of these is I
+        assert not np.all(p == np.eye(4), axis=(1, 2)).any()
         assert_array_equal(p[0], maps[0])
         want = maps[0]
         for j in range(1, n):
@@ -341,3 +351,14 @@ class TestPowerAndScan:
         before = maps.copy()
         scan(maps)
         assert_array_equal(maps, before)
+
+    @pytest.mark.parametrize("n", [1, 5, 455])
+    def test_scan_of_a_read_only_repeated_map(self, n):
+        # propagate's record table: a read-only broadcast view of one map
+        a = np.linalg.qr(np.random.default_rng(n).standard_normal((3, 3)))[0]
+        view = np.broadcast_to(a, (n, 3, 3))
+        p = scan(view)
+        assert p.shape == (n, 3, 3)
+        for j in (0, n // 2, n - 1):
+            want = repeated_product(a, j + 1)
+            assert np.linalg.norm(p[j] - want) <= 1e-13 * np.linalg.norm(want)
