@@ -21,6 +21,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
+from ._fmt17 import fmt17, text_blocks
 from .diagnostics import require_orthogonal_start, rk2_energy_forecast
 from .gyro import GyroLogError, parse_gyro_csv, propagate_gyro, reference_gyro
 from .integrators import (
@@ -61,22 +62,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _fmt(x):
-    return f"{x:.17g}"
-
-
-def _format_rows(rows, sep):
-    """One line per row of a 2-D array, every number formatted as by :func:`_fmt`."""
-    line = sep.join(["%.17g"] * rows.shape[1])
-    return [line % tuple(row) for row in rows.tolist()]
-
-
-def _atomic_write(path, text):
+def _atomic_write(path, parts):
+    """Write the strings of ``parts`` to ``path`` as each comes, atomically."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".skewflow-")
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -86,7 +79,7 @@ def _atomic_write(path, text):
 
 def _write_manifest(path, entries):
     lines = [f"{key}={value}" for key, value in entries.items()]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ["\n".join(lines) + "\n"])
 
 
 def _manifest_entries(subcommand, method="-", step=None, t_end=None, inputs="-",
@@ -94,8 +87,8 @@ def _manifest_entries(subcommand, method="-", step=None, t_end=None, inputs="-",
     return {
         "subcommand": subcommand,
         "method": method,
-        "step": _fmt(step) if step is not None else "-",
-        "t_end": _fmt(t_end) if t_end is not None else "-",
+        "step": fmt17(step) if step is not None else "-",
+        "t_end": fmt17(t_end) if t_end is not None else "-",
         "input": inputs,
         "output": outputs,
         "seed": seed,
@@ -104,18 +97,27 @@ def _manifest_entries(subcommand, method="-", step=None, t_end=None, inputs="-",
 
 
 def _trajectory_csv(traj, ref=None):
+    """The trajectory CSV in blocks; each block's columns are stacked only
+    when it is formatted."""
     header = "t,E,E_err,orth_defect,det_err"
     columns = [traj.times, traj.energies, traj.energy_errors, traj.orth_defects,
                traj.det_drifts]
     if ref is not None:
         header += ",ref_err"
-        columns.append(np.linalg.norm(traj.qs - ref.qs, axis=(1, 2)))
-    lines = [header] + _format_rows(np.column_stack(columns), ",")
-    return "\n".join(lines) + "\n"
+
+    def rows(a, b):
+        block = [column[a:b] for column in columns]
+        if ref is not None:
+            block.append(np.linalg.norm(traj.qs[a:b] - ref.qs[a:b], axis=(1, 2)))
+        return np.column_stack(block)
+
+    yield header + "\n"
+    yield from text_blocks(len(traj), len(columns) + (ref is not None), rows, ",")
 
 
 def _dump_q_text(traj):
-    return "\n".join(_format_rows(traj.qs.reshape(len(traj), -1), " ")) + "\n"
+    qs = traj.qs.reshape(len(traj), -1)
+    return text_blocks(len(qs), qs.shape[1], lambda a, b: qs[a:b], " ")
 
 
 def _load_matrix_file(path):
@@ -170,8 +172,8 @@ def cmd_check_tableau(args):
     print(f"kind: {'explicit' if tableau.is_explicit else 'implicit'}")
     print("defect matrix M = B A + A^T B - b b^T:")
     for row in report.m:
-        print("  " + " ".join(_fmt(v) for v in row))
-    print(f"defect: {_fmt(report.defect)}")
+        print("  " + " ".join(fmt17(v) for v in row))
+    print(f"defect: {fmt17(report.defect)}")
     print(f"verdict: {'symplectic' if report.symplectic else 'non-symplectic'}")
     return EXIT_OK
 
@@ -248,16 +250,16 @@ def cmd_benchmark(args):
     ]
     lines = [
         f"steps={n_steps}",
-        f"midpoint.max_abs_energy_err={_fmt(mid_energy)}",
-        f"midpoint.max_orth_defect={_fmt(mid_orth)}",
-        f"rk2.max_abs_energy_err={_fmt(float(np.max(np.abs(rk2.energy_errors))))}",
-        f"rk2.final_energy={_fmt(rk2_final)}",
-        f"rk2.forecast_energy={_fmt(forecast)}",
-        f"rk2.forecast_rel_dev={_fmt(rk2_rel)}",
+        f"midpoint.max_abs_energy_err={fmt17(mid_energy)}",
+        f"midpoint.max_orth_defect={fmt17(mid_orth)}",
+        f"rk2.max_abs_energy_err={fmt17(float(np.max(np.abs(rk2.energy_errors))))}",
+        f"rk2.final_energy={fmt17(rk2_final)}",
+        f"rk2.forecast_energy={fmt17(forecast)}",
+        f"rk2.forecast_rel_dev={fmt17(rk2_rel)}",
     ]
     lines += [f"check.{name}={'PASS' if ok else 'FAIL'}" for name, ok in checks]
     summary = "\n".join(lines) + "\n"
-    _atomic_write(os.path.join(args.out, "summary.txt"), summary)
+    _atomic_write(os.path.join(args.out, "summary.txt"), [summary])
     _write_manifest(
         os.path.join(args.out, "manifest.txt"),
         _manifest_entries(

@@ -18,7 +18,8 @@ from .tableaus import ButcherTableau, builtin
 # each label and the built-in tableau it names
 _LABELS = {"cayley-midpoint": "midpoint", "rk2-closed": "rk2-explicit"}
 CLOSED_FORM_METHODS = tuple(_LABELS)
-# the most bytes of recorded states propagate allocates (4 GiB)
+# the most bytes of records propagate allocates (4 GiB): per record, the
+# d x d state and the five meter columns of its Trajectory
 RECORD_BYTES_MAX = 2**32
 
 
@@ -228,8 +229,8 @@ def propagate(config, s, q0, t_end, record_every=1):
     :class:`~skewflow.diagnostics.Trajectory`.  Energy and determinant
     drifts are measured against the first record.  Raises
     :class:`NonFiniteStateError` when the state or a meter overflows, and
-    ``ValueError``, before the records are allocated, when they would take
-    more than ``RECORD_BYTES_MAX`` bytes.
+    ``ValueError``, before the records are allocated, when they and their
+    meters would take more than ``RECORD_BYTES_MAX`` bytes.
 
     Parameters
     ----------
@@ -259,9 +260,9 @@ def propagate(config, s, q0, t_end, record_every=1):
     with np.errstate(over="ignore", invalid="ignore"):
         span = Span(config, s.mat, q0.t, t_end)
         records = -(-span.n // record_every) + 1
-        if records * s.dim**2 * 8 > RECORD_BYTES_MAX:
+        if records * (s.dim**2 + 5) * 8 > RECORD_BYTES_MAX:
             raise ValueError(
-                f"{records} records of {s.dim}x{s.dim} states exceed the "
+                f"{records} records of {s.dim}x{s.dim} states and 5 meters exceed the "
                 f"{RECORD_BYTES_MAX}-byte record budget; use a --record-every "
                 f"(record_every) larger than {record_every}")
         ks = np.append(np.arange(0, span.n, record_every), span.n)

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fmt17 import fmt17
+
 C_CONSISTENCY_TOL = 1e-14
 SYMPLECTIC_TOL = 1e-14
 
@@ -237,9 +239,5 @@ def serialize_tableau(t):
     Numbers are written with 17 significant digits, so parsing the output
     reproduces the coefficients bit for bit.
     """
-    lines = [str(t.stages)]
-    for row in t.a:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
-    lines.append(" ".join(f"{v:.17g}" for v in t.b))
-    lines.append(" ".join(f"{v:.17g}" for v in t.c))
-    return "\n".join(lines) + "\n"
+    rows = [*t.a, t.b, t.c]
+    return "\n".join([str(t.stages)] + [" ".join(map(fmt17, row)) for row in rows]) + "\n"

@@ -42,6 +42,14 @@ def series_expm(x, dps=60, max_terms=2000):
         return np.array(acc.tolist(), dtype=float)
 
 
+def format_rows_oracle(rows, sep):
+    """Per-value ``"%.17g"`` text of a 2-D array, one newline-ended line per
+    row: the formatting every output had before the bulk formatter, kept as
+    its reference."""
+    line = sep.join(["%.17g"] * rows.shape[1])
+    return "".join(line % tuple(row) + "\n" for row in rows.tolist())
+
+
 def mp_rk2_energy(theta_sq, h, k, m=3, dps=50):
     """High-precision recomputation of the explicit-RK2 energy growth."""
     with mp.workdps(dps):

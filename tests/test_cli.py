@@ -1,13 +1,18 @@
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import format_rows_oracle, random_skew
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import skewflow.cli as cli
+import skewflow.integrators as integrators
 from skewflow.cli import main
+from skewflow.diagnostics import Trajectory
 
 BENCH_FLAGS = ["--omega", "0,-0.1,-2", "--h", "0.1"]
 
@@ -293,6 +298,102 @@ class TestPropagate:
         # the remedy the message names: 11 records of the same run
         assert main(args + ["--record-every", str(10**17)]) == 0
         assert len(csv_rows(tmp_path / "t.csv")[1]) == 11
+
+
+class TestRecordBudget:
+    def test_budget_counts_states_and_meters(self, tmp_path, monkeypatch, capsys):
+        # at d = 1 a record holds 1 state entry and 5 meters: 48 bytes
+        monkeypatch.setattr(integrators, "RECORD_BYTES_MAX", 48 * 100)
+        s_file = tmp_path / "s.txt"
+        s_file.write_text("0\n")
+        args = ["propagate", "--method", "cayley-midpoint", "--s-file", str(s_file),
+                "--h", "1", "--out", str(tmp_path / "t.csv"), "--t-end"]
+        assert main(args + ["99"]) == 0
+        assert len(csv_rows(tmp_path / "t.csv")[1]) == 100
+        capsys.readouterr()
+        assert main(args + ["100"]) == 2
+        err = capsys.readouterr().err
+        assert "101 records" in err and "--record-every" in err
+
+    def test_csv_writer_holds_one_block(self, tmp_path):
+        n = 200_000
+        t = np.arange(n) * 0.1
+        qs = (1.0 + 1e-3 * np.sin(t)).reshape(n, 1, 1)
+        traj = Trajectory("rk2-closed", 0.1, t, qs)
+        out = tmp_path / "big.csv"
+        tracemalloc.start()
+        try:
+            cli._atomic_write(str(out), cli._trajectory_csv(traj))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = out.stat().st_size
+        assert size > 10**7
+        assert peak < size / 4, (peak, size)
+
+
+def _spy(monkeypatch, name):
+    """Record what ``cli.<name>`` returns during the test."""
+    returned = []
+    original = getattr(cli, name)
+
+    def spy(*args, **kwargs):
+        returned.append(original(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(cli, name, spy)
+    return returned
+
+
+def expected_csv(traj, ref=None):
+    """The trajectory CSV by the per-value oracle, from the whole Trajectory."""
+    header = "t,E,E_err,orth_defect,det_err"
+    columns = [traj.times, traj.energies, traj.energy_errors, traj.orth_defects,
+               traj.det_drifts]
+    if ref is not None:
+        header += ",ref_err"
+        columns.append(np.linalg.norm(traj.qs - ref.qs, axis=(1, 2)))
+    return (header + "\n" + format_rows_oracle(np.column_stack(columns), ",")).encode()
+
+
+class TestOutputBytes:
+    """Every written table equals the per-value oracle applied to the
+    Trajectory the same call returned."""
+
+    def test_benchmark(self, tmp_path, monkeypatch, capsys):
+        trajs = _spy(monkeypatch, "propagate")
+        assert main(["benchmark", "--out", str(tmp_path)]) == 0
+        midpoint, rk2 = trajs
+        assert (tmp_path / "midpoint.csv").read_bytes() == expected_csv(midpoint)
+        assert (tmp_path / "rk2.csv").read_bytes() == expected_csv(rk2)
+
+    def test_gyro_reference(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(9)
+        rates = rng.standard_normal((3000, 3))
+        log = tmp_path / "gyro.csv"
+        log.write_text("t,wx,wy,wz\n" + "".join(
+            f"{i * 0.01!r},{w[0]!r},{w[1]!r},{w[2]!r}\n" for i, w in enumerate(rates.tolist())))
+        trajs = _spy(monkeypatch, "propagate_gyro")
+        refs = _spy(monkeypatch, "reference_gyro")
+        out = tmp_path / "att.csv"
+        assert main(["gyro", "--input", str(log), "--method", "gauss2", "--h", "0.004",
+                     "--out", str(out), "--reference"]) == 0
+        assert out.read_bytes() == expected_csv(trajs[0], refs[0])
+
+    @pytest.mark.parametrize("dim, t_end", [(3, "300"), (40, "2.1")])
+    def test_propagate_with_dump_q(self, tmp_path, monkeypatch, dim, t_end):
+        s_file = tmp_path / "s.txt"
+        s = random_skew(np.random.default_rng(dim), dim, norm=2.0)
+        s_file.write_text("\n".join(" ".join(map(repr, row)) for row in s.tolist()))
+        trajs = _spy(monkeypatch, "propagate")
+        out, dump = tmp_path / "t.csv", tmp_path / "q.txt"
+        assert main(["propagate", "--method", "gauss2", "--s-file", str(s_file),
+                     "--h", "0.1", "--t-end", t_end, "--out", str(out),
+                     "--dump-q", str(dump)]) == 0
+        traj = trajs[0]
+        assert out.read_bytes() == expected_csv(traj)
+        assert dump.read_bytes() == format_rows_oracle(
+            traj.qs.reshape(len(traj), -1), " ").encode()
 
 
 class TestGyroCommand:
