@@ -36,6 +36,7 @@ from .integrators import (
     transfer_matrix,
 )
 from .linalg import (
+    InputError,
     OrthogonalState,
     SingularMatrixError,
     SkewMatrix,
@@ -66,6 +67,7 @@ __all__ = [
     "GyroLog",
     "GyroLogError",
     "IndeterminateOrderError",
+    "InputError",
     "IntegratorConfig",
     "NonFiniteStateError",
     "OrthogonalState",

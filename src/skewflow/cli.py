@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from ._fmt17 import fmt17, text_blocks
 from .diagnostics import require_orthogonal_start, rk2_energy_forecast
-from .gyro import GyroLogError, parse_gyro_csv, propagate_gyro, reference_gyro
+from .gyro import parse_gyro_csv, propagate_gyro, reference_gyro
 from .integrators import (
     CLOSED_FORM_METHODS,
     IntegratorConfig,
@@ -31,14 +31,8 @@ from .integrators import (
     StageSolveError,
     propagate,
 )
-from .linalg import OrthogonalState, SingularMatrixError, SkewMatrix, SkewnessError, hat
-from .tableaus import (
-    BUILTIN_NAMES,
-    TableauError,
-    builtin,
-    parse_tableau,
-    symplecticity,
-)
+from .linalg import InputError, OrthogonalState, SingularMatrixError, SkewMatrix, hat
+from .tableaus import BUILTIN_NAMES, builtin, parse_tableau, symplecticity
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -51,7 +45,8 @@ BENCH_STEP = 0.1
 BENCH_T_END = 2000.0
 
 _NUMERIC_ERRORS = (StageSolveError, SingularMatrixError, NonFiniteStateError)
-_INPUT_ERRORS = (TableauError, GyroLogError, SkewnessError, ValueError, OSError)
+# a file that is not UTF-8 is refused input too
+_INPUT_ERRORS = (InputError, OSError, UnicodeDecodeError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -130,13 +125,13 @@ def _load_matrix_file(path):
             try:
                 rows.append([float(tok) for tok in stripped.split()])
             except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-numeric value in "
+                raise InputError(f"{path}: line {lineno}: non-numeric value in "
                                  f"{stripped!r}") from None
     if not rows:
-        raise ValueError(f"{path}: no matrix data found")
+        raise InputError(f"{path}: no matrix data found")
     width = len(rows[0])
     if any(len(r) != width for r in rows) or width != len(rows):
-        raise ValueError(f"{path}: expected a square whitespace-separated matrix")
+        raise InputError(f"{path}: expected a square whitespace-separated matrix")
     return np.array(rows)
 
 
@@ -150,14 +145,14 @@ def _resolve_method(label):
         with open(label) as fh:
             return parse_tableau(fh.read())
     known = ", ".join(CLOSED_FORM_METHODS + BUILTIN_NAMES)
-    raise ValueError(f"unknown method {label!r} (known: {known}; or a tableau file)")
+    raise InputError(f"unknown method {label!r} (known: {known}; or a tableau file)")
 
 
 def _parse_omega(text):
     try:
         wx, wy, wz = (float(p) for p in text.split(","))
     except ValueError:
-        raise ValueError(f"--omega expects three numbers wx,wy,wz, got {text!r}") from None
+        raise InputError(f"--omega expects three numbers wx,wy,wz, got {text!r}") from None
     return np.array([wx, wy, wz])
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import stack_rows
+from .linalg import InputError, stack_rows
 
 Q0_ORTH_TOL = 1e-8
 
@@ -107,7 +107,7 @@ def require_orthogonal_start(q, what, override):
     """
     defect = orthogonality_defect(q)
     if defect > Q0_ORTH_TOL:
-        raise ValueError(
+        raise InputError(
             f"{what} is not orthogonal (defect {defect:.3e} > {Q0_ORTH_TOL:.0e}); "
             f"pass {override} to override"
         )
@@ -147,11 +147,11 @@ def rk2_energy_forecast(theta_sq, h, k, m=3):
     k = int(k)
     m = int(m)
     if theta_sq < 0:
-        raise ValueError("theta_sq must be nonnegative")
+        raise InputError("theta_sq must be nonnegative")
     if h <= 0:
-        raise ValueError("step must be positive")
+        raise InputError("step must be positive")
     if k < 0:
-        raise ValueError("step count must be nonnegative")
+        raise InputError("step count must be nonnegative")
     growth = 1.0 + (h**4) * theta_sq**2 / 4.0
     return (m - 2) + 2.0 * growth**k
 
@@ -170,9 +170,9 @@ def convergence_order(method, s, q0, t_end, steps):
 
     steps = [float(h) for h in steps]
     if len(steps) < 3:
-        raise ValueError("need at least 3 step sizes for an order fit")
+        raise InputError("need at least 3 step sizes for an order fit")
     if any(h <= 0 for h in steps):
-        raise ValueError("step sizes must be positive")
+        raise InputError("step sizes must be positive")
 
     reference = expm(s, t_end - q0.t) @ q0.q
     errors = []

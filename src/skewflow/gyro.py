@@ -29,7 +29,9 @@ import numpy as np
 
 from .diagnostics import Trajectory, require_orthogonal_start
 from .integrators import Span, metered, one_step_map
-from .linalg import OrthogonalState, _exp_coefficients, hat_stack, power, rodrigues, scan
+from .linalg import (
+    InputError, OrthogonalState, _exp_coefficients, hat_stack, power, rodrigues, scan,
+)
 
 GYRO_HEADER = "t,wx,wy,wz"
 
@@ -37,12 +39,8 @@ GYRO_HEADER = "t,wx,wy,wz"
 _BLOCK = 512
 
 
-class GyroLogError(ValueError):
+class GyroLogError(InputError):
     """Malformed or mis-ordered gyro log; carries the 1-based line number."""
-
-    def __init__(self, message, line=None):
-        self.line = line
-        super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
 @dataclass(frozen=True)
@@ -160,7 +158,7 @@ def _initial_state(log, q0, allow_nonorthogonal):
     if q0 is None:
         return OrthogonalState(np.eye(3), t0)
     if q0.t != t0:
-        raise ValueError(
+        raise InputError(
             f"starting state time {q0.t} must equal the first sample time {t0}"
         )
     if not allow_nonorthogonal:
@@ -192,11 +190,13 @@ def propagate_gyro(log, config, q0=None, allow_nonorthogonal=False):
     one for the last steps.  An interval of n steps becomes the one matrix
     ``phi_last @ phi^(n-1)``, the expression a direct run uses for its last
     record, and the block's records are the prefix products of these
-    matrices applied to the state at the start of the block.  The products are grouped differently from a
-    step-by-step march, so records agree with one to rounding, not bit for
-    bit; a single interval agrees with a direct run exactly.  Raises
-    :class:`~skewflow.integrators.NonFiniteStateError` at the earlier of the
-    first non-finite state and the first record with a non-finite meter.
+    matrices applied to the state at the start of the block.  The products
+    are grouped differently from a step-by-step march, so records agree
+    with one to rounding, not bit for bit; a single interval agrees with a
+    direct run exactly.  Raises
+    :class:`~skewflow.integrators.NonFiniteStateError` at the first record
+    whose state or a meter is non-finite, with the step and time of the
+    sample that ends the failing interval.
 
     ``q0`` defaults to the identity at the first sample time; a supplied
     starting attitude must be orthogonal to within ``Q0_ORTH_TOL`` unless
@@ -218,13 +218,7 @@ def propagate_gyro(log, config, q0=None, allow_nonorthogonal=False):
     def steps_before(j):
         return int(_grid(log, 0, j, h)[0].sum())
 
-    def state_failure(j):
-        i = j - 1
-        span = Span(config, hat_stack(log.rates[i]), log.times[i], log.times[i + 1])
-        k = span.first_nonfinite(qs[i])
-        return steps_before(i) + k, span.time(k)
-
-    return metered(config, log.times, qs, steps_before, state_failure)
+    return metered(config, log.times, qs, steps_before)
 
 
 def reference_gyro(log, q0=None, allow_nonorthogonal=False):

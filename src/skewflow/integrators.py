@@ -12,7 +12,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diagnostics import Trajectory
-from .linalg import SingularMatrixError, checked_inverse, power, rodrigues, scan, stack_rows
+from .linalg import (
+    InputError, SingularMatrixError, checked_inverse, power, rodrigues, scan, stack_rows,
+)
 from .tableaus import ButcherTableau, builtin
 
 # each label and the built-in tableau it names
@@ -28,14 +30,14 @@ class StageSolveError(ValueError):
 
 
 class NonFiniteStateError(ArithmeticError):
-    """The propagated state or one of its meters overflowed; carries the
-    first bad step and its time."""
+    """The first record whose state or a meter overflowed; carries that
+    record's step and time."""
 
     def __init__(self, step, t):
         self.step = int(step)
         self.t = float(t)
         super().__init__(
-            f"state or its meters became non-finite at step {self.step} (t = {self.t!r})"
+            f"non-finite state or meter in the record at step {self.step} (t = {self.t!r})"
         )
 
 
@@ -56,12 +58,12 @@ class IntegratorConfig:
             tableau = replace(builtin(_LABELS[self.method]), name=self.method)
             object.__setattr__(self, "method", tableau)
         if not isinstance(self.method, ButcherTableau):
-            raise ValueError(
+            raise InputError(
                 f"method must be a ButcherTableau or one of {CLOSED_FORM_METHODS}, "
                 f"got {self.method!r}"
             )
         if not (np.isfinite(self.step) and self.step > 0):
-            raise ValueError("step must be positive and finite")
+            raise InputError("step must be positive and finite")
 
 
 def one_step_map(tableau, m, h):
@@ -154,9 +156,7 @@ class Span:
     the step index, so long runs do not accumulate additive drift), then one
     shortened step landing exactly on ``t_end``.  phi is built once for h and
     once more for the last step when its length differs.  :func:`propagate`
-    reaches its records through powers and prefix products of phi;
-    :meth:`first_nonfinite` is the per-step march that defines where a
-    failed run went bad.
+    reaches its records through powers and prefix products of phi.
     """
 
     def __init__(self, config, m, t0, t_end):
@@ -187,7 +187,7 @@ class Span:
         n = np.maximum(np.ceil((t_end - t0) / h - slack), 1.0)
         if not np.all(n < 2.0**63):
             i = np.unravel_index(np.argmin(n < 2.0**63), n.shape)
-            raise ValueError(f"step {h!r} is too short for ({float(t0[i])!r}, "
+            raise InputError(f"step {h!r} is too short for ({float(t0[i])!r}, "
                              f"{float(t_end[i])!r}]: it takes more than 2**63 - 1 steps")
         n = np.where((n > 1) & (t0 + (n - 1) * h >= t_end), n - 1, n)
         return n.astype(np.int64), t_end - (t0 + (n - 1) * h)
@@ -195,23 +195,6 @@ class Span:
     def time(self, k):
         """Time of the state after step k."""
         return self.t0 + k * self.h if k < self.n else self.t_end
-
-    def first_nonfinite(self, q, k0=0, k1=None):
-        """First step in ``(k0, k1]`` with a non-finite state, else ``k1``.
-
-        The state after step ``k0`` is ``q``; ``k1`` defaults to the last
-        step.  This is the slow per-step definition of the failure step.
-        The march forms powers and products of the maps before it applies
-        them to a state, so a record at step ``k1`` can overflow where the
-        per-step states up to it stay finite; that record's step is then
-        the failure.
-        """
-        k1 = self.n if k1 is None else k1
-        for k in range(k0 + 1, k1 + 1):
-            q = (self.phi if k < self.n else self.phi_last) @ q
-            if not np.all(np.isfinite(q)):
-                return k
-        return k1
 
 
 def propagate(config, s, q0, t_end, record_every=1):
@@ -228,9 +211,12 @@ def propagate(config, s, q0, t_end, record_every=1):
     stacked and metered in one pass by
     :class:`~skewflow.diagnostics.Trajectory`.  Energy and determinant
     drifts are measured against the first record.  Raises
-    :class:`NonFiniteStateError` when the state or a meter overflows, and
-    ``ValueError``, before the records are allocated, when they and their
-    meters would take more than ``RECORD_BYTES_MAX`` bytes.
+    :class:`NonFiniteStateError` at the first record whose state or a meter
+    overflowed, with that record's step and time, so a failure is seen at
+    the records kept: with ``record_every=1`` it is the first bad step.
+    Raises :class:`~skewflow.linalg.InputError` for a refused argument and,
+    before the records are allocated, when they and their meters would take
+    more than ``RECORD_BYTES_MAX`` bytes.
 
     Parameters
     ----------
@@ -247,12 +233,12 @@ def propagate(config, s, q0, t_end, record_every=1):
     """
     t_end = float(t_end)
     if not np.isfinite(t_end) or t_end <= q0.t:
-        raise ValueError(f"t_end ({t_end}) must exceed the starting time ({q0.t})")
+        raise InputError(f"t_end ({t_end}) must exceed the starting time ({q0.t})")
     record_every = int(record_every)
     if record_every < 1:
-        raise ValueError("record_every must be >= 1")
+        raise InputError("record_every must be >= 1")
     if s.dim != q0.dim:
-        raise ValueError(
+        raise InputError(
             f"coefficient dimension {s.dim} does not match state dimension {q0.dim}"
         )
 
@@ -261,7 +247,7 @@ def propagate(config, s, q0, t_end, record_every=1):
         span = Span(config, s.mat, q0.t, t_end)
         records = -(-span.n // record_every) + 1
         if records * (s.dim**2 + 5) * 8 > RECORD_BYTES_MAX:
-            raise ValueError(
+            raise InputError(
                 f"{records} records of {s.dim}x{s.dim} states and 5 meters exceed the "
                 f"{RECORD_BYTES_MAX}-byte record budget; use a --record-every "
                 f"(record_every) larger than {record_every}")
@@ -282,35 +268,24 @@ def propagate(config, s, q0, t_end, record_every=1):
         qs[-1] = (span.phi_last @ power(span.phi, span.n - 1)) @ q0.q
     times = q0.t + ks * config.step
     times[-1] = t_end
-
-    def state_failure(j):
-        k = span.first_nonfinite(qs[j - 1], int(ks[j - 1]), int(ks[j]))
-        return k, span.time(k)
-
-    return metered(config, times, qs, lambda j: ks[j], state_failure)
+    return metered(config, times, qs, lambda j: ks[j])
 
 
-def metered(config, times, qs, step_of, state_failure):
-    """The :class:`Trajectory` of a run, refusing a state or meter that overflowed.
+def metered(config, times, qs, step_of):
+    """The :class:`Trajectory` of a run, refusing a record that overflowed.
 
-    A meter can overflow while the state is still finite: the energy once
-    entries pass about 1e154, the Gram defect once they pass about 1e77.
-    The meters are taken over the records before the first non-finite
-    state, and the earlier failure raises :class:`NonFiniteStateError`:
-    the first record j with a non-finite meter, at step ``step_of(j)``, or
-    else the first non-finite state, whose step and time
-    ``state_failure(j)`` finds from the last finite record ``j - 1``.
+    Every record is metered once.  A meter can overflow while the state is
+    still finite: the energy once entries pass about 1e154, the Gram defect
+    once they pass about 1e77.  The first record j whose state or any meter
+    is non-finite raises :class:`NonFiniteStateError` with its step
+    ``step_of(j)`` and its time.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite(qs).all(axis=(1, 2))
-        n = len(qs) if finite.all() else int(np.argmin(finite))
         label = config.method.name or f"rk-{config.method.stages}-stage"
-        traj = Trajectory(label, config.step, times[:n], qs[:n])
-        meters = (np.isfinite(traj.energy_errors) & np.isfinite(traj.orth_defects)
-                  & np.isfinite(traj.det_drifts))
-        if not meters.all():
-            j = int(np.argmin(meters))
+        traj = Trajectory(label, config.step, times, qs)
+        ok = (np.isfinite(qs).all(axis=(1, 2)) & np.isfinite(traj.energy_errors)
+              & np.isfinite(traj.orth_defects) & np.isfinite(traj.det_drifts))
+        if not ok.all():
+            j = int(np.argmin(ok))
             raise NonFiniteStateError(step_of(j), traj.times[j])
-        if n < len(qs):
-            raise NonFiniteStateError(*state_failure(n))
     return traj

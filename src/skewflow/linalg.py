@@ -20,7 +20,19 @@ RCOND_MIN = 1e-14
 STACK_ENTRIES = 4096
 
 
-class SkewnessError(ValueError):
+class InputError(ValueError):
+    """A value from a caller or an input file was refused.
+
+    ``line`` is the 1-based line of the file it came from, or None; when
+    given, the message is prefixed with ``line N:``.
+    """
+
+    def __init__(self, message, line=None):
+        self.line = None if line is None else int(line)
+        super().__init__(message if line is None else f"line {line}: {message}")
+
+
+class SkewnessError(InputError):
     """A matrix required to be skew-symmetric failed the gate.
 
     Carries the measured defect norm so callers can report how far off the
@@ -52,11 +64,11 @@ def as_square_matrix(a, name="matrix"):
     """Coerce to a finite, square, float64 array (always a fresh copy)."""
     m = np.array(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {m.shape}")
+        raise InputError(f"{name} must be square, got shape {m.shape}")
     if m.shape[0] < 1:
-        raise ValueError(f"{name} must have dimension >= 1")
+        raise InputError(f"{name} must have dimension >= 1")
     if not np.isfinite(m).all():
-        raise ValueError(f"{name} has non-finite entries")
+        raise InputError(f"{name} has non-finite entries")
     return m
 
 
@@ -81,7 +93,7 @@ class SkewMatrix:
 
     def __init__(self, mat, tol=SKEW_TOL):
         if tol <= 0:
-            raise ValueError("tol must be positive")
+            raise InputError("tol must be positive")
         m = as_square_matrix(mat, "skew matrix")
         scale = max(1.0, _norm_inf(m))
         defect = _norm_inf(m + m.T)
@@ -119,7 +131,7 @@ class OrthogonalState:
         object.__setattr__(self, "q", m)
         t = float(self.t)
         if not np.isfinite(t):
-            raise ValueError("time must be finite")
+            raise InputError("time must be finite")
         object.__setattr__(self, "t", t)
 
     @property
@@ -143,9 +155,9 @@ def hat(omega):
     """
     w = np.asarray(omega, dtype=float).reshape(-1)
     if w.shape != (3,):
-        raise ValueError(f"angular rate must be a 3-vector, got shape {w.shape}")
+        raise InputError(f"angular rate must be a 3-vector, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
-        raise ValueError("angular rate has non-finite components")
+        raise InputError("angular rate has non-finite components")
     return SkewMatrix(hat_stack(w))
 
 
@@ -166,7 +178,7 @@ def hat_stack(omegas):
 def vee(s):
     """Inverse of :func:`hat`: extract the rate vector from a 3x3 skew matrix."""
     if s.dim != 3:
-        raise ValueError(f"vee is defined for dimension 3 only, got {s.dim}")
+        raise InputError(f"vee is defined for dimension 3 only, got {s.dim}")
     m = s.mat
     return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
@@ -175,7 +187,7 @@ def apply_velocity(omega, x):
     """Velocity of point ``x`` under angular rate ``omega``: hat(omega) @ x."""
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape != (3,):
-        raise ValueError(f"point must be a 3-vector, got shape {x.shape}")
+        raise InputError(f"point must be a 3-vector, got shape {x.shape}")
     return hat(omega).mat @ x
 
 

@@ -11,21 +11,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fmt17 import fmt17
+from .linalg import InputError
 
 C_CONSISTENCY_TOL = 1e-14
 SYMPLECTIC_TOL = 1e-14
 
 
-class TableauError(ValueError):
+class TableauError(InputError):
     """Invalid Runge-Kutta coefficients."""
 
 
 class TableauParseError(TableauError):
     """Malformed tableau file; carries the offending 1-based line number."""
-
-    def __init__(self, message, line):
-        self.line = int(line)
-        super().__init__(f"line {line}: {message}")
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,13 @@ from hypothesis import strategies as st
 
 import skewflow.cli as cli
 import skewflow.integrators as integrators
+from skewflow import (
+    GyroLogError,
+    InputError,
+    SkewnessError,
+    TableauError,
+    TableauParseError,
+)
 from skewflow.cli import main
 from skewflow.diagnostics import Trajectory
 
@@ -202,8 +209,8 @@ class TestPropagate:
     def test_overflow_of_the_map_power_alone_exits_3(self, tmp_path, capsys):
         # from q0 = 1e-3 I the state stays finite (1e-3 * 1250**100 ~ 5e306),
         # but the one record past the start is phi_last @ phi**99 @ q0, and
-        # the map power overflows first; the per-step search finds no
-        # non-finite state, so the failure is the record's own step
+        # the map power overflows first; that record is the first bad one,
+        # so the failure is its step
         q0 = tmp_path / "q0.txt"
         q0.write_text("1e-3 0 0\n0 1e-3 0\n0 0 1e-3\n")
         argv = ["propagate", "--method", "rk2-closed", "--omega", "0,0,50", "--h", "1",
@@ -216,6 +223,20 @@ class TestPropagate:
         err = capsys.readouterr().err
         assert "numerical failure" in err
         assert "step 100 " in err and "t = 100.0" in err
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_overflow_between_records_exits_3_at_the_next_record(self, tmp_path, capsys):
+        # the state overflows at step 100, between the records at steps 0,
+        # 200 and 400; the step-200 record is the first bad one
+        argv = ["propagate", "--method", "rk2-closed", "--omega", "0,0,50", "--h", "1",
+                "--t-end", "400", "--record-every", "200", "--out", str(tmp_path / "t.csv")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 3
+        assert caught == []
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "Traceback" not in err
+        assert "record at step 200 (t = 200.0)" in err
         assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("t_end", ["30", "60"])
@@ -474,6 +495,15 @@ class TestGyroCommand:
         assert "2**63 - 1 steps" in err and "(0.0, 1e+308]" in err
         assert not (tmp_path / "att.csv").exists()
 
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys):
+        log = tmp_path / "gyro.csv"
+        log.write_bytes(b"t,wx,wy,wz\n0,0,0,1\n1,0,0,\xff\n")
+        rc = main(["gyro", "--input", str(log), "--method", "cayley-midpoint",
+                   "--h", "0.1", "--out", str(tmp_path / "att.csv")])
+        assert rc == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "att.csv").exists()
+
     def test_repeated_timestamp_exits_2(self, tmp_path, capsys):
         log = tmp_path / "gyro.csv"
         log.write_text("t,wx,wy,wz\n0,0,0,1\n0,0,0,1\n")
@@ -555,6 +585,32 @@ class TestBenchmark:
         energy_errors = [row[2] for row in rows]
         assert all(b >= a for a, b in zip(energy_errors, energy_errors[1:]))
         assert rows[-1][1] == pytest.approx(6196.5189110466, rel=1e-10)
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("exc, line", [
+        (SkewnessError(1.0, 1e-12), None),
+        (TableauError("A must be square"), None),
+        (TableauParseError("non-numeric value in b", 4), 4),
+        (GyroLogError("expected 4 fields, got 3", 7), 7),
+        (GyroLogError("log contains non-finite values"), None),
+    ])
+    def test_refused_input_is_an_input_error(self, exc, line):
+        assert isinstance(exc, InputError) and isinstance(exc, ValueError)
+        assert exc.line == line
+        assert str(exc).startswith(f"line {line}: ") == (line is not None)
+
+    def test_an_internal_value_error_is_not_an_input_error(self, tmp_path, monkeypatch):
+        # a bug inside the program must surface, not exit 2 as if the
+        # input were bad
+        def broken(*args, **kwargs):
+            raise ValueError("shapes (3,3) and (4,4) not aligned")
+
+        monkeypatch.setattr(cli, "propagate", broken)
+        with pytest.raises(ValueError, match="not aligned"):
+            main(["propagate", "--method", "rk2-closed", *BENCH_FLAGS, "--t-end", "1",
+                  "--out", str(tmp_path / "t.csv")])
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestTopLevel:

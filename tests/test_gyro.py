@@ -234,6 +234,17 @@ class TestPropagateGyro:
         assert excinfo.value.step == 100
         assert excinfo.value.t == 100.0
 
+    def test_overflow_reports_the_sample_that_ends_the_failing_interval(self):
+        # two 200-step RK2 intervals: the states overflow from step 100, in
+        # the first interval, so its closing record (step 200) is the first
+        # bad one, as in a direct run that records every 200 steps
+        log = GyroLog([0.0, 200.0, 400.0], [[0.0, 0.0, 50.0]] * 3)
+        config = IntegratorConfig(method="rk2-closed", step=1.0)
+        with pytest.raises(NonFiniteStateError) as excinfo:
+            propagate_gyro(log, config)
+        assert excinfo.value.step == 200
+        assert excinfo.value.t == 200.0
+
     def test_multi_interval_records_at_boundaries(self):
         times = np.array([0.0, 0.4, 1.0, 1.5])
         rates = np.array([[0, 0, 1.0], [0, 1.0, 0], [1.0, 0, 0], [0, 0, 0]])

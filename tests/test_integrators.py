@@ -302,13 +302,29 @@ class TestPropagate:
     def test_record_whose_map_power_overflows_fails_at_its_own_step(self):
         # from q0 = 1e-3 I the RK2 states stay finite to step 100 and overflow
         # at step 101, but phi**100 overflows, so the step-100 record does;
-        # the per-step search from the start stops at that record's step
+        # a run fails at its first bad record, whatever the states between
         config = IntegratorConfig(method="rk2-closed", step=1.0)
         q0 = OrthogonalState(1e-3 * np.eye(3), 0.0)
         with pytest.raises(NonFiniteStateError) as excinfo:
             propagate(config, hat([0.0, 0.0, 50.0]), q0, 150.0, record_every=100)
         assert excinfo.value.step == 100
         assert excinfo.value.t == 100.0
+
+    @pytest.mark.parametrize("record_every, step", [(1, 25), (2, 26), (7, 28), (10, 30),
+                                                    (200, 200)])
+    def test_failure_is_the_first_record_with_a_bad_state_or_meter(self, record_every, step):
+        # the RK2 map scales the rotation plane by about 1250 a step: the
+        # Gram defect overflows from step 25 (1250**25 ~ 2.6e77), the state
+        # from step 100.  With records every 200 steps the first bad record
+        # is step 200, whose state phi**200 @ q0 overflowed; the step-100
+        # state in between is never recorded, so it is not the failure
+        config = IntegratorConfig(method="rk2-closed", step=1.0)
+        with pytest.raises(NonFiniteStateError) as excinfo:
+            propagate(config, hat([0.0, 0.0, 50.0]), eye_state(3), 400.0,
+                      record_every=record_every)
+        assert excinfo.value.step == step
+        assert excinfo.value.t == float(step)
+        assert f"record at step {step} (t = {float(step)!r})" in str(excinfo.value)
 
     @pytest.mark.parametrize("name", ["cayley-midpoint", "rk2-closed", "gauss2", "rk4-classical"])
     def test_final_state_does_not_depend_on_record_every(self, name):
