@@ -125,8 +125,9 @@ def _load_matrix_file(path):
             try:
                 rows.append([float(tok) for tok in stripped.split()])
             except ValueError:
-                raise InputError(f"{path}: line {lineno}: non-numeric value in "
-                                 f"{stripped!r}") from None
+                exc = InputError(f"{path}: line {lineno}: non-numeric value in {stripped!r}")
+                exc.line = lineno
+                raise exc from None
     if not rows:
         raise InputError(f"{path}: no matrix data found")
     width = len(rows[0])

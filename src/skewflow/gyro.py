@@ -7,15 +7,15 @@ hold makes the per-interval exact flow available as a reference, so
 integrator error can be measured without entangling it with interpolation
 error.
 
-Both pipelines work through the log a block of intervals at a time: the
-skew coefficients of a block come straight from the already validated rate
-array, and its one-step maps (or exact rotations) come from one stacked
-closed-form evaluation, with no linear solve.  Each interval's map is
-reduced to one matrix (its power of phi by binary powering, for the
-integrators), and the block's states are the prefix products of those
-matrices applied to the state that starts the block, so no Python-level
-loop runs per interval or per step.  Blocks keep the temporaries a fixed
-size however long the log is.
+Both pipelines share one march through the log, a block of intervals at
+a time: a block's skew coefficients come straight from the validated rate
+array, each interval's map is one matrix, and the block's states are the
+prefix products of those maps applied to the state that starts the block,
+so no Python-level loop runs per interval or per step.  An integrator's
+interval of n steps, ``phi_last @ phi^(n-1)``, is Rodrigues' formula from
+one complex number (:func:`~skewflow.integrators.one_step_map`); the exact
+rotation is Rodrigues' formula with R = exp.  Blocks keep the temporaries
+a fixed size however long the log is.
 
 Parsing has two paths.  A clean log, whose first line is the header and
 whose body is four numbers a line, is read in one ``np.loadtxt`` call;
@@ -28,14 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import Trajectory, require_orthogonal_start
-from .integrators import Span, metered, one_step_map
-from .linalg import (
-    InputError, OrthogonalState, _exp_coefficients, hat_stack, power, rodrigues, scan,
-)
+from .integrators import grid, metered, one_step_map
+from .linalg import InputError, OrthogonalState, _exp_coefficients, hat_stack, rodrigues, scan
 
 GYRO_HEADER = "t,wx,wy,wz"
 
-# intervals whose maps are built in one stacked call
+# intervals whose maps are built and marched in one stacked call
 _BLOCK = 512
 
 
@@ -166,16 +164,16 @@ def _initial_state(log, q0, allow_nonorthogonal):
     return q0
 
 
-def _blocks(log):
-    """``(start, stop, skew stack)`` for each block of intervals of the log."""
+def _march(log, q, maps):
+    """The states at the samples of ``log`` from ``q``, where ``maps(start, stop)``
+    gives the maps of intervals ``start`` to ``stop - 1``."""
+    qs = np.empty((len(log), 3, 3))
+    qs[0] = q
     for start in range(0, len(log) - 1, _BLOCK):
         stop = min(start + _BLOCK, len(log) - 1)
-        yield start, stop, hat_stack(log.rates[start:stop])
-
-
-def _grid(log, start, stop, h):
-    """Step counts and last-step lengths of intervals ``start`` to ``stop - 1``."""
-    return Span.grid(log.times[start:stop], log.times[start + 1 : stop + 1], h)
+        qs[start + 1 : stop + 1] = scan(maps(start, stop)) @ q
+        q = qs[stop]
+    return qs
 
 
 def propagate_gyro(log, config, q0=None, allow_nonorthogonal=False):
@@ -185,15 +183,12 @@ def propagate_gyro(log, config, q0=None, allow_nonorthogonal=False):
     constant, the coefficient ``S = hat(omega_i)`` is built, and the state
     advances with the configured method at step ``config.step`` (the last
     step of each interval shrunk to land on the boundary).  Records are
-    emitted at the sample boundaries.  The maps of a block of intervals come
-    in closed form, with no stage solve, in two stacked calls: one for h and
-    one for the last steps.  An interval of n steps becomes the one matrix
-    ``phi_last @ phi^(n-1)``, the expression a direct run uses for its last
-    record, and the block's records are the prefix products of these
-    matrices applied to the state at the start of the block.  The products
-    are grouped differently from a step-by-step march, so records agree
-    with one to rounding, not bit for bit; a single interval agrees with a
-    direct run exactly.  Raises
+    emitted at the sample boundaries.  An interval of n steps is the one
+    matrix ``phi_last @ phi^(n-1)``, the end map of a direct run, and one
+    :func:`~skewflow.integrators.one_step_map` call builds those of a block.
+    The products are grouped differently from a step-by-step march, so
+    records agree with one to rounding, not bit for bit; a single interval
+    agrees with a direct run exactly.  Raises
     :class:`~skewflow.integrators.NonFiniteStateError` at the first record
     whose state or a meter is non-finite, with the step and time of the
     sample that ends the failing interval.
@@ -204,19 +199,18 @@ def propagate_gyro(log, config, q0=None, allow_nonorthogonal=False):
     """
     state = _initial_state(log, q0, allow_nonorthogonal)
     h = config.step
-    qs = np.empty((len(log), 3, 3))
-    qs[0] = q = state.q
+
+    def maps(start, stop):
+        counts, h_last = grid(log.times[start:stop], log.times[start + 1 : stop + 1], h)
+        return one_step_map(config.method, hat_stack(log.rates[start:stop]), h, counts, h_last)
+
     # overflow surfaces as NonFiniteStateError, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for start, stop, m in _blocks(log):
-            counts, h_last = _grid(log, start, stop, h)
-            phi = one_step_map(config.method, m, h)
-            maps = one_step_map(config.method, m, h_last) @ power(phi, counts - 1)
-            qs[start + 1 : stop + 1] = scan(maps) @ q
-            q = qs[stop]
+        qs = _march(log, state.q, maps)
 
     def steps_before(j):
-        return int(_grid(log, 0, j, h)[0].sum())
+        # Python ints: the step counts of a long log can sum past 2**63
+        return sum(grid(log.times[:j], log.times[1 : j + 1], h)[0].tolist())
 
     return metered(config, log.times, qs, steps_before)
 
@@ -228,15 +222,13 @@ def reference_gyro(log, q0=None, allow_nonorthogonal=False):
     the only difference between the two is the integrator's own error.
     The exact rotations of a block of intervals come from one stacked
     Rodrigues evaluation, the formula :func:`~skewflow.linalg.expm` uses,
-    and the block's states are their prefix products applied to the state
-    at the start of the block.
+    and are marched as :func:`propagate_gyro` marches its maps.
     """
     state = _initial_state(log, q0, allow_nonorthogonal)
     dt = np.diff(log.times)
-    qs = np.empty((len(log), 3, 3))
-    qs[0] = q = state.q
-    for start, stop, m in _blocks(log):
-        rotations = rodrigues(dt[start:stop, None, None] * m, _exp_coefficients)
-        qs[start + 1 : stop + 1] = scan(rotations) @ q
-        q = qs[stop]
-    return Trajectory("exact", 0.0, log.times, qs)
+
+    def rotations(start, stop):
+        m = hat_stack(log.rates[start:stop])
+        return rodrigues(dt[start:stop, None, None] * m, _exp_coefficients)
+
+    return Trajectory("exact", 0.0, log.times, _march(log, state.q, rotations))

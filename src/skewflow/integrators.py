@@ -13,7 +13,7 @@ import numpy as np
 
 from .diagnostics import Trajectory
 from .linalg import (
-    InputError, SingularMatrixError, checked_inverse, power, rodrigues, scan, stack_rows,
+    InputError, SingularMatrixError, checked_inverse, rodrigues, scan, stack_rows,
 )
 from .tableaus import ButcherTableau, builtin
 
@@ -66,63 +66,94 @@ class IntegratorConfig:
             raise InputError("step must be positive and finite")
 
 
-def one_step_map(tableau, m, h):
-    """The one-step map phi(S, h) of ``tableau``: ``Q -> phi @ Q`` is one step.
+def one_step_map(tableau, m, h, n=1, h_last=None):
+    """The map of n steps of ``tableau``: ``phi(S, h_last) @ phi(S, h)^(n-1)``.
 
-    The map is the stability function ``R(z) = 1 + z b^T (I - z A)^-1 1``
-    at ``z = hS``; ``h`` may be negative (for the adjoint).  It takes one
-    of three paths:
+    One step is ``Q -> phi(S, h) @ Q``, with phi the stability function
+    ``R(z) = 1 + z b^T (I - z A)^-1 1`` at ``z = hS``; ``h`` may be negative
+    (for the adjoint), and ``h_last`` defaults to ``h``.  Two paths:
 
-    - explicit tableaus evaluate their polynomial R by Horner's rule;
-    - an exactly antisymmetric ``m`` of dimension at most 3 takes R in
-      closed form (:func:`~skewflow.linalg.rodrigues`), with no stage solve;
-    - any other ``m`` inverts the stage system ``I - A (x) hS``.
+    - an exactly antisymmetric ``m`` of dimension at most 3 takes Rodrigues'
+      formula (:func:`~skewflow.linalg.rodrigues`) from one complex number,
+      ``w = R(i h theta)^(n-1) R(i h_last theta)``.  ``m`` may be a
+      ``(k, d, d)`` stack and ``h``, ``n``, ``h_last`` ``(k,)`` arrays, each
+      map bit for bit its own call's;
+    - any other ``m`` builds phi for a scalar h, and again for each
+      ``h_last`` that differs, then takes ``np.linalg.matrix_power``;
+      ``n`` and ``h_last`` may be arrays, for a stack of maps.
 
-    The first two also take a ``(k, d, d)`` stack of ``m`` with a scalar or
-    ``(k,)`` array of ``h``, each map bit for bit its own call's.
+    R is Horner's rule for explicit tableaus; otherwise it takes a guarded
+    inverse, and :class:`StageSolveError` when that is singular.
     """
-    h = np.asarray(h, dtype=float)[..., None, None]
+    h_last = h if h_last is None else h_last
+    try:
+        if m.shape[-1] <= 3 and np.array_equal(m, -np.swapaxes(m, -1, -2)):
+            h = np.asarray(h, dtype=float)
+            ratio = np.asarray(h_last, dtype=float) / h
+            return rodrigues(h[..., None, None] * m,
+                             lambda th2: _rotation_coefficients(tableau, th2, n, ratio))
+        first = _step_map(tableau, m, h)
+        n, h_last = np.broadcast_arrays(n, h_last)
+        maps = [(first if hl == h else _step_map(tableau, m, hl))
+                @ np.linalg.matrix_power(first, int(k) - 1) for k, hl in zip(n.flat, h_last.flat)]
+    except SingularMatrixError as exc:
+        raise StageSolveError(f"stage system is singular: {exc}") from exc
+    return np.reshape(maps, n.shape + m.shape)
+
+
+def _rotation_coefficients(tableau, th2, n, ratio):
+    # the n-step map takes the eigenvalue i y of hS, y = sqrt(th2), to w,
+    # so Rodrigues' k1 = Im w / y and k2 = (1 - Re w) / y^2; y = 0 has
+    # w = 1 and gives I.  Every operand is a 1-d array, so an entry rounds
+    # alike alone and in any stack (numpy scalars round differently).
+    shape = np.broadcast_shapes(th2.shape, np.shape(n), ratio.shape)
+    th2, n, ratio = (np.broadcast_to(v, shape).ravel() for v in (th2, n, ratio))
+    y = np.sqrt(th2)
+    r = _stability(tableau, 1j * np.concatenate([y, ratio * y]))
+    w = r[: y.size] ** (n - 1) * r[y.size :]
+    nonzero = th2 > 0
+    k1 = w.imag / np.where(nonzero, y, 1.0)
+    k2 = (1.0 - w.real) / np.where(nonzero, th2, 1.0)
+    return k1.reshape(shape), k2.reshape(shape)
+
+
+def _stability(tableau, z):
+    """R(z) at each entry of a 1-d complex array z."""
+    a, b = tableau.a, tableau.b
+    if tableau.is_explicit:
+        return _horner(tableau, z, 1.0, np.multiply)
+    if tableau.stages == 1:
+        # |1 - a z| >= 1 on the imaginary axis: nothing singular
+        return 1.0 + z * b[0] / (1.0 - z * a[0, 0])
+    # hS has eigenvalues 0 and +-i y, so the stage system I - h A (x) S is
+    # singular exactly when one of these s x s systems is
+    inv = checked_inverse(np.eye(tableau.stages) - z[:, None, None] * a)
+    return 1.0 + z * (inv.sum(axis=-1) * b).sum(axis=-1)
+
+
+def _horner(tableau, x, one, mul):
+    # R(x) = one + r_1 x + r_2 x^2 + ... with r_k = b^T A^(k-1) 1, the
+    # polynomial of an explicit tableau: nothing to invert
+    r = [tableau.b @ np.linalg.matrix_power(tableau.a, k) @ np.ones(tableau.stages)
+         for k in range(tableau.stages)]
+    p = r[-1] * one
+    for rk in r[-2::-1]:
+        p = rk * one + mul(x, p)
+    return one + mul(x, p)
+
+
+def _step_map(tableau, m, h):
+    """phi(S, h) of a scalar h by Horner's matrix rule or the stage inverse."""
     eye = np.eye(m.shape[-1])
     x = h * m
     if tableau.is_explicit:
-        # R(x) = I + x (r_1 I + x (r_2 I + ...)) with r_k = b^T A^(k-1) 1
-        r = [tableau.b @ np.linalg.matrix_power(tableau.a, k) @ np.ones(tableau.stages)
-             for k in range(tableau.stages)]
-        p = r[-1] * eye
-        for rk in r[-2::-1]:
-            p = rk * eye + x @ p
-        return eye + x @ p
-    try:
-        if m.shape[-1] <= 3 and np.array_equal(m, -np.swapaxes(m, -1, -2)):
-            return rodrigues(x, lambda th2: _stage_coefficients(tableau, th2))
-        s, d = tableau.stages, m.shape[0]
-        inv = checked_inverse(np.eye(s * d) - np.kron(tableau.a, x))
-    except SingularMatrixError as exc:
-        raise StageSolveError(f"stage system is singular: {exc}") from exc
+        return _horner(tableau, x, eye, np.matmul)
+    s, d = tableau.stages, m.shape[0]
+    inv = checked_inverse(np.eye(s * d) - np.kron(tableau.a, x))
     # phi = I + x (b^T kron I) Y, where Y = (I - A kron x)^-1 (1 kron I) is
     # the inverse summed over its s column blocks
     y = inv.reshape(s * d, s, d).sum(axis=1)
     return eye + x @ (np.kron(tableau.b, eye) @ y)
-
-
-def _stage_coefficients(tableau, th2):
-    # Rodrigues' k1 = Im R(i th) / th and k2 = (1 - Re R(i th)) / th^2.
-    # One stage (a, b): R(i th) = 1 + i th b / (1 - i a th), so k1 = b q and
-    # k2 = a b q with q = 1 / (1 + a^2 th^2); |1 - i a th| >= 1, so there is
-    # nothing to invert and nothing singular.
-    a, b, s = tableau.a, tableau.b, tableau.stages
-    if s == 1:
-        q = 1.0 / (1.0 + a[0, 0] ** 2 * th2)
-        return b[0] * q, a[0, 0] * b[0] * q
-    # u = (I - i th A)^-1 1 gives R(i th) = 1 + i th b.1 - th^2 (b^T A) u, so
-    # k1 = b.1 - th Im((b^T A) u) and k2 = Re((b^T A) u) cancel nothing as
-    # th -> 0.  hS has eigenvalues 0 and +-i th, so the stage system
-    # I - h A (x) S is singular exactly when I - i th A is.
-    th = np.sqrt(th2)
-    inv = checked_inverse(np.eye(s) - 1j * np.multiply.outer(th, a))
-    ba = b @ a
-    bau = sum(ba[i] * inv[..., i, j] for i in range(s) for j in range(s))
-    return b.sum() - th * bau.imag, bau.real
 
 
 def transfer_matrix(method, s, h):
@@ -149,52 +180,31 @@ def adjoint_defect(method, s, h):
     return float(np.linalg.norm(forward @ backward - np.eye(s.dim)))
 
 
-class Span:
-    """The fixed-step grid over ``(t0, t_end]`` and its one-step maps.
+def grid(t0, t_end, h):
+    """Step count and last-step length of each interval ``(t0, t_end]``.
 
-    ``n`` steps: ``n - 1`` of length h at times ``t0 + k*h`` (recomputed from
-    the step index, so long runs do not accumulate additive drift), then one
-    shortened step landing exactly on ``t_end``.  phi is built once for h and
-    once more for the last step when its length differs.  :func:`propagate`
-    reaches its records through powers and prefix products of phi.
+    ``n`` steps: ``n - 1`` of length h at times ``t0 + k*h`` (recomputed
+    from the step index, so long runs do not accumulate additive drift),
+    then one shortened step landing exactly on ``t_end``.  ``t0`` and
+    ``t_end`` are scalars or arrays, taken elementwise.  The count is
+    ``ceil((t_end - t0) / h)`` less a slack, so an interval that is a whole
+    number of steps up to rounding does not grow a sliver of an extra step.
+    The slack is 1e-9 of a step plus four ulps of the larger endpoint, the
+    most by which rounding of the endpoints can lengthen ``t_end - t0``; so
+    the last step can exceed h by at most that slack.  The last full grid
+    point ``t0 + (n-1)*h`` must fall short of ``t_end`` in floating point,
+    or the last step would be empty or negative, so it is dropped when it
+    does not.  A count that does not fit an int64 is refused.
     """
-
-    def __init__(self, config, m, t0, t_end):
-        h = config.step
-        self.t0, self.t_end, self.h = t0, t_end, h
-        n, h_last = self.grid(t0, t_end, h)
-        self.n = int(n)
-        self.phi = one_step_map(config.method, m, h)
-        self.phi_last = self.phi if h_last == h else one_step_map(config.method, m, h_last)
-
-    @staticmethod
-    def grid(t0, t_end, h):
-        """Step count and last-step length of each interval ``(t0, t_end]``.
-
-        ``t0`` and ``t_end`` are scalars or arrays, taken elementwise.  The
-        count is ``ceil((t_end - t0) / h)`` less a slack, so an interval
-        that is a whole number of steps up to rounding does not grow a
-        sliver of an extra step.  The slack is 1e-9 of a step plus four
-        ulps of the larger endpoint, the most by which rounding of the
-        endpoints can lengthen ``t_end - t0``; so the last step can exceed h
-        by at most that slack.  The last full grid point
-        ``t0 + (n-1)*h`` must fall short of ``t_end`` in floating point, or
-        the last step would be empty or negative, so it is dropped when it
-        does not.  A count that does not fit an int64 is refused.
-        """
-        t0, t_end = np.asarray(t0, dtype=float), np.asarray(t_end, dtype=float)
-        slack = 1e-9 + 4.0 * np.spacing(np.maximum(np.abs(t0), np.abs(t_end))) / h
-        n = np.maximum(np.ceil((t_end - t0) / h - slack), 1.0)
-        if not np.all(n < 2.0**63):
-            i = np.unravel_index(np.argmin(n < 2.0**63), n.shape)
-            raise InputError(f"step {h!r} is too short for ({float(t0[i])!r}, "
-                             f"{float(t_end[i])!r}]: it takes more than 2**63 - 1 steps")
-        n = np.where((n > 1) & (t0 + (n - 1) * h >= t_end), n - 1, n)
-        return n.astype(np.int64), t_end - (t0 + (n - 1) * h)
-
-    def time(self, k):
-        """Time of the state after step k."""
-        return self.t0 + k * self.h if k < self.n else self.t_end
+    t0, t_end = np.asarray(t0, dtype=float), np.asarray(t_end, dtype=float)
+    slack = 1e-9 + 4.0 * np.spacing(np.maximum(np.abs(t0), np.abs(t_end))) / h
+    n = np.maximum(np.ceil((t_end - t0) / h - slack), 1.0)
+    if not np.all(n < 2.0**63):
+        i = np.unravel_index(np.argmin(n < 2.0**63), n.shape)
+        raise InputError(f"step {h!r} is too short for ({float(t0[i])!r}, "
+                         f"{float(t_end[i])!r}]: it takes more than 2**63 - 1 steps")
+    n = np.where((n > 1) & (t0 + (n - 1) * h >= t_end), n - 1, n)
+    return n.astype(np.int64), t_end - (t0 + (n - 1) * h)
 
 
 def propagate(config, s, q0, t_end, record_every=1):
@@ -202,12 +212,13 @@ def propagate(config, s, q0, t_end, record_every=1):
 
     A record is kept for the initial state, after every
     ``record_every``-th step, and for the final state.  No step is taken
-    one at a time: with ``P = phi^record_every`` formed by binary powering,
-    a table of the prefix products ``P, P^2, ...`` (as many as fit a
+    one at a time: one :func:`one_step_map` call gives the stride map
+    ``P = phi^record_every`` and the end map ``phi_last @ phi^(n-1)``.  A
+    table of the prefix products ``P, P^2, ...`` (as many as fit a
     ``STACK_ENTRIES`` temporary) carries each block of records on from the
-    last record of the block before, and the final state is
-    ``phi_last @ phi^(n-1) @ q0``, taken straight from the start so that it
-    does not depend on ``record_every``.  The records are
+    last record of the block before, and the final state is the end map
+    applied to ``q0``, taken straight from the start so that it does not
+    depend on ``record_every``.  The records are
     stacked and metered in one pass by
     :class:`~skewflow.diagnostics.Trajectory`.  Energy and determinant
     drifts are measured against the first record.  Raises
@@ -244,14 +255,18 @@ def propagate(config, s, q0, t_end, record_every=1):
 
     # overflow surfaces as NonFiniteStateError, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        span = Span(config, s.mat, q0.t, t_end)
-        records = -(-span.n // record_every) + 1
+        n, h_last = grid(q0.t, t_end, config.step)
+        n = int(n)
+        records = -(-n // record_every) + 1
         if records * (s.dim**2 + 5) * 8 > RECORD_BYTES_MAX:
             raise InputError(
                 f"{records} records of {s.dim}x{s.dim} states and 5 meters exceed the "
                 f"{RECORD_BYTES_MAX}-byte record budget; use a --record-every "
                 f"(record_every) larger than {record_every}")
-        ks = np.append(np.arange(0, span.n, record_every), span.n)
+        # the stride map is used only when record_every < n
+        stride_map, end_map = one_step_map(config.method, s.mat, config.step,
+                                           [min(record_every, n), n], [config.step, h_last])
+        ks = np.append(np.arange(0, n, record_every), n)
         qs = np.empty((ks.shape[0], s.dim, s.dim))
         qs[0] = q = q0.q
         inner = qs[1:-1]
@@ -259,13 +274,12 @@ def propagate(config, s, q0, t_end, record_every=1):
             # table[j] = (phi^record_every)^(j+1): each block of records
             # starts from the last record of the block before
             rows = min(stack_rows(s.dim), len(inner))
-            stride_map = power(span.phi, record_every)
             table = scan(np.broadcast_to(stride_map, (rows, s.dim, s.dim)))
             for i in range(0, len(inner), rows):
                 block = inner[i : i + rows]
                 np.matmul(table[: len(block)], q, out=block)
                 q = block[-1]
-        qs[-1] = (span.phi_last @ power(span.phi, span.n - 1)) @ q0.q
+        qs[-1] = end_map @ q0.q
     times = q0.t + ks * config.step
     times[-1] = t_end
     return metered(config, times, qs, lambda j: ks[j])

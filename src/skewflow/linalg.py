@@ -251,32 +251,6 @@ def stack_rows(d):
     return max(1, STACK_ENTRIES // (d * d))
 
 
-def power(a, k):
-    """``a^k`` by binary powering, for a matrix or a ``(n, d, d)`` stack.
-
-    ``k`` is a nonnegative integer or an array of them that broadcasts
-    against the stack.  ``a^(2^b)`` is squared up once per bit, and each set
-    bit multiplies it onto the product from the left, so the lowest bit is
-    innermost; ``k = 0`` gives the identity.  Every matrix of a stack comes
-    out equal bit for bit to its own call.  Squaring stops at the highest
-    set bit, so the squares of a growing ``a`` overflow no sooner than
-    ``a^k`` itself.
-    """
-    a = np.asarray(a, dtype=float)
-    k = np.asarray(k, dtype=np.int64)
-    if np.any(k < 0):
-        raise ValueError("exponent must be nonnegative")
-    d = a.shape[-1]
-    out = np.broadcast_to(np.eye(d), np.broadcast_shapes(a.shape[:-2], k.shape) + (d, d))
-    square = a
-    while True:
-        out = np.where((k & 1).astype(bool)[..., None, None], square @ out, out)
-        k = k >> 1
-        if not k.any():
-            return out
-        square = square @ square
-
-
 def scan(maps):
     """Inclusive prefix products ``p[j] = maps[j] @ ... @ maps[0]`` of a stack.
 

@@ -295,6 +295,10 @@ class TestPropagate:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"{s_file}: line 4:" in err and "'-1 x'" in err
+        with pytest.raises(InputError) as excinfo:
+            cli._load_matrix_file(str(s_file))
+        assert excinfo.value.line == 4
+        assert str(excinfo.value).startswith(f"{s_file}: line 4: ")
 
     def test_step_count_past_int64_exits_2(self, tmp_path, capsys):
         # 1e300 steps: refused before anything is allocated for them
@@ -493,6 +497,18 @@ class TestGyroCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert "2**63 - 1 steps" in err and "(0.0, 1e+308]" in err
+        assert not (tmp_path / "att.csv").exists()
+
+    def test_failing_step_past_int64_is_reported_exactly(self, tmp_path, capsys):
+        # 6e18 steps of S = 0, then 6e18 RK2 steps that overflow: the
+        # failing record closes step 11999999999999987712, past 2**63
+        log = tmp_path / "gyro.csv"
+        log.write_text("t,wx,wy,wz\n0,0,0,0\n6e18,0,0,50\n1.2e19,0,0,0\n")
+        rc = main(["gyro", "--input", str(log), "--method", "rk2-closed", "--h", "1",
+                   "--out", str(tmp_path / "att.csv")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "step 11999999999999987712 " in err and "t = 1.2e+19" in err
         assert not (tmp_path / "att.csv").exists()
 
     def test_non_utf8_input_exits_2(self, tmp_path, capsys):

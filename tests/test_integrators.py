@@ -1,12 +1,13 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import BENCH_MAT, random_orthogonal, random_skew
+from conftest import BENCH_MAT, BENCH_RATE, random_orthogonal, random_skew
 from skewflow import (
     BUILTIN_NAMES,
     CLOSED_FORM_METHODS,
@@ -20,13 +21,15 @@ from skewflow import (
     hat,
     propagate,
     propagate_gyro,
+    rk2_energy_forecast,
     symplecticity,
     transfer_matrix,
 )
 from skewflow import adjoint_defect
-from skewflow.integrators import NonFiniteStateError, Span, one_step_map
-from skewflow.linalg import rodrigues
+from skewflow.integrators import NonFiniteStateError, grid, one_step_map
+from skewflow.linalg import ROT3_SERIES_CUTOFF, hat_stack, rodrigues
 from test_march_oracle import fixed_point_step, oracle_step
+from test_stability_oracle import TABLEAUS, library_method, stability
 
 QUARTER = SkewMatrix([[0.0, 1.0], [-1.0, 0.0]])
 BENCH = SkewMatrix(BENCH_MAT)
@@ -128,7 +131,10 @@ class TestLabels:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_cayley_map_is_the_gibbs_form_bitwise(self, dim):
         # I + 2 / (1 + |a|^2) (A + A^2) with A = hS / 2, the Cayley
-        # transform of a skew matrix of dimension at most 3
+        # transform of a skew matrix of dimension at most 3.  The map is
+        # built from the complex R(i h theta), whose division and 1 - Re R
+        # round differently from the Gibbs coefficients, so the two agree
+        # to a few ulps of the unit-sized entries, not bit for bit
         def gibbs(m, h):
             x = np.asarray(h)[..., None, None] * m
             return rodrigues(x / 2.0, lambda a2: (2.0 / (1.0 + a2),) * 2)
@@ -137,9 +143,10 @@ class TestLabels:
         rng = np.random.default_rng(40 + dim)
         ms = np.array([random_skew(rng, dim, norm=x) for x in rng.uniform(0.0, 30.0, 200)])
         hs = rng.uniform(-2.0, 2.0, 200)
-        assert_array_equal(one_step_map(tableau, ms, hs), gibbs(ms, hs))
+        ulps = 4 * np.finfo(float).eps
+        assert np.max(np.abs(one_step_map(tableau, ms, hs) - gibbs(ms, hs))) <= ulps
         for m, h in zip(ms[:20], hs):
-            assert_array_equal(one_step_map(tableau, m, float(h)), gibbs(m, float(h)))
+            assert np.max(np.abs(one_step_map(tableau, m, float(h)) - gibbs(m, float(h)))) <= ulps
 
 
 class TestStageSolvers:
@@ -247,6 +254,116 @@ class TestStackedMaps:
         tableau = ButcherTableau([[0.0]], [0.0], [0.0])
         ms = np.zeros((4, 3, 3))
         assert_array_equal(one_step_map(tableau, ms, 0.1), np.tile(np.eye(3), (4, 1, 1)))
+
+
+def oracle_n_steps(method, s, h, n, h_last):
+    # R(-i h lam)^(n-1) R(-i h_last lam) on each eigenvector of the Hermitian i*S
+    lam, u = np.linalg.eigh(1j * s)
+    w = [stability(method, -1j * h * x) ** (n - 1) * stability(method, -1j * h_last * x)
+         for x in lam]
+    return ((u * w) @ u.conj().T).real
+
+
+def mp_rotation(rate, angle):
+    """The rotation by ``angle`` about ``rate``, in 40-digit arithmetic."""
+    with mp.workdps(40):
+        u = [mp.mpf(float(r)) for r in rate]
+        norm = mp.sqrt(sum(r * r for r in u))
+        k = mp.matrix([[0, -u[2], u[1]], [u[2], 0, -u[0]], [-u[1], u[0], 0]]) / norm
+        rot = mp.eye(3) + mp.sin(angle) * k + (1 - mp.cos(angle)) * k * k
+        return np.array(rot.tolist(), dtype=float)
+
+
+class TestNStepMaps:
+    """``one_step_map(tableau, m, h, n, h_last)`` is ``phi(h_last) @ phi(h)^(n-1)``."""
+
+    @pytest.mark.parametrize("name", sorted(TABLEAUS))
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_zero_coefficient_gives_the_identity_exactly(self, name, dim):
+        method = library_method(name)
+        for n in (1, 2, 99, 100, 10**6, 2**40):
+            for h_last in (0.1, 0.03):
+                got = one_step_map(method, np.zeros((dim, dim)), 0.1, n, h_last)
+                assert_array_equal(got, np.eye(dim))
+        counts = np.array([1, 7, 2**40])
+        got = one_step_map(method, np.zeros((3, dim, dim)), 0.1, counts, 0.05)
+        assert_array_equal(got, np.tile(np.eye(dim), (3, 1, 1)))
+
+    @pytest.mark.parametrize("name", sorted(TABLEAUS))
+    @pytest.mark.parametrize("h, n, h_last", [(1.0, 1, 1.0), (1.0, 2, 0.4), (-1.0, 7, -0.25),
+                                              (1.0, 5, 1.0)])
+    def test_maps_match_the_stability_oracle_at_every_angle(self, name, h, n, h_last):
+        # angles on both sides of the series cutoff of the exact flow and
+        # on to h theta = 1e3
+        rng = np.random.default_rng(n)
+        angles = np.array([1e-12, 0.5 * ROT3_SERIES_CUTOFF, ROT3_SERIES_CUTOFF,
+                           1.5 * ROT3_SERIES_CUTOFF, 0.3, np.pi, 40.0, 1e3])
+        axes = rng.standard_normal((len(angles), 3))
+        rates = axes / np.linalg.norm(axes, axis=1)[:, None] * angles[:, None]
+        method = library_method(name)
+        for s in hat_stack(rates):
+            got = one_step_map(method, s, h, n, h_last)
+            want = oracle_n_steps(TABLEAUS[name], s, h, n, h_last)
+            # the explicit maps grow like (h theta)^(s n) at large angles
+            assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("name", sorted(TABLEAUS))
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_stacked_maps_equal_single_calls_bitwise(self, name, dim):
+        rng = np.random.default_rng(10 + dim)
+        method = library_method(name)
+        ms = np.array([random_skew(rng, dim, norm=x) for x in rng.uniform(0.0, 3.0, 9)])
+        counts = np.array([1, 2, 3, 5, 99, 100, 101, 4096, 10**6])
+        lasts = rng.uniform(0.01, 0.1, 9)
+        for h in (0.1, np.full(9, 0.1)):
+            for m, k, h_last, phi in zip(ms, counts, lasts, one_step_map(method, ms, h, counts,
+                                                                         lasts)):
+                assert_array_equal(phi, one_step_map(method, m, 0.1, int(k), float(h_last)))
+        # one coefficient with a stack of counts and last steps, as propagate asks
+        for k, h_last, phi in zip(counts, lasts, one_step_map(method, ms[0], 0.1, counts, lasts)):
+            assert_array_equal(phi, one_step_map(method, ms[0], 0.1, int(k), float(h_last)))
+
+    @pytest.mark.parametrize("n", [10**3, 10**6, 2**40])
+    @pytest.mark.parametrize("rate, h", [(BENCH_RATE, 1e-3), ((0.3, -1.0, 0.5), 1e-3),
+                                         ((0.0, 0.0, 1.0), 1e-3), (BENCH_RATE, 0.1)])
+    def test_cayley_power_is_the_rotation_by_n_angles(self, rate, h, n):
+        # the Cayley map rotates by 2 atan(h theta / 2) a step; n steps round
+        # no worse than n ulps
+        method = library_method("cayley-midpoint")
+        got = one_step_map(method, hat(rate).mat, h, n)
+        with mp.workdps(40):
+            theta = mp.sqrt(sum(mp.mpf(float(r)) ** 2 for r in rate))
+            want = mp_rotation(rate, n * 2 * mp.atan(mp.mpf(h) * theta / 2))
+        assert np.max(np.abs(got - want)) <= n * np.finfo(float).eps
+
+    def test_general_path_takes_the_same_powers(self):
+        # d = 4, and a near-skew 3 x 3: Horner's or the stage inverse, then
+        # matrix_power, agree with repeated steps
+        rng = np.random.default_rng(5)
+        for method in (builtin("gauss2"), builtin("rk4-classical"),
+                       IntegratorConfig("cayley-midpoint", 1.0).method):
+            for s in (random_skew(rng, 4, norm=2.0), BENCH_MAT + 1e-3 * np.eye(3)):
+                phi, last = one_step_map(method, s, 0.1), one_step_map(method, s, 0.04)
+                want = last @ phi @ phi @ phi @ phi
+                got = one_step_map(method, s, 0.1, 5, 0.04)
+                assert np.max(np.abs(got - want)) <= 1e-14
+                pair = one_step_map(method, s, 0.1, [5, 2], [0.04, 0.1])
+                assert_array_equal(pair[0], got)
+                assert np.max(np.abs(pair[1] - phi @ phi)) <= 1e-15
+
+    def test_rk2_gate_forecast_stays_the_closed_form(self, monkeypatch):
+        # the benchmark gate checks the maps against 1 + 2 (1 + h^4 theta^4 / 4)^k,
+        # derived by hand, so the forecast must not be computed by the map code
+        import skewflow.integrators as integrators
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the forecast called the map code it checks")
+
+        for name in ("one_step_map", "_stability", "_rotation_coefficients", "_step_map"):
+            monkeypatch.setattr(integrators, name, forbidden)
+        for theta_sq, h, k in ((4.01, 0.1, 20000), (1.0, 0.5, 7), (9.0, 0.01, 0)):
+            assert rk2_energy_forecast(theta_sq, h, k) == 1 + 2.0 * (
+                1.0 + h**4 * theta_sq**2 / 4.0) ** k
 
 
 class TestAdjointDefect:
@@ -357,8 +474,8 @@ class TestPropagate:
         assert math.fsum(dt) == pytest.approx(t_end - t0, rel=1e-12)
         assert traj.times[-1] == t_end
         # each gyro interval is marched on the same grid
-        span = Span(config, hat([0.0, 0.0, 1.0]).mat, t0, t_end)
-        assert [span.time(k) for k in range(span.n + 1)] == traj.times.tolist()
+        n, _ = grid(t0, t_end, h)
+        assert [t0 + k * h for k in range(n)] + [t_end] == traj.times.tolist()
 
     @given(
         t0=st.one_of(st.sampled_from([0.0, 3.3e4, 1e6, 1.7e9, 1.8e9]), st.floats(0.0, 1.8e9)),
@@ -374,14 +491,14 @@ class TestPropagate:
         t_end = t0 + steps * h
         for _ in range(abs(ulps)):
             t_end = math.nextafter(t_end, math.copysign(math.inf, ulps))
-        n, h_last = Span.grid(t0, t_end, h)
+        n, h_last = grid(t0, t_end, h)
         assert n == steps
         assert h_last > 0
 
     def test_gyro_benchmark_grid_is_unchanged(self):
         # a 100 Hz log of 10^4 samples marched at h = 0.0025
         times = np.arange(10_000) / 100
-        n, _ = Span.grid(times[:-1], times[1:], 0.0025)
+        n, _ = grid(times[:-1], times[1:], 0.0025)
         assert np.all(n == 4) and n.sum() == 39_996
 
     @pytest.mark.parametrize("t_end, h", [(1.0, 1e-300), (1e308, 0.1), (1.0, 5e-324)],
@@ -390,10 +507,10 @@ class TestPropagate:
         # the callers run the grid with overflow warnings off, as here
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match=r"2\*\*63 - 1 steps"):
-            Span.grid(np.array([0.0, 0.0]), np.array([1.0, t_end]), h)
+            grid(np.array([0.0, 0.0]), np.array([1.0, t_end]), h)
 
     def test_step_count_just_inside_int64_is_kept(self):
-        n, h_last = Span.grid(0.0, 1.0, 2.0**-62)
+        n, h_last = grid(0.0, 1.0, 2.0**-62)
         assert 2**62 - 2**12 <= int(n) <= 2**62 and h_last > 0
 
     @pytest.mark.parametrize(
@@ -402,7 +519,7 @@ class TestPropagate:
     )
     def test_log_intervals_at_large_times_take_whole_steps(self, base, dt, h, steps):
         times = base + dt * np.arange(20_000)
-        n, _ = Span.grid(times[:-1], times[1:], h)
+        n, _ = grid(times[:-1], times[1:], h)
         assert np.all(n == steps)
 
     def test_rejects_bad_horizon_and_stride(self):

@@ -22,7 +22,6 @@ from skewflow.linalg import (
     _exp_coefficients,
     checked_inverse,
     hat_stack,
-    power,
     rodrigues,
     scan,
 )
@@ -299,38 +298,6 @@ def repeated_product(a, k):
 
 
 class TestPowerAndScan:
-    @pytest.mark.parametrize("k", [0, 1, 2, 3, 7, 8, 31, 32, 63, 64, 100])
-    def test_power_matches_repeated_products(self, k):
-        # exponents 0, 1, 2^b - 1 and 2^b: the widest and narrowest bit patterns
-        rng = np.random.default_rng(k)
-        a = np.linalg.qr(rng.standard_normal((5, 5)))[0] + 0.01 * rng.standard_normal((5, 5))
-        want = repeated_product(a, k)
-        got = power(a, k)
-        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
-        if k == 0:
-            assert_array_equal(got, np.eye(5))
-        if k == 1:
-            assert_array_equal(got, a)
-
-    def test_stacked_power_equals_per_matrix_power_bitwise(self):
-        # mixed per-element exponents, so matrices drop out at different bits
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((9, 3, 3)) / 2.0
-        ks = np.array([0, 1, 2, 3, 5, 16, 31, 40, 0])
-        for ai, ki, pi in zip(a, ks, power(a, ks)):
-            assert_array_equal(pi, power(ai, ki))
-            assert np.linalg.norm(pi - repeated_product(ai, ki)) <= (
-                1e-13 * np.linalg.norm(repeated_product(ai, ki)))
-        # one matrix raised to a stack of exponents, and a stack to one exponent
-        for ki, pi in zip(ks, power(a[0], ks)):
-            assert_array_equal(pi, power(a[0], ki))
-        for ai, pi in zip(a, power(a, 6)):
-            assert_array_equal(pi, power(ai, 6))
-
-    def test_power_rejects_negative_exponent(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            power(np.eye(2), np.array([1, -1]))
-
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 511, 512, 513, 4097])
     def test_scan_matches_sequential_products(self, n):
         # square, non-square and prime lengths, and one past a block
