@@ -7,11 +7,12 @@ estimators provide closed-form and asymptotic cross-checks that are
 independent of the stepping code they judge.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import InputError, stack_rows
+from .linalg import STACK_ENTRIES, InputError, stack_rows
 
 Q0_ORTH_TOL = 1e-8
 
@@ -24,13 +25,50 @@ def _sum_squares(qs):
     return np.einsum("nij,nij->n", qs, qs)
 
 
+def _entry_blocks(qs):
+    # each block of up to STACK_ENTRIES 3 x 3 records, laid out once as a
+    # contiguous (9, n) array whose row 3i + j holds entry (i, j); the
+    # arithmetic on its rows is elementwise, so a record's meters are the
+    # same bits alone and anywhere in any stack
+    for i in range(0, qs.shape[0], STACK_ENTRIES):
+        yield i, np.ascontiguousarray(qs[i : i + STACK_ENTRIES].reshape(-1, 9).T)
+
+
+def _dets(qs):
+    """det of each matrix of a stack; a 3 x 3 one by its triple product."""
+    if qs.shape[1] != 3:
+        return np.linalg.det(qs)
+    out = np.empty(qs.shape[0])
+    for i, (a, b, c, d, e, f, g, h, k) in _entry_blocks(qs):
+        out[i : i + a.shape[0]] = a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
+    return out
+
+
+def _dot(x, y):
+    # the dot products of two columns over a block, each a (3, n) array
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+
 def _orth_defects(qs):
-    # the Gram stack is built a block at a time so its temporary stays near
-    # 32 KB however large d is; each row's arithmetic is unchanged
+    """||Q^T Q - I||_F of each matrix of a stack.
+
+    A 3 x 3 one comes from the six dot products of its columns c_i,
+    ``sum (c_i.c_i - 1)^2 + 2 sum_{i<j} (c_i.c_j)^2``; any other d from
+    its Gram matrix, built a block at a time so its temporary stays near
+    32 KB however large d is.
+    """
     n, d, _ = qs.shape
+    out = np.empty(n)
+    if d == 3:
+        for i, e in _entry_blocks(qs):
+            c0, c1, c2 = e[0::3], e[1::3], e[2::3]
+            diag = (_dot(c0, c0) - 1.0) ** 2 + (_dot(c1, c1) - 1.0) ** 2 \
+                + (_dot(c2, c2) - 1.0) ** 2
+            off = _dot(c0, c1) ** 2 + _dot(c0, c2) ** 2 + _dot(c1, c2) ** 2
+            out[i : i + e.shape[1]] = np.sqrt(diag + 2.0 * off)
+        return out
     rows = stack_rows(d)
     eye = np.eye(d)
-    out = np.empty(n)
     for i in range(0, n, rows):
         block = qs[i : i + rows]
         gram = np.matmul(block.transpose(0, 2, 1), block)
@@ -39,13 +77,19 @@ def _orth_defects(qs):
     return out
 
 
+def _read_only(column):
+    column.setflags(write=False)
+    return column
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Recorded samples of one propagation run, as parallel arrays.
 
     Built from the record ``times`` (strictly increasing) and the
-    ``(n, d, d)`` stack ``qs`` of recorded states; every meter is computed
-    here in one batched pass over the stack.  ``energy_errors`` and
+    ``(n, d, d)`` stack ``qs`` of recorded states.  Each meter column is
+    computed over the whole stack when it is first read, and then kept;
+    a run that reads only ``qs`` meters nothing.  ``energy_errors`` and
     ``det_drifts`` are signed differences against the first record.  All
     columns are read-only; ``qs`` is a read-only view, not a copy.
     """
@@ -54,10 +98,6 @@ class Trajectory:
     step: float
     times: np.ndarray
     qs: np.ndarray
-    energies: np.ndarray = field(init=False)
-    energy_errors: np.ndarray = field(init=False)
-    orth_defects: np.ndarray = field(init=False)
-    det_drifts: np.ndarray = field(init=False)
 
     def __post_init__(self):
         times = np.array(self.times, dtype=float).reshape(-1)
@@ -71,19 +111,25 @@ class Trajectory:
             raise ValueError("a trajectory needs at least one record")
         if np.any(np.diff(times) <= 0):
             raise ValueError("record times must be strictly increasing")
-        energies = _sum_squares(qs)
-        dets = np.linalg.det(qs)
-        columns = {
-            "times": times,
-            "qs": qs,
-            "energies": energies,
-            "energy_errors": energies - energies[0],
-            "orth_defects": _orth_defects(qs),
-            "det_drifts": dets - dets[0],
-        }
-        for name, column in columns.items():
-            column.setflags(write=False)
-            object.__setattr__(self, name, column)
+        object.__setattr__(self, "times", _read_only(times))
+        object.__setattr__(self, "qs", _read_only(qs))
+
+    @cached_property
+    def energies(self):
+        return _read_only(_sum_squares(self.qs))
+
+    @cached_property
+    def energy_errors(self):
+        return _read_only(self.energies - self.energies[0])
+
+    @cached_property
+    def orth_defects(self):
+        return _read_only(_orth_defects(self.qs))
+
+    @cached_property
+    def det_drifts(self):
+        dets = _dets(self.qs)
+        return _read_only(dets - dets[0])
 
     def __len__(self):
         return self.times.shape[0]
@@ -115,7 +161,7 @@ def require_orthogonal_start(q, what, override):
 
 def det_drift(q, det0):
     """Signed determinant drift det(q) - det0."""
-    return float(np.linalg.det(np.asarray(q, dtype=float))) - float(det0)
+    return float(_dets(np.asarray(q, dtype=float)[None])[0]) - float(det0)
 
 
 def pseudo_symplectic_defect(phi, s):

@@ -222,7 +222,8 @@ def reference_gyro(log, q0=None, allow_nonorthogonal=False):
     the only difference between the two is the integrator's own error.
     The exact rotations of a block of intervals come from one stacked
     Rodrigues evaluation, the formula :func:`~skewflow.linalg.expm` uses,
-    and are marched as :func:`propagate_gyro` marches its maps.
+    and are marched as :func:`propagate_gyro` marches its maps.  Its
+    meters are computed only when read.
     """
     state = _initial_state(log, q0, allow_nonorthogonal)
     dt = np.diff(log.times)

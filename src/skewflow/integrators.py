@@ -219,8 +219,8 @@ def propagate(config, s, q0, t_end, record_every=1):
     last record of the block before, and the final state is the end map
     applied to ``q0``, taken straight from the start so that it does not
     depend on ``record_every``.  The records are
-    stacked and metered in one pass by
-    :class:`~skewflow.diagnostics.Trajectory`.  Energy and determinant
+    stacked in a :class:`~skewflow.diagnostics.Trajectory`, each of whose
+    meters is one pass over the stack.  Energy and determinant
     drifts are measured against the first record.  Raises
     :class:`NonFiniteStateError` at the first record whose state or a meter
     overflowed, with that record's step and time, so a failure is seen at
@@ -298,7 +298,7 @@ def metered(config, times, qs, step_of):
         label = config.method.name or f"rk-{config.method.stages}-stage"
         traj = Trajectory(label, config.step, times, qs)
         ok = (np.isfinite(qs).all(axis=(1, 2)) & np.isfinite(traj.energy_errors)
-              & np.isfinite(traj.orth_defects) & np.isfinite(traj.det_drifts))
+              & np.isfinite(traj.det_drifts) & np.isfinite(traj.orth_defects))
         if not ok.all():
             j = int(np.argmin(ok))
             raise NonFiniteStateError(step_of(j), traj.times[j])

@@ -42,6 +42,21 @@ def series_expm(x, dps=60, max_terms=2000):
         return np.array(acc.tolist(), dtype=float)
 
 
+def mp_meters(q, dps=40):
+    """``(det q, ||q^T q - I||_F)`` of a float matrix as ``dps``-digit mpf values.
+
+    Shares nothing with the library's meters: the matrix is read exactly
+    and both meters are evaluated in high-precision arithmetic, which has
+    no overflow, so they serve as the exact values for any float input.
+    """
+    n = len(q)
+    with mp.workdps(dps):
+        m = mp.matrix(np.asarray(q, dtype=float).tolist())
+        gram = m.T * m - mp.eye(n)
+        defect = mp.sqrt(mp.fsum(gram[i, j] ** 2 for i in range(n) for j in range(n)))
+        return mp.det(m), defect
+
+
 def format_rows_oracle(rows, sep):
     """Per-value ``"%.17g"`` text of a 2-D array, one newline-ended line per
     row: the formatting every output had before the bulk formatter, kept as

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import skewflow.cli as cli
+import skewflow.diagnostics as diagnostics
 import skewflow.integrators as integrators
 from skewflow import (
     GyroLogError,
@@ -345,6 +346,9 @@ class TestRecordBudget:
         t = np.arange(n) * 0.1
         qs = (1.0 + 1e-3 * np.sin(t)).reshape(n, 1, 1)
         traj = Trajectory("rk2-closed", 0.1, t, qs)
+        # the meters are computed when first read; read them here, as every
+        # CLI run does before it writes, so that only the writer is measured
+        traj.energy_errors, traj.orth_defects, traj.det_drifts
         out = tmp_path / "big.csv"
         tracemalloc.start()
         try:
@@ -433,6 +437,23 @@ class TestGyroCommand:
         assert header[-1] == "ref_err"
         assert rows[0][-1] == 0.0
         assert all(row[-1] <= 1e-4 for row in rows)
+
+    def test_reference_is_never_metered(self, tmp_path, monkeypatch):
+        # the CSV reads only the reference's states, so none of its meters
+        # is computed: each kernel runs once, for the integrated trajectory
+        log = tmp_path / "gyro.csv"
+        log.write_text("t,wx,wy,wz\n0,0,0,1\n1,0.5,0,1\n2,0,0,1\n")
+        refs = _spy(monkeypatch, "reference_gyro")
+        calls = []
+        for name in ("_sum_squares", "_dets", "_orth_defects"):
+            kernel = getattr(diagnostics, name)
+            monkeypatch.setattr(diagnostics, name,
+                                lambda qs, k=kernel, n=name: calls.append(n) or k(qs))
+        assert main(["gyro", "--input", str(log), "--method", "cayley-midpoint",
+                     "--h", "0.01", "--out", str(tmp_path / "att.csv"), "--reference"]) == 0
+        assert sorted(calls) == ["_dets", "_orth_defects", "_sum_squares"]
+        meters = {"energies", "energy_errors", "orth_defects", "det_drifts"}
+        assert not meters & set(vars(refs[0]))
 
     def test_zero_log_holds_attitude(self, tmp_path):
         log = tmp_path / "gyro.csv"

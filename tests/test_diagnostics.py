@@ -1,11 +1,17 @@
+import dataclasses
+
+import mpmath as mp
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 from conftest import (
     BENCH_MAT,
     BENCH_STEP,
     BENCH_THETA_SQ,
+    mp_meters,
     mp_rk2_energy,
+    random_orthogonal,
     random_skew,
 )
 from skewflow import (
@@ -27,6 +33,8 @@ from skewflow import (
     rk2_energy_forecast,
     transfer_matrix,
 )
+from skewflow.diagnostics import _dets, _orth_defects
+from skewflow.linalg import STACK_ENTRIES
 
 BENCH = SkewMatrix(BENCH_MAT)
 
@@ -127,6 +135,14 @@ class TestRecordsAndTrajectory:
         assert np.all(traj.orth_defects >= 0.0)
         assert traj.det_drifts.shape == (6,)
 
+    def test_meter_columns_are_cached_and_cannot_be_replaced(self):
+        qs = np.stack([np.eye(3), 2.0 * np.eye(3)])
+        traj = Trajectory("x", 0.1, [0.0, 1.0], qs)
+        assert traj.energy_errors is traj.energy_errors
+        assert_array_equal(traj.energy_errors, [0.0, 9.0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            traj.orth_defects = np.zeros(2)
+
 
 class TestRk2EnergyForecast:
     def test_zero_steps_returns_initial_energy(self):
@@ -203,3 +219,101 @@ class TestNonSkewEnergyLeak:
     def test_true_skew_does_not_leak(self):
         out = transfer_matrix(builtin("midpoint"), BENCH, 0.1) @ np.eye(3)
         assert abs(energy(out) - 3.0) <= 1e-13
+
+
+def _lu_det_and_matmul_gram(qs):
+    # the meters before the closed forms: LAPACK's LU det and the matmul Gram
+    gram = np.matmul(qs.transpose(0, 2, 1), qs) - np.eye(qs.shape[-1])
+    return np.linalg.det(qs), np.sqrt(np.einsum("nij,nij->n", gram, gram))
+
+
+def _errors(values, exact):
+    # |value - exact| in units of max(1, |exact|), the scale of a meter
+    # that starts near 1
+    with mp.workdps(40):
+        return np.array([float(abs(mp.mpf(x) - e) / max(1, abs(e)))
+                         for x, e in zip(values.tolist(), exact)])
+
+
+def _oracle_stacks():
+    rng = np.random.default_rng(12)
+
+    def orthogonal(n):
+        return np.stack([random_orthogonal(rng, 3) for _ in range(n)])
+
+    return {
+        "orthogonal": orthogonal(200),
+        "non-orthogonal": rng.standard_normal((200, 3, 3)),
+        # products of small integers are exact, so the zero and rank-1
+        # matrices have det exactly 0 by either route
+        "singular": np.stack([np.zeros((3, 3)), np.outer([1.0, -2.0, 3.0], [4.0, 5.0, -6.0])]),
+        "scaled-1e60": 1e60 * orthogonal(100),
+        "scaled-1e100": 1e100 * orthogonal(100),
+    }
+
+
+class TestStackKernels:
+    """The closed-form 3 x 3 meters against 40-digit mpmath and against the
+    LU det and matmul Gram they replace."""
+
+    @pytest.mark.parametrize("kind", sorted(_oracle_stacks()))
+    def test_closed_forms_within_twice_the_lu_and_matmul_error(self, kind):
+        qs = _oracle_stacks()[kind]
+        exact_det, exact_orth = zip(*(mp_meters(q) for q in qs))
+        with np.errstate(over="ignore", invalid="ignore"):
+            det_lu, gram_mm = _lu_det_and_matmul_gram(qs)
+            dets, defects = _dets(qs), _orth_defects(qs)
+        det_err = _errors(dets, exact_det)
+        assert det_err.max() <= 2.0 * _errors(det_lu, exact_det).max()
+        assert det_err.max() <= 4.0 * np.finfo(float).eps
+        # the Gram defect overflows where it did before, once entries pass
+        # about 1e77 (all of the 1e100 stack), which the first-bad-record
+        # failures rely on; the finite ones are compared
+        assert_array_equal(np.isinf(defects), np.isinf(gram_mm))
+        finite = np.isfinite(gram_mm)
+        exact_orth = [e for e, ok in zip(exact_orth, finite) if ok]
+        orth_err = _errors(defects[finite], exact_orth)
+        assert orth_err.max(initial=0.0) <= 2.0 * _errors(gram_mm[finite], exact_orth).max(initial=0.0)
+        assert orth_err.max(initial=0.0) <= 4.0 * np.finfo(float).eps
+
+    def test_det_of_a_rounded_rank_one_matrix_is_within_the_expansion_bound(self):
+        # LU eliminates a rank-1 matrix to a Schur complement of rounding
+        # size, so its det is off by about eps^2; the triple product's 2 x 2
+        # minors cancel to rounding of their products, about eps times the
+        # matrix's scale.  That is the a-priori bound of the expansion,
+        # 6 eps perm(|q|), a few ulps of max(1, |det|) for a meter near 1
+        rng = np.random.default_rng(13)
+        qs = np.stack([np.outer(rng.standard_normal(3), rng.standard_normal(3))
+                       for _ in range(100)])
+        exact = [mp_meters(q)[0] for q in qs]
+        a = np.abs(qs)
+        perm = sum(a[:, 0, i] * a[:, 1, j] * a[:, 2, 3 - i - j]
+                   for i in range(3) for j in range(3) if i != j)
+        with mp.workdps(40):
+            err = np.array([float(abs(mp.mpf(x) - e)) for x, e in zip(_dets(qs).tolist(), exact)])
+        assert np.all(err <= 6.0 * np.finfo(float).eps * perm)
+
+    def test_record_meters_are_the_same_bits_alone_and_across_a_block_boundary(self):
+        rng = np.random.default_rng(14)
+        n = STACK_ENTRIES + 40
+        qs = np.stack([random_orthogonal(rng, 3) for _ in range(n)])
+        qs[::3] += 1e-3 * rng.standard_normal((len(qs[::3]), 3, 3))
+        dets, defects = _dets(qs), _orth_defects(qs)
+        for j in range(n):
+            assert dets[j] == _dets(qs[j : j + 1])[0]
+            assert defects[j] == _orth_defects(qs[j : j + 1])[0]
+        # and in a stack that starts elsewhere, so other records share a block
+        assert_array_equal(_dets(qs[17:]), dets[17:])
+        assert_array_equal(_orth_defects(qs[17:]), defects[17:])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_scalar_meters_equal_the_trajectory_columns_bitwise(self, dim):
+        rng = np.random.default_rng(dim)
+        qs = np.stack([random_orthogonal(rng, dim) for _ in range(6)]
+                      + [rng.standard_normal((dim, dim)) for _ in range(6)])
+        traj = Trajectory("x", 0.1, np.arange(len(qs), dtype=float), qs)
+        det0 = det_drift(qs[0], 0.0)
+        for j, q in enumerate(qs):
+            assert traj.energies[j] == energy(q)
+            assert traj.orth_defects[j] == orthogonality_defect(q)
+            assert traj.det_drifts[j] == det_drift(q, det0)

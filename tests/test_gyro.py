@@ -11,8 +11,10 @@ from skewflow import (
     IntegratorConfig,
     NonFiniteStateError,
     OrthogonalState,
+    det_drift,
     expm,
     hat,
+    orthogonality_defect,
     parse_gyro_csv,
     propagate,
     propagate_gyro,
@@ -323,6 +325,19 @@ class TestReferenceGyro:
         rates = rng.uniform(-3, 3, size=(40, 3))
         traj = reference_gyro(GyroLog(times, rates))
         assert np.max(traj.orth_defects) <= 1e-12
+
+    def test_meters_are_computed_when_read_and_read_only(self):
+        rng = np.random.default_rng(15)
+        times = np.cumsum(rng.uniform(0.1, 1.0, size=30))
+        traj = reference_gyro(GyroLog(times, rng.uniform(-3, 3, size=(30, 3))))
+        assert "orth_defects" not in vars(traj)
+        defects = traj.orth_defects
+        assert defects is traj.orth_defects
+        assert not defects.flags.writeable and not traj.det_drifts.flags.writeable
+        assert_array_equal(defects, [orthogonality_defect(q) for q in traj.qs])
+        det0 = det_drift(traj.qs[0], 0.0)
+        assert_array_equal(traj.det_drifts, [det_drift(q, det0) for q in traj.qs])
+        assert np.max(defects) <= 1e-13 and np.max(np.abs(traj.det_drifts)) <= 1e-13
 
     def test_matches_composed_exponentials(self):
         times = np.array([0.0, 0.5, 1.5])

@@ -177,8 +177,8 @@ def test_batched_gyro_matches_per_step_oracle(name):
 
 @pytest.mark.parametrize("name", sorted(METHODS))
 def test_long_gyro_intervals_match_per_step_oracle(name):
-    # intervals of 0.2 h to 40 h take up to 40 steps, so the power of each
-    # interval's map runs over six bits, across a block boundary
+    # intervals of 0.2 h to 40 h take up to 40 steps, so each interval's
+    # map is one complex power of up to 40 steps, across a block boundary
     rng = np.random.default_rng(9)
     samples = _BLOCK + 89
     h = 0.01
