@@ -1,7 +1,15 @@
 """Shared test helpers: independent oracles and random-matrix samplers."""
 
-import mpmath as mp
-import numpy as np
+import os
+
+# one BLAS thread: the suite's matrices are tiny, and threads that contend for
+# a core another process holds made the suite run six times slower.  Set
+# before numpy is first imported, which is when BLAS reads them.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import mpmath as mp  # noqa: E402
+import numpy as np  # noqa: E402
 
 # reference problem used across the suite: rate vector, its hat matrix,
 # squared rate norm, step and horizon of the long benchmark run

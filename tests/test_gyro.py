@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +23,7 @@ from skewflow import (
     reference_gyro,
 )
 from skewflow import gyro
-from skewflow.gyro import GYRO_HEADER, _loadtxt_log, _parse_lines
+from skewflow.gyro import GYRO_HEADER, _BLOCK, _loadtxt_log, _parse_lines
 
 CONSTANT_LOG = "t,wx,wy,wz\n0,0,0,1\n1,0,0,1\n"
 
@@ -345,3 +347,31 @@ class TestReferenceGyro:
         traj = reference_gyro(GyroLog(times, rates))
         expected = expm(hat([1.0, 0, 0]), 1.0) @ expm(hat([0, 0, 2.0]), 0.5)
         assert np.linalg.norm(traj.qs[-1] - expected) <= 1e-14
+
+
+class TestBlockMemory:
+    @staticmethod
+    def temporaries(run, samples):
+        """Peak traced bytes of ``run(log)`` above what its result still holds."""
+        rng = np.random.default_rng(17)
+        times = np.cumsum(rng.uniform(0.5, 1.5, samples)) * 0.01
+        log = GyroLog(times, rng.uniform(-2.0, 2.0, size=(samples, 3)))
+        tracemalloc.start()
+        try:
+            result = run(log)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result) == samples
+        return peak - held
+
+    @pytest.mark.parametrize("pipeline", ["propagate", "reference"])
+    def test_block_temporaries_do_not_grow_with_the_log(self, pipeline):
+        # the march holds one block's temporaries at a time, so a log four
+        # times longer may not raise the peak by more than a few small columns
+        config = IntegratorConfig(method="cayley-midpoint", step=0.01)
+        run = reference_gyro if pipeline == "reference" else (
+            lambda log: propagate_gyro(log, config))
+        short = self.temporaries(run, 3 * _BLOCK + 1)
+        long = self.temporaries(run, 12 * _BLOCK + 1)
+        assert long - short <= 64 * 1024, (short, long)

@@ -26,6 +26,7 @@ from skewflow import (
     expm,
     propagate,
     propagate_gyro,
+    reference_gyro,
 )
 from skewflow.gyro import _BLOCK
 from skewflow.linalg import stack_rows
@@ -191,6 +192,36 @@ def test_long_gyro_intervals_match_per_step_oracle(name):
     assert np.array_equal(traj.times, times)
     err = np.linalg.norm(traj.qs - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
     assert np.max(err) <= 1e-12
+
+
+@pytest.mark.parametrize("name", [*sorted(METHODS), "exact"])
+def test_a_gyro_run_resumed_at_a_block_boundary_is_the_same_bits(name):
+    # blocks start at multiples of _BLOCK from the state the block before
+    # ended on, so a log cut at block boundaries and run part by part, each
+    # part from the last state of the one before, gives the whole run's states
+    rng = np.random.default_rng(13)
+    samples = 2 * _BLOCK + 77
+    h = 0.01
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 3.7, samples - 1) * h)])
+    rates = rng.uniform(-2.0, 2.0, size=(samples, 3))
+    if name == "exact":
+        def run(log, q0):
+            return reference_gyro(log, q0, allow_nonorthogonal=True)
+    else:
+        method = builtin(name) if name in ("gauss2", "rk4-classical") else name
+        config = IntegratorConfig(method=method, step=h)
+
+        def run(log, q0):
+            return propagate_gyro(log, config, q0, allow_nonorthogonal=True)
+    whole = run(GyroLog(times, rates), None).qs
+
+    parts = [whole[:1]]
+    q0 = None
+    for lo, hi in [(0, _BLOCK), (_BLOCK, 2 * _BLOCK), (2 * _BLOCK, samples - 1)]:
+        part = run(GyroLog(times[lo : hi + 1], rates[lo : hi + 1]), q0).qs
+        parts.append(part[1:])
+        q0 = OrthogonalState(part[-1], float(times[hi]))
+    assert np.array_equal(np.concatenate(parts), whole)
 
 
 @pytest.mark.parametrize("name", sorted(ALL_METHODS))
