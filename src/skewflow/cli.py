@@ -31,7 +31,7 @@ from .integrators import (
     StageSolveError,
     propagate,
 )
-from .linalg import InputError, OrthogonalState, SingularMatrixError, SkewMatrix, hat
+from .linalg import InputError, OrthogonalState, SingularMatrixError, SkewMatrix, data_lines, hat
 from .tableaus import BUILTIN_NAMES, builtin, parse_tableau, symplecticity
 
 EXIT_OK = 0
@@ -118,10 +118,7 @@ def _dump_q_text(traj):
 def _load_matrix_file(path):
     rows = []
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
+        for lineno, stripped in data_lines(fh):
             try:
                 rows.append([float(tok) for tok in stripped.split()])
             except ValueError:

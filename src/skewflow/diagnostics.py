@@ -26,7 +26,8 @@ def _sum_squares(qs):
 
 
 def _entry_blocks(qs):
-    # each block of up to STACK_ENTRIES 3 x 3 records, laid out once as a
+    # each block of up to STACK_ENTRIES 3 x 3 records, read here as a count
+    # of records (36864 entries, not linalg's 4096), laid out once as a
     # contiguous (9, n) array whose row 3i + j holds entry (i, j); the
     # arithmetic on its rows is elementwise, so a record's meters are the
     # same bits alone and anywhere in any stack
@@ -109,7 +110,7 @@ class Trajectory:
             )
         if times.shape[0] < 1:
             raise ValueError("a trajectory needs at least one record")
-        if np.any(np.diff(times) <= 0):
+        if np.any(times[1:] <= times[:-1]):
             raise ValueError("record times must be strictly increasing")
         object.__setattr__(self, "times", _read_only(times))
         object.__setattr__(self, "qs", _read_only(qs))

@@ -7,18 +7,17 @@ hold makes the per-interval exact flow available as a reference, so
 integrator error can be measured without entangling it with interpolation
 error.
 
-Both pipelines share one march through the log, a block of intervals at
-a time: a block's skew coefficients come straight from the validated rate
-array, each interval's map is one matrix, and the block's states are the
-prefix products of those maps applied to the state that starts the block,
+Both pipelines march through the log a block of intervals at a time with
+:func:`~skewflow.integrators.march`, as ``propagate`` marches its records:
+a block's skew coefficients come straight from the validated rate array,
+each interval's map is one matrix, and the block's states are the prefix
+products of those maps applied to the state that ends the block before,
 so no Python-level loop runs per interval or per step.  An integrator's
 interval of n steps, ``phi_last @ phi^(n-1)``, is Rodrigues' formula from
 one complex number (:func:`~skewflow.integrators.one_step_map`); the exact
 rotation is Rodrigues' formula with R = exp.  Blocks of ``_BLOCK``
-intervals keep the temporaries under 1 MB however long the log is, large
-enough that numpy's fixed cost per call stops dominating, and start from the
-state the block before it ended on, so a run cut at a block boundary and
-resumed from its last state gives the same states bit for bit.
+intervals keep the temporaries under 1 MB however long the log is, and
+are large enough that numpy's fixed cost per call stops dominating.
 
 Parsing has two paths.  A clean log, whose first line is the header and
 whose body is four numbers a line, is read in one ``np.loadtxt`` call;
@@ -31,8 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import Trajectory, require_orthogonal_start
-from .integrators import grid, metered, one_step_map
-from .linalg import InputError, OrthogonalState, _exp_coefficients, hat_stack, rodrigues, scan
+from .integrators import grid, march, metered, one_step_map
+from .linalg import (
+    InputError, OrthogonalState, _exp_coefficients, data_lines, hat_stack, rodrigues, scan,
+)
 
 GYRO_HEADER = "t,wx,wy,wz"
 
@@ -72,7 +73,7 @@ class GyroLog:
             raise GyroLogError("log must contain at least one sample")
         if not (np.all(np.isfinite(times)) and np.all(np.isfinite(rates))):
             raise GyroLogError("log contains non-finite values")
-        if np.any(np.diff(times) <= 0):
+        if np.any(times[1:] <= times[:-1]):
             raise GyroLogError("sample times must be strictly increasing")
         times.setflags(write=False)
         rates.setflags(write=False)
@@ -124,12 +125,7 @@ def _parse_lines(lines):
     times = []
     rates = []
     header_seen = False
-    last_line = 0
-    for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        last_line = lineno
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, stripped in data_lines(lines):
         if not header_seen:
             if stripped != GYRO_HEADER:
                 raise GyroLogError(
@@ -151,9 +147,9 @@ def _parse_lines(lines):
         times.append(values[0])
         rates.append(values[1:])
     if not header_seen:
-        raise GyroLogError("missing header line", max(last_line, 1))
+        raise GyroLogError("missing header line", max(len(lines), 1))
     if not times:
-        raise GyroLogError("log contains no samples", last_line)
+        raise GyroLogError("log contains no samples", len(lines))
     return GyroLog(np.array(times), np.array(rates))
 
 
@@ -170,18 +166,6 @@ def _initial_state(log, q0, allow_nonorthogonal):
     if not allow_nonorthogonal:
         require_orthogonal_start(q0.q, "starting attitude", "allow_nonorthogonal=True")
     return q0
-
-
-def _march(log, q, maps):
-    """The states at the samples of ``log`` from ``q``, where ``maps(start, stop)``
-    gives the maps of intervals ``start`` to ``stop - 1``."""
-    qs = np.empty((len(log), 3, 3))
-    qs[0] = q
-    for start in range(0, len(log) - 1, _BLOCK):
-        stop = min(start + _BLOCK, len(log) - 1)
-        qs[start + 1 : stop + 1] = scan(maps(start, stop)) @ q
-        q = qs[stop]
-    return qs
 
 
 def propagate_gyro(log, config, q0=None, allow_nonorthogonal=False):
@@ -214,7 +198,7 @@ def propagate_gyro(log, config, q0=None, allow_nonorthogonal=False):
 
     # overflow surfaces as NonFiniteStateError, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        qs = _march(log, state.q, maps)
+        qs = march(state.q, len(log), _BLOCK, lambda a, b: scan(maps(a, b)))
 
     def steps_before(j):
         # Python ints: the step counts of a long log can sum past 2**63
@@ -234,10 +218,11 @@ def reference_gyro(log, q0=None, allow_nonorthogonal=False):
     meters are computed only when read.
     """
     state = _initial_state(log, q0, allow_nonorthogonal)
-    dt = np.diff(log.times)
 
     def rotations(start, stop):
+        dt = log.times[start + 1 : stop + 1] - log.times[start:stop]
         m = hat_stack(log.rates[start:stop])
-        return rodrigues(dt[start:stop, None, None] * m, _exp_coefficients)
+        return rodrigues(dt[:, None, None] * m, _exp_coefficients)
 
-    return Trajectory("exact", 0.0, log.times, _march(log, state.q, rotations))
+    qs = march(state.q, len(log), _BLOCK, lambda a, b: scan(rotations(a, b)))
+    return Trajectory("exact", 0.0, log.times, qs)

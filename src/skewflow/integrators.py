@@ -207,18 +207,31 @@ def grid(t0, t_end, h):
     return n.astype(np.int64), t_end - (t0 + (n - 1) * h)
 
 
+def march(q, records, block, prefixes):
+    """The stack of ``records`` states from ``q``, ``block`` records at a time:
+    ``prefixes(a, b)`` maps record ``a`` to records ``a + 1`` to ``b``, so a run
+    cut at a block boundary and resumed from its last state is the same bits."""
+    qs = np.empty((records,) + q.shape)
+    qs[0] = q
+    for a in range(0, records - 1, block):
+        b = min(a + block, records - 1)
+        np.matmul(prefixes(a, b), q, out=qs[a + 1 : b + 1])
+        q = qs[b]
+    return qs
+
+
 def propagate(config, s, q0, t_end, record_every=1):
     """Propagate a state to ``t_end`` with a fixed step, recording meters.
 
     A record is kept for the initial state, after every
     ``record_every``-th step, and for the final state.  No step is taken
     one at a time: one :func:`one_step_map` call gives the stride map
-    ``P = phi^record_every`` and the end map ``phi_last @ phi^(n-1)``.  A
-    table of the prefix products ``P, P^2, ...`` (as many as fit a
-    ``STACK_ENTRIES`` temporary) carries each block of records on from the
-    last record of the block before, and the final state is the end map
-    applied to ``q0``, taken straight from the start so that it does not
-    depend on ``record_every``.  The records are
+    ``P = phi^record_every`` and the end map ``phi_last @ phi^(n-1)``.
+    :func:`march` carries each block of records on from the last record of
+    the block before with a table of the prefix products ``P, P^2, ...``
+    (as many as fit a ``STACK_ENTRIES`` temporary), and the final state is
+    the end map applied to ``q0``, taken straight from the start so that it
+    does not depend on ``record_every``.  The records are
     stacked in a :class:`~skewflow.diagnostics.Trajectory`, each of whose
     meters is one pass over the stack.  Energy and determinant
     drifts are measured against the first record.  Raises
@@ -267,18 +280,11 @@ def propagate(config, s, q0, t_end, record_every=1):
         stride_map, end_map = one_step_map(config.method, s.mat, config.step,
                                            [min(record_every, n), n], [config.step, h_last])
         ks = np.append(np.arange(0, n, record_every), n)
-        qs = np.empty((ks.shape[0], s.dim, s.dim))
-        qs[0] = q = q0.q
-        inner = qs[1:-1]
-        if len(inner):
-            # table[j] = (phi^record_every)^(j+1): each block of records
-            # starts from the last record of the block before
-            rows = min(stack_rows(s.dim), len(inner))
-            table = scan(np.broadcast_to(stride_map, (rows, s.dim, s.dim)))
-            for i in range(0, len(inner), rows):
-                block = inner[i : i + rows]
-                np.matmul(table[: len(block)], q, out=block)
-                q = block[-1]
+        # table[j] = (phi^record_every)^(j+1), a row for each record between
+        # the first and the last; the end map then redoes the march's last
+        rows = max(1, min(stack_rows(s.dim), len(ks) - 2))
+        table = scan(np.broadcast_to(stride_map, (rows, s.dim, s.dim)))
+        qs = march(q0.q, len(ks), rows, lambda a, b: table[: b - a])
         qs[-1] = end_map @ q0.q
     times = q0.t + ks * config.step
     times[-1] = t_end

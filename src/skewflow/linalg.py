@@ -16,7 +16,8 @@ import numpy as np
 SKEW_TOL = 1e-12
 ROT3_SERIES_CUTOFF = 1e-4
 RCOND_MIN = 1e-14
-# entries in one stacked temporary (32 KB of float64)
+# entries in one stacked temporary of d x d matrices (32 KB of float64);
+# diagnostics._entry_blocks reads it as a count of 3 x 3 records instead
 STACK_ENTRIES = 4096
 
 
@@ -30,6 +31,15 @@ class InputError(ValueError):
     def __init__(self, message, line=None):
         self.line = None if line is None else int(line)
         super().__init__(message if line is None else f"line {line}: {message}")
+
+
+def data_lines(lines):
+    """The 1-based number and stripped text of each line of ``lines`` that
+    is neither blank nor a ``#`` comment: the data of every input file."""
+    for lineno, raw in enumerate(lines, start=1):
+        stripped = raw.strip()
+        if stripped and not stripped.startswith("#"):
+            yield lineno, stripped
 
 
 class SkewnessError(InputError):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fmt17 import fmt17
-from .linalg import InputError
+from .linalg import InputError, data_lines
 
 C_CONSISTENCY_TOL = 1e-14
 SYMPLECTIC_TOL = 1e-14
@@ -176,17 +176,10 @@ def parse_tableau(text):
     Raises :class:`TableauParseError` with a 1-based line number on malformed
     input; tableau validation failures propagate as :class:`TableauError`.
     """
-    rows = []
-    last_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        last_line = lineno
-        if not stripped or stripped.startswith("#"):
-            continue
-        rows.append((lineno, stripped.split()))
-
+    lines = text.splitlines()
+    rows = [(lineno, stripped.split()) for lineno, stripped in data_lines(lines)]
     if not rows:
-        raise TableauParseError("no tableau data found", max(last_line, 1))
+        raise TableauParseError("no tableau data found", max(len(lines), 1))
 
     lineno, tokens = rows[0]
     if len(tokens) != 1:

@@ -550,6 +550,44 @@ class TestGyroCommand:
         assert "line 3" in capsys.readouterr().err
 
 
+class TestLineRule:
+    """Every input file skips blank and ``#`` lines alike and numbers the
+    lines it reports the same way, whatever its line ends."""
+
+    # the first data line, a bad line, and the command that reads the file
+    LAYOUTS = {
+        "s-file": ("0 1", "-1 x", ["propagate", "--method", "cayley-midpoint", "--h", "0.1",
+                                   "--t-end", "1", "--out", "out.csv", "--s-file"]),
+        "tableau": ("1", "x", ["check-tableau", "--file"]),
+        "gyro": ("t,wx,wy,wz", "0,0,0", ["gyro", "--method", "cayley-midpoint", "--h", "0.1",
+                                         "--out", "out.csv", "--input"]),
+    }
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("kind", sorted(LAYOUTS))
+    def test_the_bad_line_after_comments_and_blanks_is_line_5(
+            self, tmp_path, monkeypatch, capsys, kind, end):
+        first, bad, argv = self.LAYOUTS[kind]
+        monkeypatch.chdir(tmp_path)
+        text = end.join(["# c", "", first, "  # c", bad]) + end
+        (tmp_path / "input.txt").write_bytes(text.encode())
+        assert main(argv + ["input.txt"]) == 2
+        assert "line 5: " in capsys.readouterr().err
+
+    def test_an_s_file_breaks_lines_only_at_line_ends(self, tmp_path, capsys):
+        # a text file object does not split at \x0c, which str.splitlines
+        # does: there the bad value would be on line 3
+        s_file = tmp_path / "s.mat"
+        s_file.write_text("0 1\x0c# c\n-1 x\n")
+        rc = main(["propagate", "--method", "cayley-midpoint", "--s-file", str(s_file),
+                   "--h", "0.1", "--t-end", "1", "--out", str(tmp_path / "t.csv")])
+        assert rc == 2
+        assert f"{s_file}: line 1: " in capsys.readouterr().err
+        with pytest.raises(InputError) as excinfo:
+            cli._load_matrix_file(str(s_file))
+        assert excinfo.value.line == 1
+
+
 GRID = [-1.0, -0.5, 0.0, 0.5, 1.0]
 
 

@@ -365,13 +365,20 @@ class TestBlockMemory:
         assert len(result) == samples
         return peak - held
 
-    @pytest.mark.parametrize("pipeline", ["propagate", "reference"])
-    def test_block_temporaries_do_not_grow_with_the_log(self, pipeline):
-        # the march holds one block's temporaries at a time, so a log four
-        # times longer may not raise the peak by more than a few small columns
+    @pytest.mark.parametrize("pipeline, blocks", [
+        pytest.param("propagate", 12, id="propagate"),
+        pytest.param("reference", 12, id="reference"),
+        # the exact rotations take each block's intervals from the times
+        # themselves, so not even a log sixteen times longer makes a column
+        # of the whole log beside the records
+        pytest.param("reference", 48, id="reference-long"),
+    ])
+    def test_block_temporaries_do_not_grow_with_the_log(self, pipeline, blocks):
+        # the march holds one block's temporaries at a time, so a longer log
+        # may not raise the peak by more than a few small columns
         config = IntegratorConfig(method="cayley-midpoint", step=0.01)
         run = reference_gyro if pipeline == "reference" else (
             lambda log: propagate_gyro(log, config))
         short = self.temporaries(run, 3 * _BLOCK + 1)
-        long = self.temporaries(run, 12 * _BLOCK + 1)
+        long = self.temporaries(run, blocks * _BLOCK + 1)
         assert long - short <= 64 * 1024, (short, long)
