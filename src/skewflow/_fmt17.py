@@ -12,12 +12,12 @@ y = |x| * 10**(16 - p) lies in [1e16, 1e17), and the 17 digits are y
 rounded to an integer.  Each 10**k is held as a pair (hi, lo): hi is 10**k
 correctly rounded and lo the correctly rounded remainder, both computed
 with exact integers on first use.  The product |x| * hi is exact as a
-double-double by Dekker's split and TwoProduct (Dekker 1971); adding
-|x| * lo and renormalising rounds twice more.  The remainder's own error is
-below 2**-106 of 10**k.  So y is known to about 2**-104 relative, under
-1e-14 of the last digit.  Since y >= 1e16 > 2**53, the double part hi is an
-integer and lo carries the fraction, so the digits are hi + floor(lo), plus
-one when the fraction exceeds one half.
+double-double by Dekker's split, tabled for each hi, and TwoProduct
+(Dekker 1971); adding |x| * lo and renormalising rounds twice more.  The
+remainder's own error is below 2**-106 of 10**k.  So y is known to about
+2**-104 relative, under 1e-14 of the last digit.  Since y >= 1e16 > 2**53,
+the double part hi is an integer and lo carries the fraction, so the
+digits are hi + floor(lo), plus one when the fraction exceeds one half.
 
 Fallback.  The arithmetic cannot decide a fraction within 1e-6 of one half:
 it may be an exact tie, which ``"%.17g"`` rounds to even.  Such a value
@@ -28,14 +28,19 @@ p = floor(log10|x|) may be one off beside a power of ten; the values whose
 y falls outside [1e16, 1e17) are scaled again with p corrected, and a y
 that rounds up to 10**17 becomes 10**16 with p + 1.
 
-Text.  Four-digit table lookups give the 17 ASCII digits, and a table of
-the trailing zeros of 0000..9999 their count.  Each value is keyed by its
-layout: fixed with its p, or scientific with its digit count and exponent
-width; and its sign.  One sort by key makes each layout a contiguous run of
-values, written with slice copies into a byte grid that holds one value's
-text per column, left-aligned, then its separator.  A prefix mask clears
-the cells after the separator; one row gather of the transposed grid
-restores the order, and dropping the cleared bytes joins the texts.
+Text.  Each value's text sits in fixed cells of a byte grid, one value
+per column: cell 0 holds its sign, ``-`` or NUL, cells 1-23 its unsigned
+text and cell 24 its separator, and dropping every NUL at the end joins
+the texts.  Four-digit table lookups give the 17 ASCII digits; a chunk
+followed only by zero chunks is looked up in a second table whose
+trailing zeros are NUL, so the digit text ends at its last nonzero digit
+without a digit count.  A fixed layout turns NULs back into zeros in its
+integer part, and a ``.`` is written only before a digit.  So the layout
+depends on the exponent class alone: 21 fixed layouts, p = -4..16, and
+one scientific layout, whose exponent text ``e+dd`` or ``e-ddd`` is
+NUL-padded to five cells.  One sort by layout makes each a contiguous run
+of columns, written with slice copies; one row scatter of the transposed
+grid restores the order.
 
 A block of fewer than ``SMALL`` numbers goes wholly through the fallback,
 which is faster there.  :func:`text_blocks` formats at most
@@ -60,15 +65,13 @@ _HUGE = 1e280
 _TIE_WINDOW = 1e-6
 # exponents of the power-of-ten table
 _K_MIN, _K_MAX = -330, 308
-# grid cells per value: the longest text, sign, 17 digits, "." and
-# "e-308", then the separator
+# grid cells per value: the sign, the longest unsigned text (17 digits,
+# "." and "e-308") and the separator
 _W = 25
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter
-# layout keys: 0-20 fixed with p = key - 4, 21-54 scientific with
-# 2 * (digits - 1) + (3-digit exponent); + _NEG when the sign bit is set
-_FIXED = 21
-_NEG = 55
-_NKEYS = 2 * _NEG
+# layout keys: 0-20 fixed with p = key - 4, then the scientific one
+_SCI = 21
+_DOT = np.uint8(46)  # "."
 
 
 def fmt17(x):
@@ -95,45 +98,63 @@ def pow10_table():
 
 
 @functools.lru_cache(maxsize=None)
+def pow10_split():
+    """Dekker's split ``(big, small)`` of each ``hi`` of :func:`pow10_table`.
+
+    Near 1e308 the split overflows; the kernel never reads those entries.
+    """
+    hi, _ = pow10_table()
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _split(hi)
+
+
+@functools.lru_cache(maxsize=None)
 def _text_tables():
-    # ASCII of 0000..9999 as little-endian 4-byte words, and the trailing
-    # zeros of each (4 for 0000)
+    # ASCII of 0000..9999 as little-endian 4-byte words, then the same words
+    # with their trailing zeros NUL (0000 all NUL), at index + 10000
     n = np.arange(10000)
-    quads = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1)
-    trailing = np.zeros(10000, np.uint8)
-    for step in (10, 100, 1000, 10000):
-        trailing += n % step == 0
-    quads = (quads + 48).astype(np.uint8).view("<u4").ravel()
-    # "e+dd" / "e-ddd" by exponent, index p - _K_MIN, zero-padded to 5
+    quads = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1) + 48
+    kept = n[:, None] % np.array([10000, 1000, 100, 10]) != 0
+    quads = np.concatenate([quads, quads * kept]).astype(np.uint8).view("<u4").ravel()
+    # "e+dd" / "e-ddd" by exponent, index p - _K_MIN, NUL-padded to 5
     exps = np.zeros((_K_MAX - _K_MIN + 1, 5), np.uint8)
     for i, p in enumerate(range(_K_MIN, _K_MAX + 1)):
         text = ("e%+03d" % p).encode()
         exps[i, : len(text)] = np.frombuffer(text, np.uint8)
-    return quads, trailing, exps
+    return quads, exps
 
 
 def _split(a):
-    c = _SPLIT * a
-    big = c - (c - a)
+    big = _SPLIT * a
+    big -= big - a  # c - (c - a) with c = _SPLIT * a
     return big, a - big
 
 
 def _scaled(a, k):
     """``a * 10**k`` as a normalised double-double ``(hi, lo)``."""
-    t_hi, t_lo = pow10_table()
-    th, tl = t_hi.take(k - _K_MIN), t_lo.take(k - _K_MIN)
+    i = k - _K_MIN
+    th, tl = (t.take(i) for t in pow10_table())
+    bh, bl = (t.take(i) for t in pow10_split())
     prod = a * th
     ah, al = _split(a)
-    bh, bl = _split(th)
-    err = ((ah * bh - prod) + ah * bl + al * bh) + al * bl
-    tail = err + a * tl
-    hi = prod + tail
-    return hi, tail - (hi - prod)
+    # err = ((ah * bh - prod) + ah * bl + al * bh) + al * bl, in place
+    err = np.multiply(ah, bh)
+    err -= prod
+    for u, v in ((ah, bl), (al, bh), (al, bl), (a, tl)):
+        err += np.multiply(u, v, out=th)
+    # err is now the tail, err + a * tl
+    hi = np.add(prod, err, out=ah)
+    err -= np.subtract(hi, prod, out=prod)
+    return hi, err
 
 
-def _digits(a):
-    """17-digit integers and decimal exponents of ``a`` (positive, in range),
-    and a mask of the values the arithmetic could not decide."""
+def _digits(x):
+    """17-digit integers and decimal exponents of ``x``, and a mask of the
+    values left to per-value formatting, whose digits and exponent read 0,
+    as do those of the zeros."""
+    a = np.abs(x)
+    fast = (a >= _TINY) & (a < _HUGE)
+    a[~fast] = 1.0
     p = np.floor(np.log10(a)).astype(np.int64)
     hi, lo = _scaled(a, 16 - p)
     low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
@@ -143,14 +164,60 @@ def _digits(a):
         p += high.astype(np.int64) - low
         hi[off], lo[off] = _scaled(a[off], 16 - p[off])
     floor_lo = np.floor(lo)
-    frac = lo - floor_lo
-    digits = hi.astype(np.int64) + floor_lo.astype(np.int64) + (frac > 0.5)
+    frac = np.subtract(lo, floor_lo, out=lo)
+    digits = hi.astype(np.int64)
+    digits += floor_lo.astype(np.int64)
+    digits += frac > 0.5
     carry = digits == 10**17
     digits[carry] = 10**16
     p += carry
     # beside 10**16 a rounded y can still fall out of range: leave it undecided
-    undecided = (np.abs(frac - 0.5) < _TIE_WINDOW) | (digits < 10**16) | (digits >= 10**17)
-    return digits, p, undecided
+    frac -= 0.5
+    stand_in = (np.abs(frac, out=frac) < _TIE_WINDOW) | (digits < 10**16) | (digits >= 10**17)
+    stand_in |= ~fast
+    p = p.astype(np.int16)
+    if stand_in.any():
+        digits[stand_in] = p[stand_in] = 0
+    return digits, p, stand_in & (x != 0.0)
+
+
+def _grid(d, p, order, counts):
+    """The ``(cell, value)`` grid of the unsigned texts, in layout order."""
+    quads, exps = _text_tables()
+    n = d.shape[0]
+    ends = np.cumsum(counts)
+    d = d.take(order)
+    # 17 digits as five 4-digit chunks "000d dddd dddd dddd dddd"; a chunk
+    # with only zero chunks after it is read with its trailing zeros NUL
+    words = np.empty((n, 5), "<u4")
+    zeros_after = np.full(n, 10000)
+    for j in range(4, -1, -1):
+        q = d // 10000  # faster than np.divmod: a division by a constant
+        c = d - q * 10000
+        words[:, j] = quads.take(c + zeros_after)
+        zeros_after *= c == 0
+        d = q
+    dg = words.view(np.uint8)[:, 3:].T.copy()
+    grid = np.zeros((_W, n), np.uint8)
+    for k in np.flatnonzero(counts):
+        start, stop = ends[k] - counts[k], ends[k]
+        g, dk = grid[:, start:stop], dg[:, start:stop]
+        if k == _SCI:
+            g[1] = dk[0]
+            np.multiply(dk[1] != 0, _DOT, out=g[2])
+            g[3:19] = dk[1:]
+            g[19:24] = exps.take(p.take(order[start:stop]) - _K_MIN, axis=0).T
+            continue
+        e = k - 4
+        if e < 0:
+            g[1:2 - e] = np.frombuffer(b"0.000"[:1 - e], np.uint8)[:, None]
+            g[2 - e:19 - e] = dk
+        else:
+            np.maximum(dk[:e + 1], 48, out=g[1:e + 2])  # "0" for NUL
+            if e < 16:
+                np.multiply(dk[e + 1] != 0, _DOT, out=g[e + 2])
+                g[e + 3:19] = dk[e + 1:]
+    return grid
 
 
 def _slow_rows(rows, sep):
@@ -166,86 +233,19 @@ def format_rows(rows, sep):
     if rows.size < SMALL:
         return _slow_rows(rows, sep)
     x = rows.ravel()
-    n = x.shape[0]
-    quads, trailing, exps = _text_tables()
-
-    a = np.abs(x)
-    fast = (a >= _TINY) & (a < _HUGE)
-    d, p, undecided = _digits(np.where(fast, a, 1.0))
-    stand_in = undecided | ~fast
-    slow = stand_in & (a != 0.0)
-    if stand_in.any():
-        d[stand_in] = p[stand_in] = 0
-
-    # 17 digits as five 4-digit chunks "000d dddd dddd dddd dddd"
-    chunks = [None] * 5
-    rest = d
-    for j in range(4, 0, -1):
-        rest, chunks[j] = np.divmod(rest, 10000)
-    chunks[0] = rest
-    tz = trailing[chunks[1]]
-    for c in chunks[2:]:
-        tz = np.where(c == 0, tz + 4, trailing[c])
-    count = 17 - tz.astype(np.int64)
-
-    neg = np.signbit(x)
-    fixed = (p >= -4) & (p < 17)
-    wide = np.abs(p) >= 100
-    key = np.where(fixed, p + 4, _FIXED + 2 * (count - 1) + wide) + _NEG * neg
-    length = np.where(
-        fixed,
-        np.where(p >= 0, np.maximum(p + 1, count + (count > p + 1)), 1 - p + count),
-        count + (count > 1) + 4 + wide,
-    ) + neg
-
-    # in key order each layout is a run of columns of a (cell, value) grid,
-    # built by slice copies
-    order = np.argsort(key.astype(np.int8), kind="stable")
-    counts = np.bincount(key, minlength=_NKEYS)
-    ends = np.cumsum(counts)
-    words = np.empty((n, 5), "<u4")
-    for j, c in enumerate(chunks):
-        words[:, j] = quads.take(c)
-    dg = words.view(np.uint8).take(order, axis=0)[:, 3:].T.copy()
-    ex = np.ascontiguousarray(exps.take(p.take(order) - _K_MIN, axis=0).T)
-    grid = np.zeros((_W, n), np.uint8)
-    for k in np.flatnonzero(counts):
-        start, stop = ends[k] - counts[k], ends[k]
-        g, dk = grid[:, start:stop], dg[:, start:stop]
-        s, layout = divmod(int(k), _NEG)
-        if s:
-            g[0] = 45  # "-"
-        if layout < _FIXED:
-            e = layout - 4
-            if e >= 0:
-                g[s:s + e + 1] = dk[:e + 1]
-                g[s + e + 1] = 46  # "."
-                g[s + e + 2:s + 18] = dk[e + 1:]
-            else:
-                g[s:s + 1 - e] = np.frombuffer(b"0.000"[:1 - e], np.uint8)[:, None]
-                g[s + 1 - e:s + 18 - e] = dk
-        else:
-            m, w3 = divmod(layout - _FIXED, 2)
-            g[s] = dk[0]
-            if m:
-                g[s + 1] = 46  # "."
-                g[s + 2:s + 2 + m] = dk[1:m + 1]
-            at = s + 1 + m + (m > 0)
-            g[at:at + 4 + w3] = ex[:4 + w3, start:stop]
-
-    # separator after each text, nothing after the separator
+    d, p, slow = _digits(x)
+    # in layout order each layout is a run of columns of the grid, built by
+    # slice copies; one scatter of the grid's rows restores the order
+    key = np.where((p >= -4) & (p < 17), p + 4, _SCI).astype(np.int8)
+    order = np.argsort(key, kind="stable")
+    out = np.empty((x.shape[0], _W), np.uint8)
+    out[order] = _grid(d, p, order, np.bincount(key, minlength=_SCI + 1)).T
+    np.multiply(np.signbit(x), np.uint8(45), out=out[:, 0])  # "-"
     width = rows.shape[1]
-    seps = np.full(n, ord(sep), np.uint8)
-    seps[width - 1::width] = 10  # "\n"
-    sorted_length = length.take(order)
-    grid.ravel()[sorted_length * n + np.arange(n)] = seps.take(order)
-    cells = np.arange(_W, dtype=np.uint8)
-    grid *= np.less_equal.outer(cells, sorted_length.astype(np.uint8)).view(np.uint8)
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(n)
-    out = np.ascontiguousarray(grid.T).take(inverse, axis=0)
+    out[:, -1] = ord(sep)
+    out[width - 1::width, -1] = 10  # "\n"
     for i in np.flatnonzero(slow):
-        text = (SPEC % float(x[i])).encode() + bytes([seps[i]])
+        text = (SPEC % float(x[i])).encode() + bytes([out[i, -1]])
         out[i] = 0
         out[i, :len(text)] = np.frombuffer(text, np.uint8)
     return out.tobytes().translate(None, b"\0").decode("ascii")

@@ -180,10 +180,10 @@ def cmd_propagate(args):
         source = args.s_file
 
     if args.q0 is not None:
-        q0_mat = _load_matrix_file(args.q0)
+        # finite before metered: the meters of an infinite entry warn
+        q0 = OrthogonalState(_load_matrix_file(args.q0), 0.0)
         if not args.allow_nonorthogonal:
-            require_orthogonal_start(q0_mat, "--q0 matrix", "--allow-nonorthogonal")
-        q0 = OrthogonalState(q0_mat, 0.0)
+            require_orthogonal_start(q0.q, "--q0 matrix", "--allow-nonorthogonal")
     else:
         q0 = OrthogonalState(np.eye(s.dim), 0.0)
 

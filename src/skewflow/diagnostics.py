@@ -152,7 +152,9 @@ def require_orthogonal_start(q, what, override):
     ``what`` names the matrix and ``override`` the way the caller lets a
     non-orthogonal start through; both are quoted in the error.
     """
-    defect = orthogonality_defect(q)
+    # entries past about 1e154 overflow the meter to inf, which fails
+    with np.errstate(over="ignore"):
+        defect = orthogonality_defect(q)
     if defect > Q0_ORTH_TOL:
         raise InputError(
             f"{what} is not orthogonal (defect {defect:.3e} > {Q0_ORTH_TOL:.0e}); "

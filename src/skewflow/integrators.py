@@ -298,13 +298,15 @@ def metered(config, times, qs, step_of):
     still finite: the energy once entries pass about 1e154, the Gram defect
     once they pass about 1e77.  The first record j whose state or any meter
     is non-finite raises :class:`NonFiniteStateError` with its step
-    ``step_of(j)`` and its time.
+    ``step_of(j)`` and its time.  A non-finite entry makes its record's
+    energy, a sum of squares, non-finite, so the energy errors check the
+    states too.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         label = config.method.name or f"rk-{config.method.stages}-stage"
         traj = Trajectory(label, config.step, times, qs)
-        ok = (np.isfinite(qs).all(axis=(1, 2)) & np.isfinite(traj.energy_errors)
-              & np.isfinite(traj.det_drifts) & np.isfinite(traj.orth_defects))
+        ok = (np.isfinite(traj.energy_errors) & np.isfinite(traj.det_drifts)
+              & np.isfinite(traj.orth_defects))
         if not ok.all():
             j = int(np.argmin(ok))
             raise NonFiniteStateError(step_of(j), traj.times[j])

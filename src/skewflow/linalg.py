@@ -105,8 +105,10 @@ class SkewMatrix:
         if tol <= 0:
             raise InputError("tol must be positive")
         m = as_square_matrix(mat, "skew matrix")
-        scale = max(1.0, _norm_inf(m))
-        defect = _norm_inf(m + m.T)
+        # entries near 1e308 overflow to an infinite defect, which fails
+        with np.errstate(over="ignore"):
+            scale = max(1.0, _norm_inf(m))
+            defect = _norm_inf(m + m.T)
         if defect > tol * scale:
             raise SkewnessError(defect, tol * scale)
         m.setflags(write=False)

@@ -172,6 +172,39 @@ class TestPropagate:
         assert "orthogonal" in capsys.readouterr().err
         assert main(base + ["--allow-nonorthogonal"]) == 0
 
+    def test_an_infinite_q0_entry_exits_2_without_a_warning(self, tmp_path, capsys):
+        # 1e3080 reads as inf; the finiteness check comes before the meters,
+        # which would warn on it (tier-1 turns a RuntimeWarning into an error)
+        q0 = tmp_path / "q0.mat"
+        q0.write_text("1e3080 0 0\n0 1 0\n0 0 1\n")
+        out = tmp_path / "t.csv"
+        rc = main(["propagate", "--method", "cayley-midpoint", *BENCH_FLAGS,
+                   "--t-end", "1", "--q0", str(q0), "--out", str(out)])
+        assert rc == 2
+        assert "state matrix has non-finite entries" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_an_overflowing_q0_meter_exits_2_without_a_warning(self, tmp_path, capsys):
+        q0 = tmp_path / "q0.mat"
+        q0.write_text("1e200 0 0\n0 1 0\n0 0 1\n")
+        out = tmp_path / "t.csv"
+        rc = main(["propagate", "--method", "cayley-midpoint", *BENCH_FLAGS,
+                   "--t-end", "1", "--q0", str(q0), "--out", str(out)])
+        assert rc == 2
+        assert "--q0 matrix is not orthogonal (defect inf > 1e-08)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_an_overflowing_skew_gate_exits_2_without_a_warning(self, tmp_path, capsys):
+        s_file = tmp_path / "s.mat"
+        s_file.write_text("0 1e308 0\n1e308 0 0\n0 0 0\n")
+        out = tmp_path / "t.csv"
+        rc = main(["propagate", "--method", "cayley-midpoint", "--s-file", str(s_file),
+                   "--h", "0.1", "--t-end", "1", "--out", str(out)])
+        assert rc == 2
+        assert ("||A + A^T||_inf = inf exceeds tolerance 1.000e+296"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_unknown_method_exits_2(self, tmp_path, capsys):
         rc = main(["propagate", "--method", "nope", *BENCH_FLAGS,
                    "--t-end", "1", "--out", str(tmp_path / "t.csv")])

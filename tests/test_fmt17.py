@@ -5,10 +5,12 @@ table here must come out byte for byte the same, on the bulk path, on the
 per-value path below ``SMALL`` numbers and across block boundaries.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
-from conftest import format_rows_oracle
+import pytest
+from conftest import BENCH_MAT, BENCH_STEP, format_rows_oracle
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,9 +19,11 @@ from skewflow._fmt17 import (
     SMALL,
     fmt17,
     format_rows,
+    pow10_split,
     pow10_table,
     text_blocks,
 )
+from skewflow import IntegratorConfig, OrthogonalState, SkewMatrix, propagate
 
 WIDTHS = (1, 5, 6, 9)
 SEPARATORS = (",", " ")
@@ -86,6 +90,25 @@ PINNED = [
 ]
 
 
+# the text of values whose layout has inner zeros, trailing zeros or a
+# whole-number integer part, at every fixed exponent and around the
+# exponent widths of the scientific layout
+LAYOUTS = {
+    1000.5: "1000.5",
+    100.25: "100.25",
+    10203.000000000002: "10203.000000000002",
+    **{float(10**k): "1" + "0" * k for k in range(17)},
+    0.5: "0.5",
+    1e-05: "1.0000000000000001e-05",
+    2e17: "2e+17",
+    1e99: "9.9999999999999997e+98",
+    1e100: "1e+100",
+    1e-99: "1e-99",
+    1e-100: "1e-100",
+    0.0: "0",
+}
+
+
 class TestBulkFormatting:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -110,6 +133,36 @@ class TestBulkFormatting:
         blocks = text_blocks(len(rows), width, lambda a, b: rows[a:b], sep)
         assert "".join(blocks) == expected
         assert [fmt17(v) for v in picked] == [format(v, ".17g") for v in picked]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_pinned_layouts(self, sign):
+        # each value in its own block above SMALL, so it takes the bulk path
+        # beside values of other layouts
+        rng = np.random.default_rng(5)
+        for value, text in LAYOUTS.items():
+            rows = rng.standard_normal((SMALL // 5 + 1, 5)) * 10.0 ** rng.integers(-9, 9, (1, 5))
+            rows[7, 2] = sign * value
+            lines = format_rows(rows, ",").splitlines()
+            assert lines[7].split(",")[2] == ("-" if sign < 0 else "") + text
+            assert "\n".join(lines) + "\n" == format_rows_oracle(rows, ",")
+
+    def test_block_temporaries_stay_below_200_bytes_a_number(self):
+        # one block of the long benchmark run's columns: the peak traced
+        # bytes, the returned text included, per number formatted
+        config = IntegratorConfig(method="cayley-midpoint", step=BENCH_STEP)
+        traj = propagate(config, SkewMatrix(BENCH_MAT), OrthogonalState(np.eye(3)),
+                         2048 * BENCH_STEP)
+        rows = np.stack([traj.times, traj.energies, traj.energy_errors,
+                         traj.orth_defects, traj.det_drifts], axis=1)[:BLOCK_NUMBERS // 5]
+        assert rows.size == BLOCK_NUMBERS
+        format_rows(rows, ",")  # the tables are built on first use
+        tracemalloc.start()
+        try:
+            format_rows(rows, ",")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 200 * rows.size, peak / rows.size
 
     def test_blocks_hold_at_most_the_block_size(self):
         rows = np.arange(3 * BLOCK_NUMBERS, dtype=float).reshape(-1, 6) / 7
@@ -136,3 +189,16 @@ def test_power_of_ten_table_is_exact():
         exact = Fraction(10) ** k
         assert hi[i] == float(exact), k
         assert lo[i] == float(exact - Fraction(hi[i])), k
+
+
+def test_power_of_ten_split_is_exact():
+    # Dekker's split of 10**k for every k = 16 - p the kernel can index,
+    # p = floor(log10|x|) of 1e-280 <= |x| < 1e280 and one off either way
+    hi, _ = pow10_table()
+    big, small = pow10_split()
+    for p in range(-281, 282):
+        i = 16 - p + 330
+        assert big[i] + small[i] == hi[i], p
+        num, _ = big[i].as_integer_ratio()
+        num = abs(num) >> ((num & -num).bit_length() - 1)  # odd significand
+        assert num.bit_length() <= 26, p

@@ -26,7 +26,7 @@ from skewflow import (
     transfer_matrix,
 )
 from skewflow import adjoint_defect
-from skewflow.integrators import NonFiniteStateError, grid, one_step_map
+from skewflow.integrators import NonFiniteStateError, grid, metered, one_step_map
 from skewflow.linalg import ROT3_SERIES_CUTOFF, hat_stack, rodrigues
 from test_march_oracle import fixed_point_step, oracle_step
 from test_stability_oracle import TABLEAUS, library_method, stability
@@ -442,6 +442,20 @@ class TestPropagate:
         assert excinfo.value.step == step
         assert excinfo.value.t == float(step)
         assert f"record at step {step} (t = {float(step)!r})" in str(excinfo.value)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("dim, j", [(3, 0), (3, 4), (3, 9), (4, 6)])
+    def test_a_single_non_finite_entry_fails_its_own_record(self, bad, dim, j):
+        # one bad entry in record j of an otherwise orthogonal stack: the
+        # run fails at record j, with the step the caller maps it to
+        qs = np.tile(np.eye(dim), (10, 1, 1))
+        qs[j, dim - 1, 1] = bad
+        times = 0.5 * np.arange(10)
+        config = IntegratorConfig(method="cayley-midpoint", step=0.5)
+        with pytest.raises(NonFiniteStateError) as excinfo:
+            metered(config, times, qs, lambda i: 7 * i + 2)
+        assert excinfo.value.step == 7 * j + 2
+        assert excinfo.value.t == times[j]
 
     @pytest.mark.parametrize("name", ["cayley-midpoint", "rk2-closed", "gauss2", "rk4-classical"])
     def test_final_state_does_not_depend_on_record_every(self, name):
