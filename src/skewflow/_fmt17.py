@@ -55,8 +55,9 @@ import numpy as np
 SPEC = "%.17g"
 # numbers per block of text_blocks: 2048 rows of a five-column CSV
 BLOCK_NUMBERS = 10240
-# below this many numbers per-value formatting beats the bulk kernel
-SMALL = 700
+# below this many numbers per-value formatting beats the bulk kernel: on the
+# benchmark's rows bulk took 1.04-1.09x per-value's time at 250, 0.90-0.93x at 300
+SMALL = 260
 
 # the magnitudes the bulk arithmetic handles (see the module docstring)
 _TINY = 1e-280
@@ -197,7 +198,7 @@ def _grid(d, p, order, counts):
         words[:, j] = quads.take(c + zeros_after)
         zeros_after *= c == 0
         d = q
-    dg = words.view(np.uint8)[:, 3:].T.copy()
+    dg = words.view(np.uint8)[:, 3:].T
     grid = np.zeros((_W, n), np.uint8)
     for k in np.flatnonzero(counts):
         start, stop = ends[k] - counts[k], ends[k]

@@ -77,8 +77,7 @@ def _write_manifest(path, entries):
     _atomic_write(path, ["\n".join(lines) + "\n"])
 
 
-def _manifest_entries(subcommand, method="-", step=None, t_end=None, inputs="-",
-                      outputs="-", seed="-"):
+def _manifest_entries(subcommand, method="-", step=None, t_end=None, inputs="-", outputs="-"):
     return {
         "subcommand": subcommand,
         "method": method,
@@ -86,7 +85,7 @@ def _manifest_entries(subcommand, method="-", step=None, t_end=None, inputs="-",
         "t_end": fmt17(t_end) if t_end is not None else "-",
         "input": inputs,
         "output": outputs,
-        "seed": seed,
+        "seed": "-",  # no subcommand draws random numbers
         "version": __version__,
     }
 
@@ -127,8 +126,7 @@ def _load_matrix_file(path):
                 raise exc from None
     if not rows:
         raise InputError(f"{path}: no matrix data found")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows) or width != len(rows):
+    if any(len(r) != len(rows) for r in rows):
         raise InputError(f"{path}: expected a square whitespace-separated matrix")
     return np.array(rows)
 

@@ -75,10 +75,9 @@ class GyroLog:
             raise GyroLogError("log contains non-finite values")
         if np.any(times[1:] <= times[:-1]):
             raise GyroLogError("sample times must be strictly increasing")
-        times.setflags(write=False)
-        rates.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "rates", rates)
+        for name, arr in (("times", times), ("rates", rates)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def __len__(self):
         return self.times.shape[0]
@@ -122,8 +121,7 @@ def _loadtxt_log(text):
 
 def _parse_lines(lines):
     """The line-by-line parser: every error names its physical line."""
-    times = []
-    rates = []
+    times, rates = [], []
     header_seen = False
     for lineno, stripped in data_lines(lines):
         if not header_seen:
@@ -160,9 +158,7 @@ def _initial_state(log, q0, allow_nonorthogonal):
     if q0 is None:
         return OrthogonalState(np.eye(3), t0)
     if q0.t != t0:
-        raise InputError(
-            f"starting state time {q0.t} must equal the first sample time {t0}"
-        )
+        raise InputError(f"starting state time {q0.t} must equal the first sample time {t0}")
     if not allow_nonorthogonal:
         require_orthogonal_start(q0.q, "starting attitude", "allow_nonorthogonal=True")
     return q0

@@ -105,12 +105,14 @@ class SkewMatrix:
         if tol <= 0:
             raise InputError("tol must be positive")
         m = as_square_matrix(mat, "skew matrix")
-        # entries near 1e308 overflow to an infinite defect, which fails
+        # a norm that overflows is gated on a copy scaled by a power of two f,
+        # which is exact; a defect that still overflows to inf fails
         with np.errstate(over="ignore"):
-            scale = max(1.0, _norm_inf(m))
-            defect = _norm_inf(m + m.T)
+            f = 1.0 if _norm_inf(m) < np.inf else 2.0 ** -(m.shape[0].bit_length() + 1)
+            g = m * f
+            scale, defect = max(1.0, _norm_inf(g)), _norm_inf(g + g.T)
         if defect > tol * scale:
-            raise SkewnessError(defect, tol * scale)
+            raise SkewnessError(defect / f, tol * scale / f)
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
 

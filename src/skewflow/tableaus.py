@@ -54,19 +54,18 @@ class ButcherTableau:
         for arr, label in ((a, "A"), (b, "b"), (c, "c")):
             if not np.all(np.isfinite(arr)):
                 raise TableauError(f"{label} has non-finite entries")
-        row_sums = a.sum(axis=1)
-        bad = np.abs(c - row_sums) > C_CONSISTENCY_TOL
+        with np.errstate(over="ignore"):  # an infinite sum or difference fails
+            row_sums = a.sum(axis=1)
+            bad = np.abs(c - row_sums) > C_CONSISTENCY_TOL
         if np.any(bad):
             i = int(np.argmax(bad))
             raise TableauError(
                 f"c is inconsistent with A row sums (row {i + 1}: "
                 f"c = {float(c[i])!r}, row sum = {float(row_sums[i])!r})"
             )
-        for arr in (a, b, c):
+        for name, arr in (("a", a), ("b", b), ("c", c)):
             arr.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+            object.__setattr__(self, name, arr)
 
     @property
     def stages(self):
@@ -159,9 +158,11 @@ def symplecticity(t):
     tableaus meet up to rounding in irrational coefficients.
     """
     bmat = np.diag(t.b)
-    m = bmat @ t.a + t.a.T @ bmat - np.outer(t.b, t.b)
+    # coefficients near 1e308 overflow M to inf or nan, which is non-symplectic
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = bmat @ t.a + t.a.T @ bmat - np.outer(t.b, t.b)
+        defect = float(np.linalg.norm(m))
     m.setflags(write=False)
-    defect = float(np.linalg.norm(m))
     return SymplecticityReport(m=m, defect=defect, symplectic=defect <= SYMPLECTIC_TOL)
 
 
@@ -219,7 +220,8 @@ def parse_tableau(text):
     if len(rows) == needed + 1:
         c = _reals(rows[needed], "c")
     else:
-        c = np.array(a).sum(axis=1)
+        with np.errstate(over="ignore"):  # an infinite row sum is refused
+            c = np.array(a).sum(axis=1)
     return ButcherTableau(a, b, c)
 
 

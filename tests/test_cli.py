@@ -73,6 +73,35 @@ class TestCheckTableau:
             main(["check-tableau"])
         assert excinfo.value.code == 1
 
+    @pytest.mark.parametrize("rows, defect", [
+        ("1e308 -1e308\n0 0\n0.5 0.5\n", "inf"),
+        ("1e308 -1e308\n1e308 -1e308\n2 2\n", "nan"),
+    ])
+    def test_an_overflowing_defect_exits_0_without_a_warning(self, tmp_path, capsys,
+                                                            rows, defect):
+        # M overflows to inf, or to inf - inf = nan; either is non-symplectic
+        path = tmp_path / "huge.rk"
+        path.write_text("2\n" + rows)
+        assert main(["check-tableau", "--file", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert f"defect: {defect}\n" in out
+        assert "verdict: non-symplectic" in out
+
+    @pytest.mark.parametrize("rows, message", [
+        # c omitted: the row sum overflows to inf
+        ("1e308 1e308\n0 0\n0.5 0.5\n", "c has non-finite entries"),
+        # c given: the row sum overflows to inf
+        ("1e308 1e308\n0 0\n0.5 0.5\n0 0\n", "row 1: c = 0.0, row sum = inf"),
+        # c given: the row sum is finite, c - row sum overflows
+        ("1e308 0\n0 0\n0.5 0.5\n-1e308 0\n", "row 1: c = -1e+308, row sum = 1e+308"),
+    ])
+    def test_an_overflowing_row_sum_exits_2_without_a_warning(self, tmp_path, capsys,
+                                                             rows, message):
+        path = tmp_path / "huge.rk"
+        path.write_text("2\n" + rows)
+        assert main(["check-tableau", "--file", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestPropagate:
     def test_zero_rate_all_records_identical(self, tmp_path, capsys):
@@ -193,6 +222,45 @@ class TestPropagate:
         assert rc == 2
         assert "--q0 matrix is not orthogonal (defect inf > 1e-08)" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_a_nan_q0_meter_exits_2_without_a_warning(self, tmp_path, capsys):
+        # a column dot product is 1e400 - 1e400 = inf - inf: the defect is
+        # nan, which the gate refuses
+        q0 = tmp_path / "q0.mat"
+        q0.write_text("1e200 1e200 0\n-1e200 1e200 0\n0 0 1\n")
+        out = tmp_path / "t.csv"
+        rc = main(["propagate", "--method", "cayley-midpoint", *BENCH_FLAGS,
+                   "--t-end", "1", "--q0", str(q0), "--out", str(out)])
+        assert rc == 2
+        assert "--q0 matrix is not orthogonal (defect nan > 1e-08)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_an_overflowing_skew_norm_exits_2_without_a_warning(self, tmp_path, capsys):
+        # the first row's norm is 2e308 = inf, so the gate reads a copy
+        # scaled by 1/8, whose tolerance is finite
+        s_file = tmp_path / "s.mat"
+        s_file.write_text("0 1e308 1e308\n1e308 0 0\n1e308 0 0\n")
+        out = tmp_path / "t.csv"
+        rc = main(["propagate", "--method", "cayley-midpoint", "--s-file", str(s_file),
+                   "--h", "0.1", "--t-end", "1", "--out", str(out)])
+        assert rc == 2
+        assert ("not skew-symmetric: ||A + A^T||_inf = inf exceeds tolerance 2.000e+296"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("# only a comment\n\n", "no matrix data found"),
+        ("0 1 2\n-1 0 3\n", "expected a square whitespace-separated matrix"),
+        ("0 1\n-1\n", "expected a square whitespace-separated matrix"),
+    ])
+    def test_a_matrix_file_that_is_not_square_exits_2_naming_it(self, tmp_path, capsys,
+                                                               text, message):
+        s_file = tmp_path / "s.mat"
+        s_file.write_text(text)
+        rc = main(["propagate", "--method", "cayley-midpoint", "--s-file", str(s_file),
+                   "--h", "0.1", "--t-end", "1", "--out", str(tmp_path / "t.csv")])
+        assert rc == 2
+        assert f"skewflow: {s_file}: {message}" in capsys.readouterr().err
 
     def test_an_overflowing_skew_gate_exits_2_without_a_warning(self, tmp_path, capsys):
         s_file = tmp_path / "s.mat"
@@ -719,6 +787,23 @@ class TestInputErrors:
             main(["propagate", "--method", "rk2-closed", *BENCH_FLAGS, "--t-end", "1",
                   "--out", str(tmp_path / "t.csv")])
         assert not (tmp_path / "t.csv").exists()
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("old", [None, "old\n"])
+    def test_a_failed_write_removes_its_temp_file_and_keeps_the_target(self, tmp_path, old):
+        def parts():
+            yield "t,E\n"
+            raise RuntimeError("disk full")
+
+        target = tmp_path / "t.csv"
+        if old is not None:
+            target.write_text(old)
+        with pytest.raises(RuntimeError, match="disk full"):
+            cli._atomic_write(str(target), parts())
+        assert list(tmp_path.iterdir()) == ([] if old is None else [target])
+        if old is not None:
+            assert target.read_text() == old
 
 
 class TestTopLevel:

@@ -126,6 +126,19 @@ class TestRecordsAndTrajectory:
         with pytest.raises(ValueError, match="increasing"):
             Trajectory(method="x", step=0.1, times=[0.0, 0.0], qs=np.stack([np.eye(3)] * 2))
 
+    @pytest.mark.parametrize("times, qs", [
+        ([0.0, 1.0], np.zeros((2, 3, 4))),  # not square
+        ([0.0, 1.0], np.zeros((2, 9))),  # not a stack of matrices
+        ([0.0, 1.0, 2.0], np.zeros((2, 3, 3))),  # one state short
+    ])
+    def test_trajectory_requires_a_state_per_time(self, times, qs):
+        with pytest.raises(ValueError, match="states must have shape"):
+            Trajectory("x", 0.1, times, qs)
+
+    def test_trajectory_requires_a_record(self):
+        with pytest.raises(ValueError, match="at least one record"):
+            Trajectory("x", 0.1, [], np.zeros((0, 3, 3)))
+
     def test_column_properties(self):
         config = IntegratorConfig(method="rk2-closed", step=0.1)
         traj = propagate(config, BENCH, OrthogonalState(np.eye(3), 0.0), 0.5)

@@ -177,6 +177,19 @@ class TestGyroLog:
         with pytest.raises(GyroLogError, match="shape"):
             GyroLog([0.0, 1.0], np.zeros((2, 2)))
 
+    def test_rejects_an_empty_log(self):
+        with pytest.raises(GyroLogError, match="at least one sample"):
+            GyroLog([], np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("times, rate", [
+        ([0.0, np.nan], [0.0, 0.0, 1.0]),
+        ([0.0, 1.0], [0.0, np.inf, 1.0]),
+        ([-np.inf, 1.0], [0.0, 0.0, 1.0]),
+    ])
+    def test_rejects_non_finite_values(self, times, rate):
+        with pytest.raises(GyroLogError, match="non-finite"):
+            GyroLog(times, [rate, rate])
+
 
 class TestPropagateGyro:
     def test_zero_rates_hold_attitude(self):
@@ -301,6 +314,16 @@ class TestPropagateGyro:
             propagate_gyro(log, config, q0=skewed)
         traj = propagate_gyro(log, config, q0=skewed, allow_nonorthogonal=True)
         assert len(traj) == 2
+
+    def test_a_nan_q0_meter_is_gated_without_a_warning(self):
+        # a column dot product is inf - inf, so the defect is nan
+        log = constant_rate_log([0, 0, 1.0], 1.0)
+        config = IntegratorConfig(method="cayley-midpoint", step=0.1)
+        q0 = OrthogonalState([[1e200, 1e200, 0.0], [-1e200, 1e200, 0.0], [0.0, 0.0, 1.0]], 0.0)
+        with pytest.raises(ValueError, match=r"not orthogonal \(defect nan"):
+            propagate_gyro(log, config, q0)
+        with pytest.raises(ValueError, match=r"not orthogonal \(defect nan"):
+            reference_gyro(log, q0)
 
     def test_orthogonal_q0_accepted(self):
         log = constant_rate_log([0, 0, 1.0], 1.0)

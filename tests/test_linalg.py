@@ -19,7 +19,10 @@ from skewflow import (
 )
 from skewflow.linalg import (
     ROT3_SERIES_CUTOFF,
+    InputError,
     _exp_coefficients,
+    _norm_inf,
+    as_square_matrix,
     checked_inverse,
     hat_stack,
     rodrigues,
@@ -96,6 +99,56 @@ class TestSkewGate:
         with pytest.raises(ValueError, match="square"):
             SkewMatrix(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-12])
+    def test_rejects_a_tolerance_that_is_not_positive(self, tol):
+        with pytest.raises(InputError, match="tol must be positive"):
+            SkewMatrix(BENCH_MAT, tol=tol)
+
+    def test_repr_names_the_dimension(self):
+        assert repr(hat([1.0, 2.0, 3.0])) == "SkewMatrix(dim=3)"
+
+    @pytest.mark.parametrize("mat, skew", [
+        ([[0.0, 1e308, 1e308], [1e308, 0.0, 0.0], [1e308, 0.0, 0.0]], False),
+        ([[0.0, 1e308, 1e308], [-1e308, 0.0, 0.0], [-1e308, 0.0, 0.0]], True),
+        ([[0.0, 1.7e308, 1.7e308], [-1.7e308, 0.0, 1e-300], [-1.7e308, 0.0, 0.0]], True),
+        ([[1e296, 1.7e308, 1.7e308], [-1.7e308, 0.0, 0.0], [-1.7e308, 0.0, 0.0]], True),
+        ([[1e297, 1.7e308, 1.7e308], [-1.7e308, 0.0, 0.0], [-1.7e308, 0.0, 0.0]], False),
+    ])
+    def test_an_overflowing_norm_is_gated_on_a_scaled_copy(self, mat, skew):
+        # ||A||_inf = inf; the gate reads A / 8, on which nothing overflows
+        assert _norm_inf(np.abs(mat) / 8.0) < np.inf
+        if skew:
+            assert SkewMatrix(mat).dim == 3
+        else:
+            with pytest.raises(SkewnessError, match="exceeds tolerance"):
+                SkewMatrix(mat)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e150, 1e300])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_finite_norm_is_gated_as_before(self, seed, scale):
+        # ||A + A^T|| <= tol * max(1, ||A||) read on A itself, across the
+        # threshold: the decisions of the gate before overflowing norms
+        # were scaled
+        rng = np.random.default_rng(seed)
+        a = random_skew(rng, 4) * scale
+        for k in range(-3, 4):
+            m = a.copy()
+            m[0, 0] = 0.5e-12 * max(1.0, _norm_inf(a)) * (1.0 + k * 2.0**-52)
+            with np.errstate(over="ignore"):
+                expected = _norm_inf(m + m.T) <= 1e-12 * max(1.0, _norm_inf(m))
+            try:
+                SkewMatrix(m)
+                accepted = True
+            except SkewnessError:
+                accepted = False
+            assert accepted == expected
+
+
+class TestAsSquareMatrix:
+    def test_rejects_dimension_zero(self):
+        with pytest.raises(InputError, match="dimension >= 1"):
+            as_square_matrix(np.zeros((0, 0)), "state matrix")
+
 
 class TestApplyVelocity:
     def test_unit_rotation_about_third_axis(self):
@@ -106,6 +159,11 @@ class TestApplyVelocity:
 
     def test_hand_cross_product(self):
         assert_allclose(apply_velocity([1, 2, 3], [4, 5, 6]), [-3.0, 6.0, -3.0], atol=0)
+
+    @pytest.mark.parametrize("x", [[1.0, 2.0], np.zeros((3, 3))])
+    def test_rejects_a_point_that_is_not_a_3_vector(self, x):
+        with pytest.raises(InputError, match="point must be a 3-vector"):
+            apply_velocity([0.0, 0.0, 1.0], x)
 
     @given(finite_rates, finite_rates)
     def test_matches_cross_product(self, omega, x):

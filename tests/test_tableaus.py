@@ -101,6 +101,18 @@ class TestValidation:
         with pytest.raises(TableauError, match="square"):
             ButcherTableau([[0.0, 0.0]], [1.0], [0.0])
 
+    def test_zero_stages_rejected(self):
+        with pytest.raises(TableauError, match="at least one stage"):
+            ButcherTableau(np.zeros((0, 0)), [], [])
+
+    @pytest.mark.parametrize("a, c", [
+        ([[1e308, 1e308], [0.0, 0.0]], [0.0, 0.0]),  # the row sum overflows
+        ([[1e308, 0.0], [0.0, 0.0]], [-1e308, 0.0]),  # c minus the row sum does
+    ])
+    def test_an_overflowing_row_sum_is_inconsistent_without_a_warning(self, a, c):
+        with pytest.raises(TableauError, match="row 1"):
+            ButcherTableau(a, [0.5, 0.5], c)
+
 
 class TestSymplecticity:
     def test_midpoint_defect_is_exactly_zero(self):
@@ -122,6 +134,13 @@ class TestSymplecticity:
 
     def test_rk4_is_not_symplectic(self):
         assert not symplecticity(builtin("rk4-classical")).symplectic
+
+    @pytest.mark.parametrize("b, defect", [([0.5, 0.5], np.inf), ([2.0, 2.0], np.nan)])
+    def test_an_overflowing_defect_is_not_symplectic_without_a_warning(self, b, defect):
+        t = ButcherTableau([[1e308, -1e308], [1e308, -1e308]], b, [0.0, 0.0])
+        report = symplecticity(t)
+        assert_array_equal(report.defect, defect)
+        assert not report.symplectic
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_defect_matrix_is_symmetric_and_recomputable(self, name):
@@ -152,6 +171,15 @@ class TestParsing:
         text = "# two-stage explicit\n\n2\n0 0\n0.5 0\n0 1\n0 0.5\n"
         t = parse_tableau(text)
         assert_array_equal(t.c, [0.0, 0.5])
+
+    def test_two_values_on_the_stage_count_line(self):
+        with pytest.raises(TableauParseError, match="stage count alone, got 2 values") as excinfo:
+            parse_tableau("# header\n1 0.5\n0.5\n1\n")
+        assert excinfo.value.line == 2
+
+    def test_an_overflowing_row_sum_for_c_is_refused_without_a_warning(self):
+        with pytest.raises(TableauError, match="c has non-finite entries"):
+            parse_tableau("2\n1e308 1e308\n0 0\n0.5 0.5\n")
 
     def test_short_row_reports_line_number(self):
         with pytest.raises(TableauParseError, match="line 3") as excinfo:
