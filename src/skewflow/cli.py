@@ -31,7 +31,9 @@ from .integrators import (
     StageSolveError,
     propagate,
 )
-from .linalg import InputError, OrthogonalState, SingularMatrixError, SkewMatrix, data_lines, hat
+from .linalg import (
+    InputError, OrthogonalState, SingularMatrixError, SkewMatrix, data_lines, hat, line_floats,
+)
 from .tableaus import BUILTIN_NAMES, builtin, parse_tableau, symplecticity
 
 EXIT_OK = 0
@@ -115,15 +117,9 @@ def _dump_q_text(traj):
 
 
 def _load_matrix_file(path):
-    rows = []
     with open(path) as fh:
-        for lineno, stripped in data_lines(fh):
-            try:
-                rows.append([float(tok) for tok in stripped.split()])
-            except ValueError:
-                exc = InputError(f"{path}: line {lineno}: non-numeric value in {stripped!r}")
-                exc.line = lineno
-                raise exc from None
+        rows = [line_floats(lineno, stripped.split(), f"{stripped!r} of {path}")
+                for lineno, stripped in data_lines(fh)]
     if not rows:
         raise InputError(f"{path}: no matrix data found")
     if any(len(r) != len(rows) for r in rows):

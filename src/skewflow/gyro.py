@@ -13,11 +13,13 @@ a block's skew coefficients come straight from the validated rate array,
 each interval's map is one matrix, and the block's states are the prefix
 products of those maps applied to the state that ends the block before,
 so no Python-level loop runs per interval or per step.  An integrator's
-interval of n steps, ``phi_last @ phi^(n-1)``, is Rodrigues' formula from
-one complex number (:func:`~skewflow.integrators.one_step_map`); the exact
-rotation is Rodrigues' formula with R = exp.  Blocks of ``_BLOCK``
-intervals keep the temporaries under 1 MB however long the log is, and
-are large enough that numpy's fixed cost per call stops dominating.
+interval of n steps, ``phi_last @ phi^(n-1)``, and its exact rotation are
+both :func:`~skewflow.linalg.skew_function`, Rodrigues' formula from one
+complex number per interval: the n-step map's ``w`` (see
+:func:`~skewflow.integrators.one_step_map`) or ``exp(iy)``.  Blocks of
+``_BLOCK`` intervals keep the temporaries under 1 MB however long the log
+is, and are large enough that numpy's fixed cost per call stops
+dominating.
 
 Parsing has two paths.  A clean log, whose first line is the header and
 whose body is four numbers a line, is read in one ``np.loadtxt`` call;
@@ -32,7 +34,7 @@ import numpy as np
 from .diagnostics import Trajectory, require_orthogonal_start
 from .integrators import grid, march, metered, one_step_map
 from .linalg import (
-    InputError, OrthogonalState, _exp_coefficients, data_lines, hat_stack, rodrigues, scan,
+    InputError, OrthogonalState, data_lines, hat_stack, line_floats, scan, skew_function,
 )
 
 GYRO_HEADER = "t,wx,wy,wz"
@@ -87,14 +89,14 @@ def parse_gyro_csv(text):
     """Parse the gyro CSV format into a :class:`GyroLog`.
 
     Format: ``#``-prefixed and blank lines are ignored; the first data line
-    must be the header ``t,wx,wy,wz``; each following line holds four reals
-    (time in seconds, rates in rad/s).  Errors report the physical 1-based
-    line number, including ordering violations.
+    must be the header ``t,wx,wy,wz``; each following line holds four finite
+    reals (time in seconds, rates in rad/s).  Errors report the physical
+    1-based line number, including ordering violations.
 
     Text whose first line is exactly the header is read in one
     ``np.loadtxt`` call over the lines ``str.splitlines`` gives.  Anything
-    that call refuses, or that is empty, not four wide or not strictly
-    increasing in time, goes to the line-by-line parser, which gives the
+    that call refuses, or that is empty, not four wide, not finite or not
+    strictly increasing in time, goes to the line-by-line parser, which gives the
     same log for any text both accept and is the one that reports errors.
     """
     log = _loadtxt_log(text)
@@ -114,7 +116,8 @@ def _loadtxt_log(text):
         table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
-    if table.shape[1] != 4 or not np.all(table[1:, 0] > table[:-1, 0]):
+    if (table.shape[1] != 4 or not np.isfinite(table).all()
+            or not np.all(table[1:, 0] > table[:-1, 0])):
         return None
     return GyroLog(table[:, 0], table[:, 1:])
 
@@ -134,10 +137,7 @@ def _parse_lines(lines):
         fields = stripped.split(",")
         if len(fields) != 4:
             raise GyroLogError(f"expected 4 fields, got {len(fields)}", lineno)
-        try:
-            values = [float(f) for f in fields]
-        except ValueError:
-            raise GyroLogError(f"non-numeric field in {stripped!r}", lineno)
+        values = line_floats(lineno, fields, repr(stripped), GyroLogError)
         if times and values[0] <= times[-1]:
             raise GyroLogError(
                 f"time {values[0]!r} does not increase past {times[-1]!r}", lineno
@@ -209,16 +209,17 @@ def reference_gyro(log, q0=None, allow_nonorthogonal=False):
     Serves as the oracle for :func:`propagate_gyro` — under the same hold
     the only difference between the two is the integrator's own error.
     The exact rotations of a block of intervals come from one stacked
-    Rodrigues evaluation, the formula :func:`~skewflow.linalg.expm` uses,
-    and are marched as :func:`propagate_gyro` marches its maps.  Its
-    meters are computed only when read.
+    :func:`~skewflow.linalg.skew_function` call with the ``w`` that
+    :func:`~skewflow.linalg.expm` passes, and are marched as
+    :func:`propagate_gyro` marches its maps.  Its meters are computed only
+    when read.
     """
     state = _initial_state(log, q0, allow_nonorthogonal)
 
     def rotations(start, stop):
         dt = log.times[start + 1 : stop + 1] - log.times[start:stop]
         m = hat_stack(log.rates[start:stop])
-        return rodrigues(dt[:, None, None] * m, _exp_coefficients)
+        return skew_function(dt[:, None, None] * m, lambda y: np.exp(1j * y))
 
     qs = march(state.q, len(log), _BLOCK, lambda a, b: scan(rotations(a, b)))
     return Trajectory("exact", 0.0, log.times, qs)

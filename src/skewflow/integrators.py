@@ -13,7 +13,7 @@ import numpy as np
 
 from .diagnostics import Trajectory
 from .linalg import (
-    InputError, SingularMatrixError, checked_inverse, rodrigues, scan, stack_rows,
+    InputError, SingularMatrixError, checked_inverse, scan, skew_function, stack_rows,
 )
 from .tableaus import ButcherTableau, builtin
 
@@ -73,11 +73,11 @@ def one_step_map(tableau, m, h, n=1, h_last=None):
     ``R(z) = 1 + z b^T (I - z A)^-1 1`` at ``z = hS``; ``h`` may be negative
     (for the adjoint), and ``h_last`` defaults to ``h``.  Two paths:
 
-    - an exactly antisymmetric ``m`` of dimension at most 3 takes Rodrigues'
-      formula (:func:`~skewflow.linalg.rodrigues`) from one complex number,
-      ``w = R(i h theta)^(n-1) R(i h_last theta)``.  ``m`` may be a
-      ``(k, d, d)`` stack and ``h``, ``n``, ``h_last`` ``(k,)`` arrays, each
-      map bit for bit its own call's;
+    - an exactly antisymmetric ``m`` of dimension at most 3 takes
+      :func:`~skewflow.linalg.skew_function` with the n-step map's value
+      ``w = R(iy)^(n-1) R(iy h_last / h)`` at each eigenvalue ``iy`` of
+      hS.  ``m`` may be a ``(k, d, d)`` stack and ``h``, ``n``, ``h_last``
+      ``(k,)`` arrays, each map bit for bit its own call's;
     - any other ``m`` builds phi for a scalar h, and again for each
       ``h_last`` that differs, then takes ``np.linalg.matrix_power``;
       ``n`` and ``h_last`` may be arrays, for a stack of maps.
@@ -90,8 +90,15 @@ def one_step_map(tableau, m, h, n=1, h_last=None):
         if m.shape[-1] <= 3 and np.array_equal(m, -np.swapaxes(m, -1, -2)):
             h = np.asarray(h, dtype=float)
             ratio = np.asarray(h_last, dtype=float) / h
-            return rodrigues(h[..., None, None] * m,
-                             lambda th2: _rotation_coefficients(tableau, th2, n, ratio))
+            shape = np.broadcast_shapes(m.shape[:-2], h.shape, np.shape(n), ratio.shape)
+            n, ratio = (np.broadcast_to(v, shape).ravel() for v in (n, ratio))
+
+            def w(y):
+                r = _stability(tableau, 1j * np.concatenate([y, ratio * y]))
+                return r[: y.size] ** (n - 1) * r[y.size :]
+
+            x = np.broadcast_to(h[..., None, None] * m, shape + m.shape[-2:])
+            return skew_function(x, w)
         first = _step_map(tableau, m, h)
         n, h_last = np.broadcast_arrays(n, h_last)
         maps = [(first if hl == h else _step_map(tableau, m, hl))
@@ -99,22 +106,6 @@ def one_step_map(tableau, m, h, n=1, h_last=None):
     except SingularMatrixError as exc:
         raise StageSolveError(f"stage system is singular: {exc}") from exc
     return np.reshape(maps, n.shape + m.shape)
-
-
-def _rotation_coefficients(tableau, th2, n, ratio):
-    # the n-step map takes the eigenvalue i y of hS, y = sqrt(th2), to w,
-    # so Rodrigues' k1 = Im w / y and k2 = (1 - Re w) / y^2; y = 0 has
-    # w = 1 and gives I.  Every operand is a 1-d array, so an entry rounds
-    # alike alone and in any stack (numpy scalars round differently).
-    shape = np.broadcast_shapes(th2.shape, np.shape(n), ratio.shape)
-    th2, n, ratio = (np.broadcast_to(v, shape).ravel() for v in (th2, n, ratio))
-    y = np.sqrt(th2)
-    r = _stability(tableau, 1j * np.concatenate([y, ratio * y]))
-    w = r[: y.size] ** (n - 1) * r[y.size :]
-    nonzero = th2 > 0
-    k1 = w.imag / np.where(nonzero, y, 1.0)
-    k2 = (1.0 - w.real) / np.where(nonzero, th2, 1.0)
-    return k1.reshape(shape), k2.reshape(shape)
 
 
 def _stability(tableau, z):

@@ -3,8 +3,8 @@
 Everything here is small and dense (attitude-sized matrices, at most a few
 dozen rows after stage stacking).  The one linear-algebra kernel is
 :func:`checked_inverse`, a LAPACK inverse behind a reciprocal-condition
-guard.  The exact flow is computed to near machine precision, and power
-series of small skew matrices come in closed form.  All returned arrays
+guard.  The one kernel for functions of a skew matrix, the exact flow and
+each method's map alike, is :func:`skew_function`.  All returned arrays
 are freshly allocated; inputs are never mutated.
 """
 
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 SKEW_TOL = 1e-12
-ROT3_SERIES_CUTOFF = 1e-4
 RCOND_MIN = 1e-14
 # entries in one stacked temporary of d x d matrices (32 KB of float64);
 # diagnostics._entry_blocks reads it as a count of 3 x 3 records instead
@@ -40,6 +39,19 @@ def data_lines(lines):
         stripped = raw.strip()
         if stripped and not stripped.startswith("#"):
             yield lineno, stripped
+
+
+def line_floats(lineno, fields, what, error=InputError):
+    """The floats of ``fields``, the fields of data line ``lineno``; a field
+    that is not a number, or not a finite one, raises ``error`` (the
+    caller's :class:`InputError` subclass) naming the line and ``what``."""
+    try:
+        values = [float(f) for f in fields]
+    except ValueError:
+        raise error(f"non-numeric value in {what}", lineno) from None
+    if not all(map(math.isfinite, values)):
+        raise error(f"non-finite value in {what}", lineno)
+    return values
 
 
 class SkewnessError(InputError):
@@ -210,54 +222,41 @@ def expm(s, t=1.0):
 
     The reference oracle the integrators are measured against, computed to
     near machine precision and orthogonal with unit determinant up to
-    rounding.  Dimension 3 takes Rodrigues' formula (:func:`rodrigues` with
-    R = exp), with truncated series for its two coefficients where the
-    trigonometric forms would cancel.  Any other dimension diagonalizes the
-    Hermitian ``i*t*S`` and applies a unit-modulus phase per eigenvalue;
-    unlike scaling-and-squaring, whose products amplify the orthogonality
-    defect with ``||t*S||``, this keeps it at a dimension-sized multiple of
-    machine epsilon for arbitrarily large arguments.
+    rounding: :func:`skew_function` with ``w(y) = exp(iy)``, so Rodrigues'
+    formula up to dimension 3 and a unit-modulus phase per eigenvalue
+    above it.  Unlike scaling-and-squaring, whose products amplify the
+    orthogonality defect with ``||t*S||``, neither grows with the argument.
     """
-    x = float(t) * s.mat
-    if s.dim == 3:
-        return rodrigues(x, _exp_coefficients)
-    return _expm_spectral(x)
+    return skew_function(float(t) * s.mat, lambda y: np.exp(1j * y))
 
 
-def rodrigues(x, coefficients):
-    """A power series R(x) of a skew x of dimension <= 3, or of each of a stack.
+def skew_function(x, w):
+    """f(x) of a skew x, or of each of a stack, from ``w(y) = f(iy)``.
 
-    ``x^3 = -th^2 x``, with ``th^2`` the sum of squares above the diagonal,
-    so R(x) is Rodrigues' formula ``I + k1 x + k2 x^2`` with R in place of
-    exp: ``(k1, k2) = coefficients(th^2)`` are ``Im R(i th) / th`` and
-    ``(1 - Re R(i th)) / th^2``.  ``th^2`` is summed entry by entry, so each
-    matrix of a stack rounds as it does alone.
+    x is normal with eigenvalues on the imaginary axis, so ``f(x) = U f(L)
+    U^H``; ``w`` takes a real array of y and returns the complex f(iy).
+    Up to dimension 3, ``x^3 = -th^2 x`` with ``th^2`` the sum of squares
+    above the diagonal, so f(x) is Rodrigues' formula ``I + k1 x + k2 x^2``
+    with ``k1 = Im w(th) / th`` and ``k2 = (1 - Re w(th)) / th^2``, and
+    ``th = 0`` gives I.  ``th^2`` is summed entry by entry and ``w`` is
+    called once on a 1-d array, so each matrix of a stack rounds as it
+    does alone.  Above dimension 3 the Hermitian ``i x`` has unitary
+    eigenvectors U and real eigenvalues lam, and f(x) is the real part of
+    ``U diag(w(-lam)) U^H``, for one x.
     """
     d = x.shape[-1]
+    if d > 3:
+        lam, u = np.linalg.eigh(1j * x)
+        return ((u * w(-lam)) @ u.conj().T).real
     th2 = sum((x[..., i, j] ** 2 for i in range(d) for j in range(i + 1, d)),
-              np.zeros(x.shape[:-2]))
-    k1, k2 = coefficients(th2)
-    return np.eye(d) + k1[..., None, None] * x + k2[..., None, None] * (x @ x)
-
-
-def _exp_coefficients(th2):
+              np.zeros(x.shape[:-2])).reshape(-1)
     th = np.sqrt(th2)
-    series = th < ROT3_SERIES_CUTOFF
-    # the trigonometric forms cancel for small th and see 1 where the
-    # series applies, so th = 0 divides nothing by zero
-    th_safe, th2_safe = np.where(series, 1.0, th), np.where(series, 1.0, th2)
-    th4 = th2 * th2
-    k1 = np.where(series, 1.0 - th2 / 6.0 + th4 / 120.0, np.sin(th_safe) / th_safe)
-    k2 = np.where(series, 0.5 - th2 / 24.0 + th4 / 720.0, (1.0 - np.cos(th_safe)) / th2_safe)
-    return k1, k2
-
-
-def _expm_spectral(x):
-    # i*x is Hermitian, so its eigendecomposition is unitary and exp(x)
-    # = U diag(exp(-i*lam)) U^H stays exactly orthogonal up to rounding
-    lam, u = np.linalg.eigh(1j * x)
-    phases = np.exp(-1j * lam)
-    return ((u * phases) @ u.conj().T).real
+    v = w(th)
+    nonzero = th2 > 0
+    k1 = v.imag / np.where(nonzero, th, 1.0)
+    k2 = (1.0 - v.real) / np.where(nonzero, th2, 1.0)
+    k1, k2 = (k.reshape(x.shape[:-2] + (1, 1)) for k in (k1, k2))
+    return np.eye(d) + k1 * x + k2 * (x @ x)
 
 
 def stack_rows(d):

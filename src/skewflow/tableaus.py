@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fmt17 import fmt17
-from .linalg import InputError, data_lines
+from .linalg import InputError, data_lines, line_floats
 
 C_CONSISTENCY_TOL = 1e-14
 SYMPLECTIC_TOL = 1e-14
@@ -170,12 +170,13 @@ def parse_tableau(text):
     """Parse the plain-text tableau format.
 
     Format: ``#`` comment lines and blank lines are ignored; the first data
-    line is the stage count s; the next s lines are the rows of A (s reals
-    each); the next line is b; an optional final line is c.  When c is
-    omitted it is computed as the row sums of A.
+    line is the stage count s; the next s lines are the rows of A (s finite
+    reals each); the next line is b; an optional final line is c.  When c
+    is omitted it is computed as the row sums of A.
 
     Raises :class:`TableauParseError` with a 1-based line number on malformed
-    input; tableau validation failures propagate as :class:`TableauError`.
+    input, a non-finite value among it; tableau validation failures
+    propagate as :class:`TableauError`.
     """
     lines = text.splitlines()
     rows = [(lineno, stripped.split()) for lineno, stripped in data_lines(lines)]
@@ -210,10 +211,7 @@ def parse_tableau(text):
             raise TableauParseError(
                 f"expected {s} values for {what}, got {len(tokens)}", lineno
             )
-        try:
-            return [float(tok) for tok in tokens]
-        except ValueError:
-            raise TableauParseError(f"non-numeric value in {what}", lineno)
+        return line_floats(lineno, tokens, what, TableauParseError)
 
     a = [_reals(rows[1 + i], f"row {i + 1} of A") for i in range(s)]
     b = _reals(rows[1 + s], "b")

@@ -21,6 +21,8 @@ from skewflow import (
 )
 from skewflow.cli import main
 from skewflow.diagnostics import Trajectory
+from skewflow.gyro import parse_gyro_csv
+from skewflow.tableaus import parse_tableau
 
 BENCH_FLAGS = ["--omega", "0,-0.1,-2", "--h", "0.1"]
 
@@ -202,15 +204,16 @@ class TestPropagate:
         assert main(base + ["--allow-nonorthogonal"]) == 0
 
     def test_an_infinite_q0_entry_exits_2_without_a_warning(self, tmp_path, capsys):
-        # 1e3080 reads as inf; the finiteness check comes before the meters,
-        # which would warn on it (tier-1 turns a RuntimeWarning into an error)
+        # 1e3080 reads as inf; the reader refuses it on its line, before the
+        # meters, which would warn on it (tier-1 turns a RuntimeWarning into
+        # an error)
         q0 = tmp_path / "q0.mat"
         q0.write_text("1e3080 0 0\n0 1 0\n0 0 1\n")
         out = tmp_path / "t.csv"
         rc = main(["propagate", "--method", "cayley-midpoint", *BENCH_FLAGS,
                    "--t-end", "1", "--q0", str(q0), "--out", str(out)])
         assert rc == 2
-        assert "state matrix has non-finite entries" in capsys.readouterr().err
+        assert "line 1: non-finite value in '1e3080 0 0'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_an_overflowing_q0_meter_exits_2_without_a_warning(self, tmp_path, capsys):
@@ -396,11 +399,11 @@ class TestPropagate:
                    "--h", "0.1", "--t-end", "1", "--out", str(tmp_path / "t.csv")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert f"{s_file}: line 4:" in err and "'-1 x'" in err
+        assert f"line 4: non-numeric value in '-1 x' of {s_file}\n" in err
         with pytest.raises(InputError) as excinfo:
             cli._load_matrix_file(str(s_file))
         assert excinfo.value.line == 4
-        assert str(excinfo.value).startswith(f"{s_file}: line 4: ")
+        assert str(excinfo.value).startswith("line 4: ")
 
     def test_step_count_past_int64_exits_2(self, tmp_path, capsys):
         # 1e300 steps: refused before anything is allocated for them
@@ -683,10 +686,47 @@ class TestLineRule:
         rc = main(["propagate", "--method", "cayley-midpoint", "--s-file", str(s_file),
                    "--h", "0.1", "--t-end", "1", "--out", str(tmp_path / "t.csv")])
         assert rc == 2
-        assert f"{s_file}: line 1: " in capsys.readouterr().err
+        assert f"line 1: non-numeric value in '0 1\\x0c# c' of {s_file}" in capsys.readouterr().err
         with pytest.raises(InputError) as excinfo:
             cli._load_matrix_file(str(s_file))
         assert excinfo.value.line == 1
+
+
+class TestNonFiniteValues:
+    """A nan, inf or overflowing value in any input file is refused on its
+    own line, with exit 2, by the reader the command uses."""
+
+    PROPAGATE = ["propagate", "--h", "0.1", "--t-end", "1", "--out", "out.csv"]
+    MIDPOINT = PROPAGATE + ["--method", "cayley-midpoint"]
+    GYRO = ["gyro", "--method", "cayley-midpoint", "--h", "0.1", "--out", "out.csv", "--input"]
+    # the text, with the bad value on line 3; the command; the reader
+    KINDS = {
+        "s-file": ("0 0 0\n0 0 0\n0 0 {}\n", MIDPOINT + ["--s-file"],
+                   cli._load_matrix_file),
+        "q0": ("1 0 0\n0 1 0\n0 0 {}\n", MIDPOINT + ["--omega", "0,0,1", "--q0"],
+               cli._load_matrix_file),
+        "tableau-propagate": ("2\n0 0\n{} 0\n0 1\n", PROPAGATE + ["--omega", "0,0,1", "--method"],
+                              lambda path: parse_tableau(Path(path).read_text())),
+        "tableau-check": ("2\n0 0\n{} 0\n0 1\n", ["check-tableau", "--file"],
+                          lambda path: parse_tableau(Path(path).read_text())),
+        "gyro-rate": ("t,wx,wy,wz\n0,0,0,1\n1,0,{},1\n2,0,0,1\n", GYRO,
+                      lambda path: parse_gyro_csv(Path(path).read_text())),
+        "gyro-time": ("t,wx,wy,wz\n0,0,0,1\n{},0,0,1\n2,0,0,1\n", GYRO,
+                      lambda path: parse_gyro_csv(Path(path).read_text())),
+    }
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_exits_2_naming_the_line(self, tmp_path, monkeypatch, capsys, kind, value):
+        text, argv, reader = self.KINDS[kind]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "input.txt").write_text(text.format(value))
+        assert main(argv + ["input.txt"]) == 2
+        assert "skewflow: line 3: non-finite value in " in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+        with pytest.raises(InputError) as excinfo:
+            reader("input.txt")
+        assert excinfo.value.line == 3
 
 
 GRID = [-1.0, -0.5, 0.0, 0.5, 1.0]

@@ -18,15 +18,13 @@ from skewflow import (
     vee,
 )
 from skewflow.linalg import (
-    ROT3_SERIES_CUTOFF,
     InputError,
-    _exp_coefficients,
     _norm_inf,
     as_square_matrix,
     checked_inverse,
     hat_stack,
-    rodrigues,
     scan,
+    skew_function,
 )
 
 finite_rates = st.lists(
@@ -209,7 +207,7 @@ class TestExpm:
             got = expm(SkewMatrix(s), t)
             assert np.linalg.norm(got - series_expm(t * s)) <= 1e-13
 
-    def test_small_angle_branch(self):
+    def test_small_angles_match_the_series_oracle(self):
         s = hat([1e-6, -2e-6, 0.5e-6])
         got = expm(s, 1.0)
         assert np.linalg.norm(got - series_expm(s.mat)) <= 1e-15
@@ -321,18 +319,25 @@ class TestStacks:
         for w, m in zip(rates, hat_stack(rates)):
             assert_array_equal(m, hat(w).mat)
 
-    def test_stacked_rotations_match_expm(self):
-        # every branch of the closed form: th = 0, the series below the
-        # cutoff, either side of the cutoff, and th on and around pi
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_stacked_rotations_match_the_series_oracle(self, dim):
+        # th = 0, small angles where 1 - cos th cancels, and th on and
+        # around pi; each matrix of the stack is its own call's bit for bit
         rng = np.random.default_rng(4)
-        angles = np.array([0.0, 1e-12, 1e-6, 0.5 * ROT3_SERIES_CUTOFF, ROT3_SERIES_CUTOFF,
-                           1.5 * ROT3_SERIES_CUTOFF, 0.3, 2.0, np.pi - 1e-7, np.pi,
-                           np.pi + 1e-7, 7.5])
-        axes = rng.standard_normal((angles.shape[0], 3))
-        rates = axes / np.linalg.norm(axes, axis=1)[:, None] * angles[:, None]
-        stacked = rodrigues(hat_stack(rates), _exp_coefficients)
-        for w, r in zip(rates, stacked):
-            assert np.max(np.abs(r - expm(hat(w)))) <= 2e-16
+        angles = np.array([0.0, 1e-12, 1e-6, 5e-5, 1e-4, 1.5e-4, 0.3, 2.0, np.pi - 1e-7,
+                           np.pi, np.pi + 1e-7, 7.5])
+        if dim == 3:
+            axes = rng.standard_normal((angles.shape[0], 3))
+            ms = hat_stack(axes / np.linalg.norm(axes, axis=1)[:, None] * angles[:, None])
+        else:
+            ms = np.zeros((angles.shape[0], dim, dim))
+            if dim == 2:
+                ms[:, 0, 1] = -rng.choice([-1.0, 1.0], angles.shape[0]) * angles
+                ms[:, 1, 0] = -ms[:, 0, 1]
+        stacked = skew_function(ms, lambda y: np.exp(1j * y))
+        for m, r in zip(ms, stacked):
+            assert_array_equal(r, expm(SkewMatrix(m)))
+            assert np.max(np.abs(r - series_expm(m))) <= 3 * np.finfo(float).eps
 
     @pytest.mark.parametrize(
         "bad", [[[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0 + 1e-15]]],
