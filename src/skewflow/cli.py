@@ -33,6 +33,7 @@ from .integrators import (
 )
 from .linalg import (
     InputError, OrthogonalState, SingularMatrixError, SkewMatrix, data_lines, hat, line_floats,
+    table_floats,
 )
 from .tableaus import BUILTIN_NAMES, builtin, parse_tableau, symplecticity
 
@@ -117,9 +118,21 @@ def _dump_q_text(traj):
 
 
 def _load_matrix_file(path):
+    """The square matrix of a whitespace-separated file: one loadtxt call over
+    its data lines when that gives a square table, else the line parser."""
     with open(path) as fh:
-        rows = [line_floats(lineno, stripped.split(), f"{stripped!r} of {path}")
-                for lineno, stripped in data_lines(fh)]
+        numbered = list(data_lines(fh))
+    table = table_floats([stripped for _, stripped in numbered])
+    if table is not None and table.shape[0] == table.shape[1]:
+        return table
+    return _parse_matrix_lines(path, numbered)
+
+
+def _parse_matrix_lines(path, numbered):
+    """The line parser of a matrix file: the reference, and the only source
+    of its errors, each naming its line unless it concerns the whole matrix."""
+    rows = [line_floats(lineno, stripped.split(), f"{stripped!r} of {path}")
+            for lineno, stripped in numbered]
     if not rows:
         raise InputError(f"{path}: no matrix data found")
     if any(len(r) != len(rows) for r in rows):

@@ -16,10 +16,10 @@ so no Python-level loop runs per interval or per step.  An integrator's
 interval of n steps, ``phi_last @ phi^(n-1)``, and its exact rotation are
 both :func:`~skewflow.linalg.skew_function`, Rodrigues' formula from one
 complex number per interval: the n-step map's ``w`` (see
-:func:`~skewflow.integrators.one_step_map`) or ``exp(iy)``.  Blocks of
-``_BLOCK`` intervals keep the temporaries under 1 MB however long the log
-is, and are large enough that numpy's fixed cost per call stops
-dominating.
+:func:`~skewflow.integrators.one_step_map`) or ``exp(iy)``
+(:func:`~skewflow.linalg.cis`).  Blocks of ``_BLOCK`` intervals keep the
+temporaries under 1 MB however long the log is, and are large enough that
+numpy's fixed cost per call stops dominating.
 
 Parsing has two paths.  A clean log, whose first line is the header and
 whose body is four numbers a line, is read in one ``np.loadtxt`` call;
@@ -34,7 +34,8 @@ import numpy as np
 from .diagnostics import Trajectory, require_orthogonal_start
 from .integrators import grid, march, metered, one_step_map
 from .linalg import (
-    InputError, OrthogonalState, data_lines, hat_stack, line_floats, scan, skew_function,
+    InputError, OrthogonalState, cis, data_lines, hat_stack, line_floats, scan, skew_function,
+    table_floats,
 )
 
 GYRO_HEADER = "t,wx,wy,wz"
@@ -106,18 +107,10 @@ def parse_gyro_csv(text):
 def _loadtxt_log(text):
     """The log of a header line and a four-wide body in one loadtxt call, or None."""
     lines = text.splitlines()
-    body = lines[1:]
-    # float() does not strip the separator \x1f inside a field, which
-    # loadtxt does (the other separators \x1c-\x1e break lines); and
-    # loadtxt warns on a body of blank lines
-    if not lines or lines[0] != GYRO_HEADER or "\x1f" in text or not any(body):
+    if not lines or lines[0] != GYRO_HEADER:
         return None
-    try:
-        table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if (table.shape[1] != 4 or not np.isfinite(table).all()
-            or not np.all(table[1:, 0] > table[:-1, 0])):
+    table = table_floats(lines[1:], ",")
+    if table is None or table.shape[1] != 4 or not np.all(table[1:, 0] > table[:-1, 0]):
         return None
     return GyroLog(table[:, 0], table[:, 1:])
 
@@ -210,16 +203,16 @@ def reference_gyro(log, q0=None, allow_nonorthogonal=False):
     the only difference between the two is the integrator's own error.
     The exact rotations of a block of intervals come from one stacked
     :func:`~skewflow.linalg.skew_function` call with the ``w`` that
-    :func:`~skewflow.linalg.expm` passes, and are marched as
-    :func:`propagate_gyro` marches its maps.  Its meters are computed only
-    when read.
+    :func:`~skewflow.linalg.expm` passes, :func:`~skewflow.linalg.cis`,
+    and are marched as :func:`propagate_gyro` marches its maps.  Its
+    meters are computed only when read.
     """
     state = _initial_state(log, q0, allow_nonorthogonal)
 
     def rotations(start, stop):
         dt = log.times[start + 1 : stop + 1] - log.times[start:stop]
         m = hat_stack(log.rates[start:stop])
-        return skew_function(dt[:, None, None] * m, lambda y: np.exp(1j * y))
+        return skew_function(dt[:, None, None] * m, cis)
 
     qs = march(state.q, len(log), _BLOCK, lambda a, b: scan(rotations(a, b)))
     return Trajectory("exact", 0.0, log.times, qs)

@@ -54,6 +54,24 @@ def line_floats(lineno, fields, what, error=InputError):
     return values
 
 
+def table_floats(lines, delimiter=None):
+    """The float64 table of the data lines ``lines`` from one ``np.loadtxt``
+    call, or None where the line parser must decide: loadtxt refuses the
+    lines, a value is not finite, every line is empty (loadtxt warns on
+    that), or a line holds ``\\x1f`` (loadtxt strips it inside a field,
+    ``float()`` does not).  ``comments=None``: a ``#`` after a number is
+    refused by the line parser, so loadtxt must not accept it."""
+    if not any(lines):
+        return None
+    try:
+        table = np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if not np.isfinite(table).all() or "\x1f" in "".join(lines):
+        return None
+    return table
+
+
 class SkewnessError(InputError):
     """A matrix required to be skew-symmetric failed the gate.
 
@@ -222,12 +240,19 @@ def expm(s, t=1.0):
 
     The reference oracle the integrators are measured against, computed to
     near machine precision and orthogonal with unit determinant up to
-    rounding: :func:`skew_function` with ``w(y) = exp(iy)``, so Rodrigues'
+    rounding: :func:`skew_function` with ``w = cis``, so Rodrigues'
     formula up to dimension 3 and a unit-modulus phase per eigenvalue
     above it.  Unlike scaling-and-squaring, whose products amplify the
     orthogonality defect with ``||t*S||``, neither grows with the argument.
     """
-    return skew_function(float(t) * s.mat, lambda y: np.exp(1j * y))
+    return skew_function(float(t) * s.mat, cis)
+
+
+def cis(y):
+    """``exp(iy)`` of a real array y, the exact flow's ``w``, as ``cos(y) +
+    i sin(y)``: on x86-64 with numpy 2.4 the same bits as ``np.exp(1j * y)``,
+    and faster."""
+    return np.cos(y) + 1j * np.sin(y)
 
 
 def skew_function(x, w):

@@ -2,10 +2,12 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import format_rows_oracle, random_skew
+from test_exit_contract import TOKENS
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +24,7 @@ from skewflow import (
 from skewflow.cli import main
 from skewflow.diagnostics import Trajectory
 from skewflow.gyro import parse_gyro_csv
+from skewflow.linalg import data_lines
 from skewflow.tableaus import parse_tableau
 
 BENCH_FLAGS = ["--omega", "0,-0.1,-2", "--h", "0.1"]
@@ -690,6 +693,94 @@ class TestLineRule:
         with pytest.raises(InputError) as excinfo:
             cli._load_matrix_file(str(s_file))
         assert excinfo.value.line == 1
+
+
+# the exit-code property's tokens, plus an underscore in a number (float()
+# reads it, loadtxt does not), the no-break space and the vertical tab
+MATRIX_TOKENS = TOKENS + ["1_0", "\xa0", "\x0b"]
+MATRIX_JUNK = st.lists(st.sampled_from(MATRIX_TOKENS), max_size=4).map("".join)
+MATRIX_NUMBERS = st.one_of(st.floats(width=64).map(repr), st.integers(-10**20, 10**20).map(str))
+
+
+@st.composite
+def matrix_texts(draw):
+    """Square matrices of numbers with a few fields corrupted, separated by
+    any whitespace, between comment and blank lines, with any line ends."""
+    n = draw(st.integers(1, 4))
+    rows = [draw(st.lists(MATRIX_NUMBERS, min_size=n, max_size=n)) for _ in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        row, col = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        wrapped = draw(MATRIX_JUNK) + rows[row][col] + draw(MATRIX_JUNK)
+        rows[row][col] = draw(st.one_of(st.just(wrapped), MATRIX_JUNK, MATRIX_NUMBERS))
+    gaps = st.sampled_from([" ", "\t", "  ", "\xa0", "\x0b", "\x1f", " \x0c"])
+    lines = [draw(st.sampled_from(["", " ", "\t"])) + "".join(
+        field + draw(gaps) for field in row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "# c", " #"])))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def matrix_outcome(read, path):
+    """What a matrix reader makes of ``path``: the matrix's shape and bytes,
+    its error and line, or None."""
+    try:
+        m = read(path)
+    except InputError as exc:
+        return "error", str(exc), exc.line
+    return None if m is None else ("matrix", m.shape, m.tobytes())
+
+
+def read_matrix_by_lines(path):
+    with open(path) as fh:
+        return cli._parse_matrix_lines(path, list(data_lines(fh)))
+
+
+def read_matrix_in_one_call(path):
+    """The one-call path alone: None wherever the line parser would run."""
+    with mock.patch.object(cli, "_parse_matrix_lines", lambda path, numbered: None):
+        return cli._load_matrix_file(path)
+
+
+class TestMatrixFilePaths:
+    """The one-call loadtxt path of ``--s-file`` and ``--q0`` against the
+    line parser: the same matrix bit for bit, or the line parser's error."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(matrix_texts(),
+                     st.lists(st.sampled_from(MATRIX_TOKENS), max_size=30).map("".join)))
+    @example("0 1\n-1 0\n")
+    @example("0 1_0\n-1 0\n")
+    @example("0\x1f1\n-1 0\n")
+    @example("0 1 # c\n-1 0\n")
+    @example("0 1\n-1 nan\n")
+    @example("1 2\n")
+    @example("1\n2\n")
+    @example("0\xa01\n-1\x0b0\n")
+    @example("# only a comment\n\n")
+    def test_both_paths_agree(self, tmp_path, text):
+        path = str(tmp_path / "m.txt")
+        Path(path).write_bytes(text.encode())
+        slow = matrix_outcome(read_matrix_by_lines, path)
+        assert matrix_outcome(cli._load_matrix_file, path) == slow
+        fast = matrix_outcome(read_matrix_in_one_call, path)
+        assert fast is None or fast == slow
+
+    @pytest.mark.parametrize("s_text, q0_text", [
+        ("0 -3 2\n3 0 -1\n-2 1 0\n", "0 -1 0\n1 0 0\n0 0 1\n"),
+        ("# S\r\n\r\n 0\t-3 2 \r\n3 0 -1\r\n-2 1 0", "1 0 0\n\n# c\n0 1 0\n0 0 1\n"),
+    ])
+    def test_clean_files_take_the_one_call_path(self, tmp_path, monkeypatch, s_text, q0_text):
+        def refuse(path, numbered):
+            raise AssertionError("line parser called")
+
+        monkeypatch.setattr(cli, "_parse_matrix_lines", refuse)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s.txt").write_bytes(s_text.encode())
+        (tmp_path / "q0.txt").write_bytes(q0_text.encode())
+        assert main(["propagate", "--method", "gauss2", "--s-file", "s.txt", "--q0", "q0.txt",
+                     "--h", "0.1", "--t-end", "0.3", "--out", "out.csv"]) == 0
 
 
 class TestNonFiniteValues:

@@ -22,6 +22,7 @@ from skewflow.linalg import (
     _norm_inf,
     as_square_matrix,
     checked_inverse,
+    cis,
     hat_stack,
     scan,
     skew_function,
@@ -224,6 +225,16 @@ class TestExpm:
             via_generic = expm(SkewMatrix(padded), t)
             assert np.linalg.norm(via_generic[:3, :3] - expm(hat(w), t)) <= 5e-14
             assert np.linalg.norm(via_generic[3] - np.array([0, 0, 0, 1.0])) <= 1e-15
+
+    def test_cis_is_exp_iy_to_the_ulp(self):
+        # the exact flow's w: the same values as the complex exponential,
+        # from two real calls (the same bits on x86-64 with numpy 2.4)
+        rng = np.random.default_rng(19)
+        y = rng.standard_normal(2048) * 10.0 ** rng.integers(-8, 4, 2048)
+        y = np.concatenate([y, [0.0, np.pi, 1e10]])
+        got, want = cis(y), np.exp(1j * y)
+        np.testing.assert_array_max_ulp(got.real, want.real, maxulp=1)
+        np.testing.assert_array_max_ulp(got.imag, want.imag, maxulp=1)
 
     def test_orthogonality_determinant_group_properties(self):
         rng = np.random.default_rng(42)
