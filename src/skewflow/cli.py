@@ -14,6 +14,7 @@ Every output file is written atomically and accompanied by a flat
 """
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
@@ -298,6 +299,9 @@ def cmd_gyro(args):
     return EXIT_OK
 
 
+# built on the first call and reused: main only reads it.  The cmd_*
+# functions are bound here once; each looks up what it calls when it runs
+@functools.cache
 def build_parser():
     parser = _Parser(prog="skewflow", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"skewflow {__version__}")

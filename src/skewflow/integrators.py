@@ -247,7 +247,9 @@ def propagate(config, s, q0, t_end, record_every=1):
     Trajectory
     """
     t_end = float(t_end)
-    if not np.isfinite(t_end) or t_end <= q0.t:
+    if not np.isfinite(t_end):
+        raise InputError(f"t_end ({t_end}) must be finite")
+    if t_end <= q0.t:
         raise InputError(f"t_end ({t_end}) must exceed the starting time ({q0.t})")
     record_every = int(record_every)
     if record_every < 1:
@@ -291,14 +293,15 @@ def metered(config, times, qs, step_of):
     is non-finite raises :class:`NonFiniteStateError` with its step
     ``step_of(j)`` and its time.  A non-finite entry makes its record's
     energy, a sum of squares, non-finite, so the energy errors check the
-    states too.
+    states too.  The check reads each column's min and max, which carry
+    nan and +-inf; a mask over the records is built only after it fails.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         label = config.method.name or f"rk-{config.method.stages}-stage"
         traj = Trajectory(label, config.step, times, qs)
-        ok = (np.isfinite(traj.energy_errors) & np.isfinite(traj.det_drifts)
-              & np.isfinite(traj.orth_defects))
-        if not ok.all():
+        columns = (traj.energy_errors, traj.det_drifts, traj.orth_defects)
+        if not all(np.isfinite(c.min()) and np.isfinite(c.max()) for c in columns):
+            ok = np.logical_and.reduce([np.isfinite(c) for c in columns])
             j = int(np.argmin(ok))
             raise NonFiniteStateError(step_of(j), traj.times[j])
     return traj

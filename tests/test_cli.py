@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import format_rows_oracle, random_skew
-from test_exit_contract import TOKENS
+from test_exit_contract import GYRO_LOG, S_FILE, TOKENS
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -415,6 +415,15 @@ class TestPropagate:
         assert rc == 2
         err = capsys.readouterr().err
         assert "2**63 - 1 steps" in err and "Traceback" not in err
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("t_end", ["inf", "nan"])
+    def test_a_non_finite_t_end_exits_2_as_not_finite(self, tmp_path, capsys, t_end):
+        rc = main(["propagate", "--method", "cayley-midpoint", "--omega", "0,0,1",
+                   "--h", "0.1", "--t-end", t_end, "--out", str(tmp_path / "t.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"skewflow: t_end ({t_end}) must be finite\n"
         assert not (tmp_path / "t.csv").exists()
 
     def test_record_stack_past_the_budget_exits_2(self, tmp_path, capsys):
@@ -948,3 +957,77 @@ class TestTopLevel:
             main(["--version"])
         assert excinfo.value.code == 0
         assert "skewflow" in capsys.readouterr().out
+
+
+class TestCachedParser:
+    # a usage error, --version and a mutually exclusive clash, each ending in
+    # SystemExit, then one valid run of each reading subcommand
+    SEQUENCE = [
+        ["propagate", "--method", "gauss2"],
+        ["--version"],
+        ["propagate", "--method", "gauss2", "--omega", "0,0,1", "--s-file", "s.txt",
+         "--h", "0.1", "--t-end", "1", "--out", "clash.csv"],
+        ["propagate", "--method", "gauss2", "--s-file", "s.txt", "--h", "0.1",
+         "--t-end", "0.35", "--out", "p.csv", "--dump-q", "q.txt"],
+        ["gyro", "--input", "log.csv", "--method", "cayley-midpoint", "--h", "0.02",
+         "--out", "g.csv", "--reference"],
+        ["check-tableau", "--name", "gauss2"],
+    ]
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        cli.build_parser.cache_clear()
+        yield
+        cli.build_parser.cache_clear()
+
+    def run_sequence(self, work, monkeypatch, capsys):
+        """Each call's exit code, stdout and stderr, and the bytes of every file."""
+        work.mkdir()
+        (work / "s.txt").write_text(S_FILE)
+        (work / "log.csv").write_text(GYRO_LOG)
+        monkeypatch.chdir(work)
+        calls = []
+        for argv in self.SEQUENCE:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            calls.append((code, *capsys.readouterr()))
+        return calls, {p.name: p.read_bytes() for p in sorted(work.iterdir())}
+
+    def test_every_call_matches_a_fresh_parser(self, tmp_path, monkeypatch, capsys):
+        cached = self.run_sequence(tmp_path / "cached", monkeypatch, capsys)
+        assert cli.build_parser.cache_info().misses == 1
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = self.run_sequence(tmp_path / "fresh", monkeypatch, capsys)
+        assert [code for code, _, _ in cached[0]] == [1, 0, 1, 0, 0, 0]
+        assert cached == fresh
+
+    def test_only_the_first_call_builds_parsers(self, monkeypatch, capsys):
+        built = []
+
+        class Counting(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_Parser", Counting)
+        argv = ["check-tableau", "--name", "midpoint"]
+        assert main(argv) == 0
+        first = len(built)
+        assert main(argv) == 0
+        # the top parser and one for each of the four subcommands
+        assert first == 5 and len(built) == first
+
+    def test_help_follows_columns_after_the_parser_is_cached(self, monkeypatch, capsys):
+        helps = {}
+        for columns in ("200", "40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            with pytest.raises(SystemExit) as excinfo:
+                main(["propagate", "-h"])
+            assert excinfo.value.code == 0
+            helps.setdefault(columns, []).append(capsys.readouterr().out)
+        assert cli.build_parser.cache_info().misses == 1
+        wide, narrow = helps["200"][0], helps["40"][0]
+        assert helps["200"][1] == wide
+        assert len(narrow.splitlines()) > len(wide.splitlines())

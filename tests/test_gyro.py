@@ -388,20 +388,24 @@ class TestBlockMemory:
         assert len(result) == samples
         return peak - held
 
-    @pytest.mark.parametrize("pipeline, blocks", [
-        pytest.param("propagate", 12, id="propagate"),
-        pytest.param("reference", 12, id="reference"),
+    @pytest.mark.parametrize("pipeline, base, blocks", [
+        pytest.param("propagate", 3, 12, id="propagate"),
+        pytest.param("reference", 3, 12, id="reference"),
         # the exact rotations take each block's intervals from the times
         # themselves, so not even a log sixteen times longer makes a column
         # of the whole log beside the records
-        pytest.param("reference", 48, id="reference-long"),
+        pytest.param("reference", 3, 48, id="reference-long"),
+        # the finiteness check reads each meter column's min and max, so no
+        # mask over the records grows with the log; against 3 blocks, whose
+        # march peaks higher, a growing mask would not show by 48 blocks
+        pytest.param("propagate", 12, 48, id="propagate-long"),
     ])
-    def test_block_temporaries_do_not_grow_with_the_log(self, pipeline, blocks):
+    def test_block_temporaries_do_not_grow_with_the_log(self, pipeline, base, blocks):
         # the march holds one block's temporaries at a time, so a longer log
         # may not raise the peak by more than a few small columns
         config = IntegratorConfig(method="cayley-midpoint", step=0.01)
         run = reference_gyro if pipeline == "reference" else (
             lambda log: propagate_gyro(log, config))
-        short = self.temporaries(run, 3 * _BLOCK + 1)
+        short = self.temporaries(run, base * _BLOCK + 1)
         long = self.temporaries(run, blocks * _BLOCK + 1)
         assert long - short <= 64 * 1024, (short, long)
