@@ -44,7 +44,8 @@ grid restores the order.
 
 A block of fewer than ``SMALL`` numbers goes wholly through the fallback,
 which is faster there.  :func:`text_blocks` formats at most
-``BLOCK_NUMBERS`` numbers at a time, so that a writer holds one block.
+``BLOCK_NUMBERS`` numbers at a time, so that a writer holds one block;
+:func:`text_parts` does the same for a table that comes in parts.
 Every table is built on first use.
 """
 
@@ -259,6 +260,30 @@ def text_blocks(n, width, rows, sep):
     A block holds at most ``BLOCK_NUMBERS`` numbers (at least one row), so
     a caller that writes each block as it comes never holds more.
     """
+    return text_parts([(n, rows)], width, sep)
+
+
+def text_parts(parts, width, sep):
+    """:func:`text_blocks` of a table that comes in parts, each a pair
+    ``(n, rows)`` of its row count and row function, read as they come.
+
+    The blocks are those of the whole table: a block that spans parts
+    joins their rows before it is formatted.
+    """
     step = max(1, BLOCK_NUMBERS // width)
-    for a in range(0, n, step):
-        yield format_rows(rows(a, min(a + step, n)), sep)
+    held, count = [], 0
+    for n, rows in parts:
+        a = 0
+        while a < n:
+            b = min(n, a + step - count)
+            held.append(rows(a, b))
+            count, a = count + b - a, b
+            if count == step:
+                yield format_rows(_joined(held), sep)
+                held, count = [], 0
+    if held:
+        yield format_rows(_joined(held), sep)
+
+
+def _joined(blocks):
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)

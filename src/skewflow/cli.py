@@ -8,9 +8,10 @@ benchmark       long-run energy-conservation comparison (implicit midpoint
                 vs explicit RK2) on the built-in reference problem
 gyro            integrate a gyro CSV log, optionally against the exact flow
 
-Exit codes: 0 success, 1 usage, 2 input validation, 3 numerical failure.
-Every output file is written atomically and accompanied by a flat
-``key=value`` manifest so runs can be reproduced byte for byte.
+Exit codes: 0 success, 1 usage, 2 input validation or a run that does not
+fit in memory, 3 numerical failure.  Every output file is written
+atomically and accompanied by a flat ``key=value`` manifest so runs can be
+reproduced byte for byte at the BLAS thread count it records.
 """
 
 import argparse
@@ -21,10 +22,10 @@ import tempfile
 
 import numpy as np
 
-from . import __version__
-from ._fmt17 import fmt17, text_blocks
+from . import __version__, gyro
+from ._fmt17 import fmt17, text_blocks, text_parts
 from .diagnostics import require_orthogonal_start, rk2_energy_forecast
-from .gyro import parse_gyro_csv, propagate_gyro, reference_gyro
+from .gyro import propagate_gyro, reference_gyro
 from .integrators import (
     CLOSED_FORM_METHODS,
     IntegratorConfig,
@@ -47,6 +48,9 @@ EXIT_NUMERIC = 3
 BENCH_OMEGA = (0.0, -0.1, -2.0)
 BENCH_STEP = 0.1
 BENCH_T_END = 2000.0
+
+# the environment variables that set the BLAS thread count
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 _NUMERIC_ERRORS = (StageSolveError, SingularMatrixError, NonFiniteStateError)
 # a file that is not UTF-8 is refused input too
@@ -91,26 +95,39 @@ def _manifest_entries(subcommand, method="-", step=None, t_end=None, inputs="-",
         "output": outputs,
         "seed": "-",  # no subcommand draws random numbers
         "version": __version__,
+        # the bytes of a run depend on these too: the BLAS thread count
+        # changes how LAPACK rounds above a few dozen dimensions
+        "numpy": np.__version__,
+        "blas_threads": ",".join(f"{name}:{os.environ.get(name, '-')}" for name in _BLAS_THREADS),
     }
 
 
 def _trajectory_csv(traj, ref=None):
-    """The trajectory CSV in blocks; each block's columns are stacked only
-    when it is formatted."""
-    header = "t,E,E_err,orth_defect,det_err"
-    columns = [traj.times, traj.energies, traj.energy_errors, traj.orth_defects,
-               traj.det_drifts]
-    if ref is not None:
-        header += ",ref_err"
+    """The trajectory CSV of a run in text blocks, with the reference's
+    ``ref_err`` column when ``ref`` is given."""
+    return _csv_text([(traj, None if ref is None else ref.qs)], ref is not None)
 
-    def rows(a, b):
-        block = [column[a:b] for column in columns]
-        if ref is not None:
-            block.append(np.linalg.norm(traj.qs[a:b] - ref.qs[a:b], axis=(1, 2)))
-        return np.column_stack(block)
+
+def _csv_text(parts, reference):
+    """The trajectory CSV of a run whose records come in parts, pairs of a
+    Trajectory and the reference's states (None without ``reference``);
+    each text block's columns are stacked only when it is formatted."""
+    header = "t,E,E_err,orth_defect,det_err" + (",ref_err" if reference else "")
+
+    def rows_of(traj, ref_qs):
+        columns = [traj.times, traj.energies, traj.energy_errors, traj.orth_defects,
+                   traj.det_drifts]
+
+        def rows(a, b):
+            block = [column[a:b] for column in columns]
+            if ref_qs is not None:
+                block.append(np.linalg.norm(traj.qs[a:b] - ref_qs[a:b], axis=(1, 2)))
+            return np.column_stack(block)
+
+        return len(traj), rows
 
     yield header + "\n"
-    yield from text_blocks(len(traj), len(columns) + (ref is not None), rows, ",")
+    yield from text_parts((rows_of(*part) for part in parts), 5 + reference, ",")
 
 
 def _dump_q_text(traj):
@@ -276,27 +293,58 @@ def cmd_benchmark(args):
 
 
 def cmd_gyro(args):
-    with open(args.input) as fh:
-        log = parse_gyro_csv(fh.read())
-    method = _resolve_method(args.method)
-    config = IntegratorConfig(method=method, step=args.h)
-    traj = propagate_gyro(log, config)
-    ref = reference_gyro(log) if args.reference else None
-
-    _atomic_write(args.out, _trajectory_csv(traj, ref=ref))
+    try:
+        records, t_end, label = _stream_gyro(args)
+    except (gyro.NotStreamable,) + _NUMERIC_ERRORS + _INPUT_ERRORS:
+        # the whole-log path decides every log the stream leaves, and
+        # reports every error in the order it meets them
+        records, t_end, label = _whole_gyro(args)
     _write_manifest(
         args.out + ".manifest",
         _manifest_entries(
             "gyro",
-            method=traj.method,
+            method=label,
             step=args.h,
-            t_end=float(log.times[-1]),
+            t_end=t_end,
             inputs=args.input,
             outputs=args.out,
         ),
     )
-    print(f"wrote {args.out} ({len(traj)} records)")
+    print(f"wrote {args.out} ({records} records)")
     return EXIT_OK
+
+
+def _stream_gyro(args):
+    """``gyro`` a block at a time: the records, last time and method label
+    of the run, or :class:`~skewflow.gyro.NotStreamable` or an error for
+    :func:`_whole_gyro` to decide."""
+    if not os.path.isfile(args.input):
+        # a pipe cannot be read again by the whole-log path
+        raise gyro.NotStreamable
+    config = IntegratorConfig(method=_resolve_method(args.method), step=args.h)
+    run = [0, None]  # records so far, and the last block
+
+    def counted(blocks):
+        for traj, refs in blocks:
+            run[:] = run[0] + len(traj), traj
+            yield traj, refs
+
+    with open(args.input) as fh:
+        blocks = gyro.stream_gyro(fh, config, args.reference)
+        _atomic_write(args.out, _csv_text(counted(blocks), args.reference))
+    return run[0], float(run[1].times[-1]), run[1].method
+
+
+def _whole_gyro(args):
+    """``gyro`` on the whole log: the reference, and the only source of errors."""
+    with open(args.input) as fh:
+        log = gyro.parse_gyro_csv(fh.read())
+    method = _resolve_method(args.method)
+    config = IntegratorConfig(method=method, step=args.h)
+    traj = propagate_gyro(log, config)
+    ref = reference_gyro(log) if args.reference else None
+    _atomic_write(args.out, _trajectory_csv(traj, ref=ref))
+    return len(traj), float(log.times[-1]), traj.method
 
 
 # built on the first call and reused: main only reads it.  The cmd_*
@@ -358,6 +406,12 @@ def main(argv=None):
         return EXIT_NUMERIC
     except _INPUT_ERRORS as exc:
         print(f"skewflow: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        # a run too large for this process is refused like one too large
+        # for RECORD_BYTES_MAX; the output was never renamed into place
+        detail = f": {exc}" if str(exc) else ""
+        print(f"skewflow: out of memory{detail}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -92,14 +92,18 @@ class Trajectory:
     ``(n, d, d)`` stack ``qs`` of recorded states.  Each meter column is
     computed over the whole stack when it is first read, and then kept;
     a run that reads only ``qs`` meters nothing.  ``energy_errors`` and
-    ``det_drifts`` are signed differences against the first record.  All
-    columns are read-only; ``qs`` is a read-only view, not a copy.
+    ``det_drifts`` are signed differences against the first record, or
+    against ``origin`` when given: the first state of the run whose later
+    records ``qs`` holds, so that a run metered a block at a time gives
+    the columns of the whole run bit for bit.  All columns are read-only;
+    ``qs`` is a read-only view, not a copy.
     """
 
     method: str
     step: float
     times: np.ndarray
     qs: np.ndarray
+    origin: np.ndarray = None
 
     def __post_init__(self):
         times = np.array(self.times, dtype=float).reshape(-1)
@@ -115,6 +119,15 @@ class Trajectory:
             raise ValueError("record times must be strictly increasing")
         object.__setattr__(self, "times", _read_only(times))
         object.__setattr__(self, "qs", _read_only(qs))
+        if self.origin is not None:
+            origin = np.array(self.origin, dtype=float)
+            if origin.shape != qs.shape[1:]:
+                raise ValueError(f"origin must have shape {qs.shape[1:]}, got {origin.shape}")
+            object.__setattr__(self, "origin", _read_only(origin))
+
+    def _first(self, kernel, column):
+        # record 0's meter: a record's meters are the same bits alone
+        return column[0] if self.origin is None else kernel(self.origin[None])[0]
 
     @cached_property
     def energies(self):
@@ -122,7 +135,7 @@ class Trajectory:
 
     @cached_property
     def energy_errors(self):
-        return _read_only(self.energies - self.energies[0])
+        return _read_only(self.energies - self._first(_sum_squares, self.energies))
 
     @cached_property
     def orth_defects(self):
@@ -131,7 +144,7 @@ class Trajectory:
     @cached_property
     def det_drifts(self):
         dets = _dets(self.qs)
-        return _read_only(dets - dets[0])
+        return _read_only(dets - self._first(_dets, dets))
 
     def __len__(self):
         return self.times.shape[0]

@@ -25,8 +25,18 @@ Parsing has two paths.  A clean log, whose first line is the header and
 whose body is four numbers a line, is read in one ``np.loadtxt`` call;
 any other text goes to a line-by-line parser that gives the same log
 wherever both succeed, and whose errors carry the physical line number.
+
+A clean log can also be streamed: :func:`read_rows` parses it a
+chunk of whole lines at a time by the same loadtxt rule, and
+:func:`stream_gyro` marches and meters each block of ``_BLOCK`` intervals
+as it arrives, from the states that end the block before and against the
+first record.  Its records are the pipelines' bit for bit, and it holds
+one block, not the log, so its memory does not grow with the log's
+length.  It raises :class:`NotStreamable` for any log it does not finish,
+and the whole-log pipelines, the reference, decide that log.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,10 +57,18 @@ GYRO_HEADER = "t,wx,wy,wz"
 # 0.85 / 1.64 MB of temporaries a block (2 MB of L2 a core); at 10^5
 # samples 4096 is 5% faster than 2048 and 8192 10%.
 _BLOCK = 2048
+# characters of text each read of a streamed log asks for: about 2000
+# lines of a log written with 17 digits, so one loadtxt call a block
+_READ_SIZE = 1 << 17
 
 
 class GyroLogError(InputError):
     """Malformed or mis-ordered gyro log; carries the 1-based line number."""
+
+
+class NotStreamable(Exception):
+    """A log, or a run of one, that :func:`stream_gyro` leaves to the
+    whole-log pipelines, which decide it and report its errors."""
 
 
 @dataclass(frozen=True)
@@ -157,6 +175,27 @@ def _initial_state(log, q0, allow_nonorthogonal):
     return q0
 
 
+def _interval_maps(config, times, rates):
+    # the map of each interval between consecutive samples of a block
+    counts, h_last = grid(times[:-1], times[1:], config.step)
+    return one_step_map(config.method, hat_stack(rates[:-1]), config.step, counts, h_last)
+
+
+def _rotations(times, rates):
+    # the exact rotation of each interval between consecutive samples of a block
+    dt = times[1:] - times[:-1]
+    return skew_function(dt[:, None, None] * hat_stack(rates[:-1]), cis)
+
+
+def _march(q, times, rates, maps):
+    """The state at each sample from ``q`` at the first, ``_BLOCK`` intervals
+    at a time: the prefix products of ``maps(times, rates)`` of a block's
+    samples applied to the state that ends the block before.  So a log cut
+    at a block boundary and marched on from its last state gives the same
+    bits as the whole log."""
+    return march(q, len(times), _BLOCK, lambda a, b: scan(maps(times[a : b + 1], rates[a : b + 1])))
+
+
 def propagate_gyro(log, config, q0=None, allow_nonorthogonal=False):
     """Integrate a gyro log with zero-order hold on the rates.
 
@@ -181,13 +220,9 @@ def propagate_gyro(log, config, q0=None, allow_nonorthogonal=False):
     state = _initial_state(log, q0, allow_nonorthogonal)
     h = config.step
 
-    def maps(start, stop):
-        counts, h_last = grid(log.times[start:stop], log.times[start + 1 : stop + 1], h)
-        return one_step_map(config.method, hat_stack(log.rates[start:stop]), h, counts, h_last)
-
     # overflow surfaces as NonFiniteStateError, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        qs = march(state.q, len(log), _BLOCK, lambda a, b: scan(maps(a, b)))
+        qs = _march(state.q, log.times, log.rates, functools.partial(_interval_maps, config))
 
     def steps_before(j):
         # Python ints: the step counts of a long log can sum past 2**63
@@ -208,11 +243,101 @@ def reference_gyro(log, q0=None, allow_nonorthogonal=False):
     meters are computed only when read.
     """
     state = _initial_state(log, q0, allow_nonorthogonal)
+    return Trajectory("exact", 0.0, log.times, _march(state.q, log.times, log.rates, _rotations))
 
-    def rotations(start, stop):
-        dt = log.times[start + 1 : stop + 1] - log.times[start:stop]
-        m = hat_stack(log.rates[start:stop])
-        return skew_function(dt[:, None, None] * m, cis)
 
-    qs = march(state.q, len(log), _BLOCK, lambda a, b: scan(rotations(a, b)))
-    return Trajectory("exact", 0.0, log.times, qs)
+def read_rows(fh):
+    """Yield the samples of a clean log as ``(k, 4)`` tables, the whole
+    lines of about ``_READ_SIZE`` characters of text at a time, or raise
+    :class:`NotStreamable` at the first text that :func:`parse_gyro_csv`
+    must decide.
+
+    A clean log is one that parse_gyro_csv reads in its one loadtxt call:
+    the first line is exactly the header and every other line holds four
+    finite numbers, times strictly increasing from table to table too; a
+    blank or ``#`` line is not clean.  The rows yielded are those of
+    parse_gyro_csv's log, bit for bit.
+    """
+    if fh.readline().splitlines() != [GYRO_HEADER]:
+        raise NotStreamable
+    last, tail = -np.inf, ""
+    while text := fh.read(_READ_SIZE):
+        cut = text.rfind("\n") + 1
+        if not cut:
+            tail += text
+            continue
+        table = _clean_table(tail + text[:cut], last)
+        last, tail = table[-1, 0], text[cut:]
+        yield table
+    if tail:
+        yield _clean_table(tail, last)
+
+
+def _clean_table(text, last):
+    # the table of the whole lines of text, whose first time must pass last.
+    # text is cut at line ends, where str.splitlines breaks too, so its
+    # lines are those parse_gyro_csv's splitlines makes of the same text
+    body = text.splitlines()
+    table = table_floats(body, ",")
+    if (table is None or table.shape != (len(body), 4) or not table[0, 0] > last
+            or not np.all(table[1:, 0] > table[:-1, 0])):
+        raise NotStreamable
+    return table
+
+
+def _blocks(tables):
+    """The times and rates of each block of ``_BLOCK`` intervals of the
+    samples in ``tables``: each block after the first starts at the sample
+    that ends the one before, as :func:`_march` cuts the whole log."""
+    held, count = [], 0
+
+    def block(rows):
+        # contiguous columns, laid out as a GyroLog's are
+        return np.array(rows[:, 0]), np.array(rows[:, 1:])
+
+    for table in tables:
+        held.append(table)
+        count += len(table)
+        while count > _BLOCK:
+            rows = np.concatenate(held)
+            yield block(rows[: _BLOCK + 1])
+            held, count = [rows[_BLOCK:]], count - _BLOCK
+    if count > 1:
+        yield block(np.concatenate(held))
+
+
+def _refuse(j):
+    raise NotStreamable
+
+
+def stream_gyro(fh, config, reference):
+    """:func:`propagate_gyro` of the log that :func:`read_rows` reads from
+    ``fh``, as :func:`~skewflow.integrators.metered` trajectories of its
+    blocks of records, each with the block's :func:`reference_gyro` states
+    when ``reference`` is set (else None).
+
+    Each block is marched on from the states that end the block before
+    and metered against the first record, so the blocks hold the whole
+    run's records bit for bit while only one block is held.  Raises
+    :class:`NotStreamable` for a log that is not clean, has fewer than 2
+    samples, or whose run meets a non-finite record or reference state:
+    the whole-log pipelines decide those, and report their errors.
+    """
+    maps = functools.partial(_interval_maps, config)
+    q = q_ref = np.eye(3)
+    origin = None
+    for times, rates in _blocks(read_rows(fh)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            qs = _march(q, times, rates, maps)
+            refs = _march(q_ref, times, rates, _rotations) if reference else None
+        # a block after the first starts with the record that ended the one before
+        new = slice(0 if origin is None else 1, None)
+        traj = metered(config, times[new], qs[new], _refuse, origin)
+        if refs is not None:
+            if not (np.isfinite(refs.min()) and np.isfinite(refs.max())):
+                raise NotStreamable
+            q_ref, refs = refs[-1], refs[new]
+        yield traj, refs
+        q, origin = qs[-1], np.eye(3)
+    if origin is None:
+        raise NotStreamable

@@ -284,8 +284,10 @@ def propagate(config, s, q0, t_end, record_every=1):
     return metered(config, times, qs, lambda j: ks[j])
 
 
-def metered(config, times, qs, step_of):
-    """The :class:`Trajectory` of a run, refusing a record that overflowed.
+def metered(config, times, qs, step_of, origin=None):
+    """The :class:`Trajectory` of a run, or of a block of its records whose
+    drifts are taken against ``origin`` (see :class:`Trajectory`), refusing
+    a record that overflowed.
 
     Every record is metered once.  A meter can overflow while the state is
     still finite: the energy once entries pass about 1e154, the Gram defect
@@ -298,7 +300,7 @@ def metered(config, times, qs, step_of):
     """
     with np.errstate(over="ignore", invalid="ignore"):
         label = config.method.name or f"rk-{config.method.stages}-stage"
-        traj = Trajectory(label, config.step, times, qs)
+        traj = Trajectory(label, config.step, times, qs, origin)
         columns = (traj.energy_errors, traj.det_drifts, traj.orth_defects)
         if not all(np.isfinite(c.min()) and np.isfinite(c.max()) for c in columns):
             ok = np.logical_and.reduce([np.isfinite(c) for c in columns])

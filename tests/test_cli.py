@@ -1,4 +1,10 @@
+import contextlib
+import io
+import os
+import subprocess
+import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -13,6 +19,7 @@ from hypothesis import strategies as st
 
 import skewflow.cli as cli
 import skewflow.diagnostics as diagnostics
+import skewflow.gyro as gyro
 import skewflow.integrators as integrators
 from skewflow import (
     GyroLogError,
@@ -23,9 +30,12 @@ from skewflow import (
 )
 from skewflow.cli import main
 from skewflow.diagnostics import Trajectory
-from skewflow.gyro import parse_gyro_csv
+from skewflow.gyro import (
+    _BLOCK, GYRO_HEADER, NotStreamable, parse_gyro_csv, propagate_gyro, reference_gyro,
+)
+from skewflow.integrators import IntegratorConfig
 from skewflow.linalg import data_lines
-from skewflow.tableaus import parse_tableau
+from skewflow.tableaus import builtin, parse_tableau
 
 BENCH_FLAGS = ["--omega", "0,-0.1,-2", "--h", "0.1"]
 
@@ -152,6 +162,19 @@ class TestPropagate:
         assert float(entries["t_end"]) == 2.0
         assert entries["output"] == str(out)
         assert entries["version"]
+
+    def test_manifest_records_numpy_and_the_blas_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / "traj.csv"
+        assert main(["propagate", "--method", "gauss2", *BENCH_FLAGS, "--t-end", "1",
+                     "--out", str(out)]) == 0
+        lines = read(tmp_path / "traj.csv.manifest").splitlines()
+        assert lines[-2:] == [
+            f"numpy={np.__version__}",
+            "blas_threads=OPENBLAS_NUM_THREADS:1,OMP_NUM_THREADS:2,MKL_NUM_THREADS:-",
+        ]
 
     def test_reruns_are_byte_identical(self, tmp_path):
         args = ["propagate", "--method", "gauss2", *BENCH_FLAGS,
@@ -477,6 +500,37 @@ class TestRecordBudget:
         assert peak < size / 4, (peak, size)
 
 
+# a child that imports the CLI, caps its own address space 256 MB above
+# what the import took (so the import always fits), then runs main
+LIMITED_CHILD = """
+import resource, sys
+from skewflow.cli import main
+with open("/proc/self/status") as fh:
+    taken = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:"))
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+soft = (taken + 256 * 1024) * 1024
+resource.setrlimit(resource.RLIMIT_AS, (soft if hard < 0 else min(soft, hard), hard))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc and relies on Linux's RLIMIT_AS")
+def test_a_run_that_does_not_fit_in_memory_exits_2(tmp_path):
+    # 10^7 + 1 records of a 3x3 state: 1.1 GB of records and meters, far
+    # inside RECORD_BYTES_MAX but past the child's address space
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["propagate", "--method", "cayley-midpoint", "--omega", "0,0,1", "--h", "1",
+            "--t-end", "1e7", "--out", str(tmp_path / "t.csv")]
+    child = subprocess.run([sys.executable, "-c", LIMITED_CHILD, *argv], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 2, child.stderr
+    assert child.stderr.startswith("skewflow: out of memory")
+    assert child.stderr.count("\n") == 1 and "Traceback" not in child.stderr
+    assert os.listdir(tmp_path) == []
+
+
 def _spy(monkeypatch, name):
     """Record what ``cli.<name>`` returns during the test."""
     returned = []
@@ -518,12 +572,14 @@ class TestOutputBytes:
         log = tmp_path / "gyro.csv"
         log.write_text("t,wx,wy,wz\n" + "".join(
             f"{i * 0.01!r},{w[0]!r},{w[1]!r},{w[2]!r}\n" for i, w in enumerate(rates.tolist())))
-        trajs = _spy(monkeypatch, "propagate_gyro")
-        refs = _spy(monkeypatch, "reference_gyro")
+        # the CLI streams this log a block at a time and never builds the
+        # library's Trajectories, so the test builds them from the same text
+        gyro_log = parse_gyro_csv(log.read_text())
+        traj = propagate_gyro(gyro_log, IntegratorConfig(builtin("gauss2"), 0.004))
         out = tmp_path / "att.csv"
         assert main(["gyro", "--input", str(log), "--method", "gauss2", "--h", "0.004",
                      "--out", str(out), "--reference"]) == 0
-        assert out.read_bytes() == expected_csv(trajs[0], refs[0])
+        assert out.read_bytes() == expected_csv(traj, reference_gyro(gyro_log))
 
     @pytest.mark.parametrize("dim, t_end", [(3, "300"), (40, "2.1")])
     def test_propagate_with_dump_q(self, tmp_path, monkeypatch, dim, t_end):
@@ -557,19 +613,23 @@ class TestGyroCommand:
     def test_reference_is_never_metered(self, tmp_path, monkeypatch):
         # the CSV reads only the reference's states, so none of its meters
         # is computed: each kernel runs once, for the integrated trajectory
+        text = "t,wx,wy,wz\n0,0,0,1\n1,0.5,0,1\n2,0,0,1\n"
         log = tmp_path / "gyro.csv"
-        log.write_text("t,wx,wy,wz\n0,0,0,1\n1,0.5,0,1\n2,0,0,1\n")
-        refs = _spy(monkeypatch, "reference_gyro")
+        log.write_text(text)
+        gyro_log = parse_gyro_csv(text)
+        integrated = propagate_gyro(gyro_log, IntegratorConfig("cayley-midpoint", 0.01)).qs
+        exact = reference_gyro(gyro_log).qs
         calls = []
         for name in ("_sum_squares", "_dets", "_orth_defects"):
             kernel = getattr(diagnostics, name)
             monkeypatch.setattr(diagnostics, name,
-                                lambda qs, k=kernel, n=name: calls.append(n) or k(qs))
+                                lambda qs, k=kernel, n=name: calls.append((n, qs)) or k(qs))
         assert main(["gyro", "--input", str(log), "--method", "cayley-midpoint",
                      "--h", "0.01", "--out", str(tmp_path / "att.csv"), "--reference"]) == 0
-        assert sorted(calls) == ["_dets", "_orth_defects", "_sum_squares"]
-        meters = {"energies", "energy_errors", "orth_defects", "det_drifts"}
-        assert not meters & set(vars(refs[0]))
+        assert sorted(name for name, _ in calls) == ["_dets", "_orth_defects", "_sum_squares"]
+        # every kernel read the integrated states, none the reference's
+        assert not np.array_equal(integrated, exact)
+        assert all(np.array_equal(qs, integrated) for _, qs in calls)
 
     def test_zero_log_holds_attitude(self, tmp_path):
         log = tmp_path / "gyro.csv"
@@ -664,6 +724,172 @@ class TestGyroCommand:
                    "--h", "0.1", "--out", str(tmp_path / "att.csv")])
         assert rc == 2
         assert "line 3" in capsys.readouterr().err
+
+
+def clean_log(samples, seed=0):
+    """A clean gyro log: the header, then ``samples`` lines of four numbers."""
+    rng = np.random.default_rng(seed)
+    times = np.cumsum(rng.uniform(0.5, 1.5, samples)) * 0.01
+    rates = rng.uniform(-2.0, 2.0, (samples, 3))
+    return GYRO_HEADER + "\n" + "".join(
+        f"{t!r},{x!r},{y!r},{z!r}\n" for t, (x, y, z) in zip(times.tolist(), rates.tolist()))
+
+
+def replace_line(text, lineno, new):
+    """``text`` with its 1-based line ``lineno`` (or the last) replaced by ``new``."""
+    lines = text.split("\n")
+    lines[min(lineno, len(lines) - 1) - 1] = new
+    return "\n".join(lines)
+
+
+def read_edge(text):
+    # the 1-based line that starts the second read of a streamed log
+    body = text.index("\n") + 1
+    return text.count("\n", 0, text.rfind("\n", body, body + gyro._READ_SIZE)) + 2
+
+
+def repeat_time(text, lineno):
+    # line ``lineno`` takes the time of the line before it
+    lines = text.split("\n")
+    before, line = lines[lineno - 2], lines[lineno - 1]
+    return replace_line(text, lineno, before.split(",")[0] + line[line.index(","):])
+
+
+# each case edits a clean log of 2 * _BLOCK + 1 samples, whose first block
+# ends at line _BLOCK + 2; line numbers count the header
+GYRO_CASES = {
+    "clean": lambda text: text,
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "no-final-newline": lambda text: text[:-1],
+    "blank-line": lambda text: replace_line(text, 40, "\n" + text.split("\n")[39]),
+    "comment-line": lambda text: replace_line(text, 40, "# note\n" + text.split("\n")[39]),
+    "bad-line-after-the-first-block": lambda text: replace_line(text, 2 * _BLOCK + 2, "1,2,x,3"),
+    "time-repeated-across-a-block-edge": lambda text: repeat_time(text, _BLOCK + 3),
+    "time-repeated-across-a-read-edge": lambda text: repeat_time(text, read_edge(text)),
+    "form-feed": lambda text: replace_line(text, 7, text.split("\n")[6] + "\x0c"),
+    "overflowing": lambda text: replace_line(
+        text, _BLOCK + 9, text.split("\n")[_BLOCK + 8].split(",")[0] + ",1e200,0,1e200"),
+    "header-only": lambda text: GYRO_HEADER + "\n",
+    "leading-comment": lambda text: "# a log\n" + text,
+}
+GYRO_METHODS = ["cayley-midpoint", "rk2-closed", "gauss2"]
+
+
+def gyro_outcome(work, text, method, reference, capsys):
+    """Everything a ``gyro`` run leaves: exit code, stdout, stderr, and the
+    bytes of every file in ``work``, where the log is written first."""
+    work.mkdir()
+    (work / "in.csv").write_text(text, newline="")
+    old = os.getcwd()
+    os.chdir(work)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["gyro", "--input", "in.csv", "--method", method, "--h", "0.004",
+                         "--out", "att.csv"] + (["--reference"] if reference else []))
+    finally:
+        os.chdir(old)
+    out, err = capsys.readouterr()
+    files = {p.name: p.read_bytes() for p in sorted(work.iterdir())}
+    return code, out, err, [str(w.message) for w in caught], files
+
+
+def refuse_to_stream(args):
+    raise NotStreamable
+
+
+class TestStreamedGyro:
+    """``gyro`` streams a clean log a block at a time; every other log, and
+    every run the stream does not finish, takes the whole-log path.  Either
+    way a run leaves what the whole-log path alone leaves."""
+
+    def both(self, tmp_path, monkeypatch, capsys, text, method, reference):
+        streamed = gyro_outcome(tmp_path / "streamed", text, method, reference, capsys)
+        monkeypatch.setattr(cli, "_stream_gyro", refuse_to_stream)
+        whole = gyro_outcome(tmp_path / "whole", text, method, reference, capsys)
+        assert streamed == whole
+        return streamed
+
+    @pytest.mark.parametrize("reference", [False, True], ids=["plain", "reference"])
+    @pytest.mark.parametrize("method", GYRO_METHODS)
+    @pytest.mark.parametrize("samples", [1, 2, 3, _BLOCK, _BLOCK + 1, _BLOCK + 2,
+                                         2 * _BLOCK + 1, 3 * _BLOCK + 5])
+    def test_every_length_gives_the_whole_log_bytes(self, tmp_path, monkeypatch, capsys,
+                                                    samples, method, reference):
+        code = self.both(tmp_path, monkeypatch, capsys, clean_log(samples, samples), method,
+                         reference)[0]
+        assert code == (0 if samples > 1 else 2)
+
+    @pytest.mark.parametrize("reference", [False, True], ids=["plain", "reference"])
+    @pytest.mark.parametrize("method", GYRO_METHODS)
+    @pytest.mark.parametrize("case", sorted(GYRO_CASES))
+    def test_every_case_gives_the_whole_log_bytes(self, tmp_path, monkeypatch, capsys,
+                                                  case, method, reference):
+        text = GYRO_CASES[case](clean_log(2 * _BLOCK + 1, 5))
+        code, _, err, caught, files = self.both(tmp_path, monkeypatch, capsys, text, method,
+                                                reference)
+        assert caught == [] and "Traceback" not in err
+        if code != 0:
+            assert list(files) == ["in.csv"]
+
+    @pytest.mark.parametrize("samples", [2, _BLOCK + 1, 2 * _BLOCK + 7])
+    @pytest.mark.parametrize("case", ["clean", "crlf", "no-final-newline"])
+    def test_a_clean_log_never_takes_the_whole_log_path(self, tmp_path, monkeypatch, capsys,
+                                                        case, samples):
+        def whole(args):
+            raise AssertionError("the whole-log path ran")
+
+        monkeypatch.setattr(cli, "_whole_gyro", whole)
+        text = GYRO_CASES[case](clean_log(samples))
+        for method in GYRO_METHODS:
+            for reference in (False, True):
+                work = tmp_path / f"{method}-{reference}"
+                code, out, *_ = gyro_outcome(work, text, method, reference, capsys)
+                assert code == 0 and f"({samples} records)" in out
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("case", ["clean", "comment-line"])
+    def test_a_log_from_a_pipe_is_read_once(self, tmp_path, capsys, case):
+        # a pipe cannot be read twice, so it always takes the whole-log path
+        text = GYRO_CASES[case](clean_log(50))
+        want = gyro_outcome(tmp_path / "file", text, "gauss2", True, capsys)
+        work = tmp_path / "pipe"
+        work.mkdir()
+        os.mkfifo(work / "in.csv")
+        writer = threading.Thread(target=(work / "in.csv").write_text, args=(text,))
+        writer.start()
+        try:
+            code = main(["gyro", "--input", str(work / "in.csv"), "--method", "gauss2",
+                         "--h", "0.004", "--out", str(work / "att.csv"), "--reference"])
+        finally:
+            writer.join(timeout=10)
+        assert code == 0
+        assert (work / "att.csv").read_bytes() == want[4]["att.csv"]
+
+    @staticmethod
+    def temporaries(tmp_path, blocks):
+        """Peak traced bytes of a streamed ``gyro --reference`` run over a
+        log of ``blocks`` blocks, above what it holds at the start."""
+        log = tmp_path / f"{blocks}.csv"
+        log.write_text(clean_log(blocks * _BLOCK + 1))
+        argv = ["gyro", "--input", str(log), "--method", "cayley-midpoint", "--h", "0.01",
+                "--out", str(tmp_path / f"{blocks}-att.csv"), "--reference"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        return peak - start
+
+    def test_a_run_holds_one_block_however_long_the_log(self, tmp_path):
+        # a run that held the text, its lines or the state stacks of the
+        # whole log would hold about 30 MB more at 48 blocks than at 3
+        short = self.temporaries(tmp_path, 3)
+        long = self.temporaries(tmp_path, 48)
+        assert long - short <= 64 * 1024, (short, long)
 
 
 class TestLineRule:

@@ -148,6 +148,24 @@ class TestRecordsAndTrajectory:
         assert np.all(traj.orth_defects >= 0.0)
         assert traj.det_drifts.shape == (6,)
 
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_blocks_metered_against_the_origin_give_the_whole_columns(self, dim):
+        rng = np.random.default_rng(21 + dim)
+        n = STACK_ENTRIES + 50
+        qs = rng.standard_normal((n, dim, dim))
+        times = np.arange(n, dtype=float)
+        whole = Trajectory("x", 0.1, times, qs)
+        columns = ("energies", "energy_errors", "orth_defects", "det_drifts")
+        cuts = [0, 1, 700, STACK_ENTRIES + 3, n]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            block = Trajectory("x", 0.1, times[a:b], qs[a:b], origin=None if a == 0 else qs[0])
+            for name in columns:
+                assert_array_equal(getattr(block, name), getattr(whole, name)[a:b])
+
+    def test_an_origin_must_be_one_state(self):
+        with pytest.raises(ValueError, match="origin must have shape"):
+            Trajectory("x", 0.1, [0.0], np.eye(3)[None], origin=np.eye(2))
+
     def test_meter_columns_are_cached_and_cannot_be_replaced(self):
         qs = np.stack([np.eye(3), 2.0 * np.eye(3)])
         traj = Trajectory("x", 0.1, [0.0, 1.0], qs)

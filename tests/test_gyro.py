@@ -1,4 +1,6 @@
+import io
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +25,9 @@ from skewflow import (
     reference_gyro,
 )
 from skewflow import gyro
-from skewflow.gyro import GYRO_HEADER, _BLOCK, _loadtxt_log, _parse_lines
+from skewflow.gyro import (
+    GYRO_HEADER, _BLOCK, NotStreamable, _blocks, _loadtxt_log, _parse_lines, read_rows,
+)
 
 CONSTANT_LOG = "t,wx,wy,wz\n0,0,0,1\n1,0,0,1\n"
 
@@ -91,6 +95,7 @@ TOKENS = list("0123456789,.+-eE_# \t") + ["nan", "inf", "\u0661", "\x1f"] + LINE
 JUNK = st.lists(st.sampled_from(TOKENS), max_size=6).map("".join)
 PADDING = st.one_of(st.text(alphabet=" \t\x1f", max_size=2), JUNK)
 NUMBERS = st.one_of(st.floats(width=64).map(repr), st.integers(-10**20, 10**20).map(str))
+FINITE = st.floats(allow_nan=False, allow_infinity=False).map(repr)
 
 
 @st.composite
@@ -161,6 +166,82 @@ class TestParsePaths:
         with pytest.raises(GyroLogError) as info:
             parse_gyro_csv(text)
         assert info.value.line == line
+
+
+@st.composite
+def stream_texts(draw):
+    """Logs of up to 12 samples, most of them clean: a time may repeat or
+    fall, and blank or ``#`` lines and other line breaks may come anywhere."""
+    lines, t = [GYRO_HEADER], 0.0
+    for _ in range(draw(st.integers(0, 12))):
+        t += draw(st.sampled_from([0.5] * 12 + [0.25, 0.0, -0.5]))
+        rates = st.lists(st.one_of(FINITE, NUMBERS), min_size=3, max_size=3)
+        lines.append(",".join([repr(t)] + draw(rates)))
+        if draw(st.integers(0, 11)) == 0:
+            lines.append(draw(st.sampled_from(["", "# c", "#", " ", "\t"])))
+    breaks = draw(st.lists(st.sampled_from(["\n"] * 12 + ["\r\n", "\r", "\x0c", "\x85"]),
+                           min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + b for line, b in zip(lines, breaks))
+    return text if draw(st.booleans()) else text[: -len(breaks[-1])]
+
+
+def read_as_a_file(text):
+    # a log read as the CLI opens it, with every line end translated to \n
+    return io.StringIO(text, newline=None)
+
+
+class TestStreamedReader:
+    """The block reader against :func:`parse_gyro_csv`, with its reads and
+    its blocks cut small, so that their edges fall anywhere: inside a run
+    of comments, right after the header, between two times that fail to
+    increase."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(stream_texts(), gyro_texts()), st.integers(1, 48))
+    @example("t,wx,wy,wz\n0,0,0,1\n0,0,0,1\n", 11)
+    @example("t,wx,wy,wz\n0,0,0,1\n# c\n# c\n1,0,0,1\n", 9)
+    @example("t,wx,wy,wz\n0,0,0,1\x0c\n1,0,0,1\n", 8)
+    @example("t,wx,wy,wz\n", 1)
+    def test_the_reader_gives_the_log_bit_for_bit_or_refuses(self, text, size):
+        try:
+            with mock.patch.object(gyro, "_READ_SIZE", size):
+                tables = list(read_rows(read_as_a_file(text)))
+        except NotStreamable:
+            return
+        whole = read_as_a_file(text).read()
+        if not tables:
+            with pytest.raises(GyroLogError, match="no samples"):
+                parse_gyro_csv(whole)
+            return
+        rows = np.concatenate(tables)
+        log = parse_gyro_csv(whole)
+        assert rows[:, 0].tobytes() == log.times.tobytes()
+        assert rows[:, 1:].tobytes() == log.rates.tobytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.integers(1, 9), max_size=8), st.integers(1, 5))
+    def test_blocks_cut_the_samples_where_the_march_does(self, sizes, block):
+        rows = np.arange(4.0 * sum(sizes)).reshape(-1, 4)
+        tables = np.split(rows, np.cumsum(sizes)[:-1]) if sizes else []
+        with mock.patch.object(gyro, "_BLOCK", block):
+            blocks = list(_blocks(tables))
+        # blocks of block + 1 samples, the last shorter, each after the
+        # first starting at the sample that ends the one before
+        if len(rows) < 2:
+            assert blocks == []
+            return
+        for k, (times, rates) in enumerate(blocks):
+            start, stop = k * block, min((k + 1) * block, len(rows) - 1)
+            assert_array_equal(times, rows[start : stop + 1, 0])
+            assert_array_equal(rates, rows[start : stop + 1, 1:])
+        assert stop == len(rows) - 1
+
+    def test_a_clean_log_is_streamed_whatever_the_read_size(self):
+        text = "t,wx,wy,wz\r\n" + "".join(f"{0.5 * i},0,{i},1\r\n" for i in range(40))
+        for size in (1, 2, 7, 64, 10**6):
+            with mock.patch.object(gyro, "_READ_SIZE", size):
+                rows = np.concatenate(list(read_rows(read_as_a_file(text))))
+            assert_array_equal(rows[:, 0], 0.5 * np.arange(40))
 
 
 class TestGyroLog:
