@@ -9,16 +9,18 @@ benchmark       long-run energy-conservation comparison (implicit midpoint
 gyro            integrate a gyro CSV log, optionally against the exact flow
 
 Exit codes: 0 success, 1 usage, 2 input validation or a run that does not
-fit in memory, 3 numerical failure.  Every output file is written
-atomically and accompanied by a flat ``key=value`` manifest so runs can be
-reproduced byte for byte at the BLAS thread count it records.
+fit in memory, 3 numerical failure.  A run's output files are renamed
+into place together, after all of them are written, so a run that stops on
+an error leaves none; with them goes a flat ``key=value`` manifest so runs
+can be reproduced byte for byte at the BLAS thread count it records.
 """
 
 import argparse
+import contextlib
+import errno
 import functools
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -65,28 +67,54 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _atomic_write(path, parts):
-    """Write the strings of ``parts`` to ``path`` as each comes, atomically."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".skewflow-")
-    try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            for part in parts:
-                fh.write(part)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+@contextlib.contextmanager
+def _outputs():
+    """The output files of one run, renamed into place together.
+
+    Yields ``write(path, parts)``, which writes the strings of ``parts`` as
+    each comes to a fresh file beside ``path``, created with mode 0o666 so
+    that the umask applies as it does for ``open``.  Every file is renamed
+    into place when the block ends, after all of them are written; a block
+    that raises unlinks them instead, so a run that stops on an error
+    leaves none of its outputs.
+    """
+    staged = []  # (temporary name, path) of each file written whole
+
+    def write(path, parts):
+        directory = os.path.dirname(os.path.abspath(path))
+        tmp = os.path.join(directory, f".skewflow-{os.urandom(8).hex()}")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except OSError as exc:
+            # name the path asked for, not the temporary file beside it
+            raise OSError(exc.errno, exc.strerror, path) from None
+        try:
+            with os.fdopen(fd, "w", newline="\n") as fh:
+                for part in parts:
+                    fh.write(part)
+        except BaseException:
             os.unlink(tmp)
-        raise
+            raise
+        staged.append((tmp, path))
+
+    try:
+        yield write
+        # a rename onto a directory fails, and one made cannot be undone:
+        # refuse before any file is in place
+        for _, path in staged:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        while staged:
+            os.replace(*staged[0])
+            del staged[0]
+    finally:
+        for tmp, _ in staged:
+            os.unlink(tmp)
 
 
-def _write_manifest(path, entries):
-    lines = [f"{key}={value}" for key, value in entries.items()]
-    _atomic_write(path, ["\n".join(lines) + "\n"])
-
-
-def _manifest_entries(subcommand, method="-", step=None, t_end=None, inputs="-", outputs="-"):
-    return {
+def _manifest(subcommand, method="-", step=None, t_end=None, inputs="-", outputs="-"):
+    """The text of a run's manifest, one ``key=value`` line an entry."""
+    entries = {
         "subcommand": subcommand,
         "method": method,
         "step": fmt17(step) if step is not None else "-",
@@ -100,6 +128,7 @@ def _manifest_entries(subcommand, method="-", step=None, t_end=None, inputs="-",
         "numpy": np.__version__,
         "blas_threads": ",".join(f"{name}:{os.environ.get(name, '-')}" for name in _BLAS_THREADS),
     }
+    return ["".join(f"{key}={value}\n" for key, value in entries.items())]
 
 
 def _trajectory_csv(traj, ref=None):
@@ -216,22 +245,20 @@ def cmd_propagate(args):
     config = IntegratorConfig(method=method, step=args.h)
     traj = propagate(config, s, q0, args.t_end, record_every=args.record_every)
 
-    _atomic_write(args.out, _trajectory_csv(traj))
-    outputs = args.out
-    if args.dump_q is not None:
-        _atomic_write(args.dump_q, _dump_q_text(traj))
-        outputs += "," + args.dump_q
-    _write_manifest(
-        args.out + ".manifest",
-        _manifest_entries(
+    with _outputs() as write:
+        write(args.out, _trajectory_csv(traj))
+        outputs = args.out
+        if args.dump_q is not None:
+            write(args.dump_q, _dump_q_text(traj))
+            outputs += "," + args.dump_q
+        write(args.out + ".manifest", _manifest(
             "propagate",
             method=traj.method,
             step=args.h,
             t_end=args.t_end,
             inputs=source,
             outputs=outputs,
-        ),
-    )
+        ))
     print(f"wrote {args.out} ({len(traj)} records)")
     return EXIT_OK
 
@@ -241,80 +268,77 @@ def cmd_benchmark(args):
     s = hat(np.array(BENCH_OMEGA))
     q0 = OrthogonalState(np.eye(3), 0.0)
 
-    results = {}
-    for label, filename in (("cayley-midpoint", "midpoint.csv"), ("rk2-closed", "rk2.csv")):
-        config = IntegratorConfig(method=label, step=BENCH_STEP)
-        traj = propagate(config, s, q0, BENCH_T_END, record_every=1)
-        _atomic_write(os.path.join(args.out, filename), _trajectory_csv(traj))
-        results[label] = traj
+    with _outputs() as write:
+        results = {}
+        for label, filename in (("cayley-midpoint", "midpoint.csv"), ("rk2-closed", "rk2.csv")):
+            config = IntegratorConfig(method=label, step=BENCH_STEP)
+            traj = propagate(config, s, q0, BENCH_T_END, record_every=1)
+            write(os.path.join(args.out, filename), _trajectory_csv(traj))
+            results[label] = traj
 
-    midpoint = results["cayley-midpoint"]
-    rk2 = results["rk2-closed"]
-    theta_sq = float(np.dot(BENCH_OMEGA, BENCH_OMEGA))
-    n_steps = len(rk2) - 1
-    forecast = rk2_energy_forecast(theta_sq, BENCH_STEP, n_steps, m=3)
+        midpoint = results["cayley-midpoint"]
+        rk2 = results["rk2-closed"]
+        theta_sq = float(np.dot(BENCH_OMEGA, BENCH_OMEGA))
+        n_steps = len(rk2) - 1
+        forecast = rk2_energy_forecast(theta_sq, BENCH_STEP, n_steps, m=3)
 
-    mid_energy = float(np.max(np.abs(midpoint.energy_errors)))
-    mid_orth = float(np.max(midpoint.orth_defects))
-    rk2_monotone = bool(np.all(np.diff(rk2.energy_errors) >= 0))
-    rk2_final = float(rk2.energies[-1])
-    rk2_rel = abs(rk2_final - forecast) / forecast
+        mid_energy = float(np.max(np.abs(midpoint.energy_errors)))
+        mid_orth = float(np.max(midpoint.orth_defects))
+        rk2_monotone = bool(np.all(np.diff(rk2.energy_errors) >= 0))
+        rk2_final = float(rk2.energies[-1])
+        rk2_rel = abs(rk2_final - forecast) / forecast
 
-    checks = [
-        ("midpoint-energy-bound(1e-8)", mid_energy <= 1e-8),
-        ("midpoint-orthogonality-bound(1e-9)", mid_orth <= 1e-9),
-        ("rk2-energy-monotone", rk2_monotone),
-        ("rk2-final-vs-forecast(0.5%)", rk2_rel <= 5e-3),
-    ]
-    lines = [
-        f"steps={n_steps}",
-        f"midpoint.max_abs_energy_err={fmt17(mid_energy)}",
-        f"midpoint.max_orth_defect={fmt17(mid_orth)}",
-        f"rk2.max_abs_energy_err={fmt17(float(np.max(np.abs(rk2.energy_errors))))}",
-        f"rk2.final_energy={fmt17(rk2_final)}",
-        f"rk2.forecast_energy={fmt17(forecast)}",
-        f"rk2.forecast_rel_dev={fmt17(rk2_rel)}",
-    ]
-    lines += [f"check.{name}={'PASS' if ok else 'FAIL'}" for name, ok in checks]
-    summary = "\n".join(lines) + "\n"
-    _atomic_write(os.path.join(args.out, "summary.txt"), [summary])
-    _write_manifest(
-        os.path.join(args.out, "manifest.txt"),
-        _manifest_entries(
+        checks = [
+            ("midpoint-energy-bound(1e-8)", mid_energy <= 1e-8),
+            ("midpoint-orthogonality-bound(1e-9)", mid_orth <= 1e-9),
+            ("rk2-energy-monotone", rk2_monotone),
+            ("rk2-final-vs-forecast(0.5%)", rk2_rel <= 5e-3),
+        ]
+        lines = [
+            f"steps={n_steps}",
+            f"midpoint.max_abs_energy_err={fmt17(mid_energy)}",
+            f"midpoint.max_orth_defect={fmt17(mid_orth)}",
+            f"rk2.max_abs_energy_err={fmt17(float(np.max(np.abs(rk2.energy_errors))))}",
+            f"rk2.final_energy={fmt17(rk2_final)}",
+            f"rk2.forecast_energy={fmt17(forecast)}",
+            f"rk2.forecast_rel_dev={fmt17(rk2_rel)}",
+        ]
+        lines += [f"check.{name}={'PASS' if ok else 'FAIL'}" for name, ok in checks]
+        summary = "\n".join(lines) + "\n"
+        # a run whose checks FAIL still writes every file, and exits 3
+        write(os.path.join(args.out, "summary.txt"), [summary])
+        write(os.path.join(args.out, "manifest.txt"), _manifest(
             "benchmark",
             method="cayley-midpoint,rk2-closed",
             step=BENCH_STEP,
             t_end=BENCH_T_END,
             outputs="midpoint.csv,rk2.csv,summary.txt",
-        ),
-    )
+        ))
     sys.stdout.write(summary)
     return EXIT_OK if all(ok for _, ok in checks) else EXIT_NUMERIC
 
 
 def cmd_gyro(args):
-    try:
-        records, t_end, label = _stream_gyro(args)
-    except (gyro.NotStreamable,) + _NUMERIC_ERRORS + _INPUT_ERRORS:
-        # the whole-log path decides every log the stream leaves, and
-        # reports every error in the order it meets them
-        records, t_end, label = _whole_gyro(args)
-    _write_manifest(
-        args.out + ".manifest",
-        _manifest_entries(
+    with _outputs() as write:
+        try:
+            records, t_end, label = _stream_gyro(args, write)
+        except (gyro.NotStreamable,) + _NUMERIC_ERRORS + _INPUT_ERRORS:
+            # the whole-log path decides every log the stream leaves, and
+            # reports every error in the order it meets them
+            records, t_end, label = _whole_gyro(args, write)
+        write(args.out + ".manifest", _manifest(
             "gyro",
             method=label,
             step=args.h,
             t_end=t_end,
             inputs=args.input,
             outputs=args.out,
-        ),
-    )
+        ))
     print(f"wrote {args.out} ({records} records)")
     return EXIT_OK
 
 
-def _stream_gyro(args):
+def _stream_gyro(args, write):
     """``gyro`` a block at a time: the records, last time and method label
     of the run, or :class:`~skewflow.gyro.NotStreamable` or an error for
     :func:`_whole_gyro` to decide."""
@@ -331,11 +355,11 @@ def _stream_gyro(args):
 
     with open(args.input) as fh:
         blocks = gyro.stream_gyro(fh, config, args.reference)
-        _atomic_write(args.out, _csv_text(counted(blocks), args.reference))
+        write(args.out, _csv_text(counted(blocks), args.reference))
     return run[0], float(run[1].times[-1]), run[1].method
 
 
-def _whole_gyro(args):
+def _whole_gyro(args, write):
     """``gyro`` on the whole log: the reference, and the only source of errors."""
     with open(args.input) as fh:
         log = gyro.parse_gyro_csv(fh.read())
@@ -343,7 +367,7 @@ def _whole_gyro(args):
     config = IntegratorConfig(method=method, step=args.h)
     traj = propagate_gyro(log, config)
     ref = reference_gyro(log) if args.reference else None
-    _atomic_write(args.out, _trajectory_csv(traj, ref=ref))
+    write(args.out, _trajectory_csv(traj, ref=ref))
     return len(traj), float(log.times[-1]), traj.method
 
 

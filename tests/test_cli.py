@@ -491,7 +491,8 @@ class TestRecordBudget:
         out = tmp_path / "big.csv"
         tracemalloc.start()
         try:
-            cli._atomic_write(str(out), cli._trajectory_csv(traj))
+            with cli._outputs() as write:
+                write(str(out), cli._trajectory_csv(traj))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -794,7 +795,7 @@ def gyro_outcome(work, text, method, reference, capsys):
     return code, out, err, [str(w.message) for w in caught], files
 
 
-def refuse_to_stream(args):
+def refuse_to_stream(*args):
     raise NotStreamable
 
 
@@ -836,7 +837,7 @@ class TestStreamedGyro:
     @pytest.mark.parametrize("case", ["clean", "crlf", "no-final-newline"])
     def test_a_clean_log_never_takes_the_whole_log_path(self, tmp_path, monkeypatch, capsys,
                                                         case, samples):
-        def whole(args):
+        def whole(*args):
             raise AssertionError("the whole-log path ran")
 
         monkeypatch.setattr(cli, "_whole_gyro", whole)
@@ -1165,11 +1166,135 @@ class TestAtomicWrite:
         target = tmp_path / "t.csv"
         if old is not None:
             target.write_text(old)
-        with pytest.raises(RuntimeError, match="disk full"):
-            cli._atomic_write(str(target), parts())
+        with pytest.raises(RuntimeError, match="disk full"), cli._outputs() as write:
+            write(str(target), parts())
         assert list(tmp_path.iterdir()) == ([] if old is None else [target])
         if old is not None:
             assert target.read_text() == old
+
+
+def _second_call_out_of_memory(monkeypatch, name):
+    """Make the second call of ``cli.<name>`` run out of memory."""
+    original, calls = getattr(cli, name), []
+
+    def failing(*args, **kwargs):
+        calls.append(name)
+        if len(calls) == 2:
+            raise MemoryError
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, failing)
+
+
+class TestRunOutputs:
+    """A run renames its files into place only after all are written."""
+
+    PROPAGATE = ["propagate", "--method", "cayley-midpoint", "--omega", "0,0,1", "--h", "0.1",
+                 "--t-end", "1", "--out", "traj.csv"]
+
+    def run(self, work, monkeypatch, capsys, argv):
+        monkeypatch.chdir(work)
+        code = main(argv)
+        return code, capsys.readouterr().err, sorted(os.listdir(work))
+
+    def test_a_dump_that_cannot_be_written_leaves_no_csv(self, tmp_path, monkeypatch, capsys):
+        argv = self.PROPAGATE + ["--dump-q", "missing/q.txt"]
+        first = self.run(tmp_path, monkeypatch, capsys, argv)
+        # the error names the path asked for, so stderr is the same every run
+        assert first == (2, "skewflow: [Errno 2] No such file or directory: "
+                            "'missing/q.txt'\n", [])
+        assert self.run(tmp_path, monkeypatch, capsys, argv) == first
+
+    def test_a_manifest_path_that_is_a_directory_leaves_no_csv(self, tmp_path, monkeypatch,
+                                                                capsys):
+        (tmp_path / "traj.csv.manifest").mkdir()
+        code, err, left = self.run(tmp_path, monkeypatch, capsys, self.PROPAGATE)
+        assert (code, left) == (2, ["traj.csv.manifest"])
+        assert err == "skewflow: [Errno 21] Is a directory: 'traj.csv.manifest'\n"
+
+    def test_a_benchmark_that_stops_at_rk2_leaves_no_midpoint_csv(self, tmp_path,
+                                                                   monkeypatch, capsys):
+        _second_call_out_of_memory(monkeypatch, "propagate")
+        code, err, left = self.run(tmp_path, monkeypatch, capsys, ["benchmark", "--out", "b"])
+        assert (code, err) == (2, "skewflow: out of memory\n")
+        assert left == ["b"] and os.listdir(tmp_path / "b") == []
+
+    def test_a_gyro_run_that_stops_at_its_manifest_leaves_no_csv(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        (tmp_path / "log.csv").write_text(GYRO_LOG)
+        # the first call was the stream's, refused here so that the
+        # whole-log path writes the CSV too, and fails after it
+        monkeypatch.setattr(gyro, "stream_gyro", mock.Mock(side_effect=NotStreamable))
+        monkeypatch.setattr(cli, "_manifest", mock.Mock(side_effect=MemoryError))
+        argv = ["gyro", "--input", "log.csv", "--method", "gauss2", "--h", "0.02",
+                "--out", "att.csv"]
+        assert self.run(tmp_path, monkeypatch, capsys, argv) == (
+            2, "skewflow: out of memory\n", ["log.csv"])
+
+    def test_a_benchmark_whose_checks_fail_writes_every_file(self, tmp_path, monkeypatch,
+                                                             capsys):
+        monkeypatch.setattr(cli, "rk2_energy_forecast", lambda *args, **kwargs: 1.0)
+        assert main(["benchmark", "--out", str(tmp_path)]) == 3
+        assert "check.rk2-final-vs-forecast(0.5%)=FAIL" in capsys.readouterr().out
+        assert sorted(os.listdir(tmp_path)) == ["manifest.txt", "midpoint.csv", "rk2.csv",
+                                                "summary.txt"]
+
+
+# a child that sets its umask, then runs each subcommand that writes files
+UMASK_CHILD = """
+import os, sys
+from skewflow.cli import main
+os.umask(int(sys.argv[1], 8))
+log = "log.csv"
+with open(log, "w") as fh:
+    fh.write(sys.argv[2])
+for argv in (["propagate", "--method", "gauss2", "--omega", "0,0,1", "--h", "0.1",
+              "--t-end", "1", "--out", "p.csv", "--dump-q", "q.txt"],
+             ["gyro", "--input", log, "--method", "rk2-closed", "--h", "0.02", "--out", "g.csv"],
+             ["benchmark", "--out", "."]):
+    assert main(argv) == 0, argv
+os.remove(log)
+"""
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_output_modes_follow_the_umask(tmp_path, umask):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    child = subprocess.run([sys.executable, "-c", UMASK_CHILD, oct(umask), GYRO_LOG],
+                           cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(
+        ["p.csv", "q.txt", "p.csv.manifest", "g.csv", "g.csv.manifest", "midpoint.csv",
+         "rk2.csv", "summary.txt", "manifest.txt"], 0o666 & ~umask)
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two BLAS threads need two cores")
+def test_a_40x40_dump_is_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    # the benchmark's implicit-d40 size; at d = 120 LAPACK rounds differently
+    # under two threads, which README states and no test asserts
+    s_file = tmp_path / "s.txt"
+    s = random_skew(np.random.default_rng(40), 40, norm=2.0)
+    s_file.write_text("\n".join(" ".join(map(repr, row)) for row in s.tolist()))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        out = tmp_path / threads
+        out.mkdir()
+        child = subprocess.run(
+            [sys.executable, "-m", "skewflow.cli", "propagate", "--method", "gauss2",
+             "--s-file", str(s_file), "--h", "0.1", "--t-end", "200", "--record-every", "100",
+             "--out", str(out / "t.csv"), "--dump-q", str(out / "q.txt")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        manifest = (out / "t.csv.manifest").read_text().splitlines()
+        assert manifest[-1] == "blas_threads=" + ",".join(
+            f"{name}:{threads}" for name in cli._BLAS_THREADS)
+        outputs[threads] = (out / "t.csv").read_bytes(), (out / "q.txt").read_bytes()
+    assert outputs["1"] == outputs["2"]
 
 
 class TestTopLevel:

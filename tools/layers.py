@@ -1,0 +1,87 @@
+"""Per-layer numbers of skewflow, one JSON object of seeded rows: value, unit and input.
+A time is the median of 25 calls after a warm-up call, and gates nothing.  Run from the
+root as ``PYTHONPATH=src python tools/layers.py``; PYTHONPATH at another src/ measures it."""
+
+import contextlib
+import io
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+import skewflow.cli as cli
+from skewflow import BUILTIN_NAMES, Trajectory, builtin
+from skewflow._fmt17 import format_rows
+from skewflow.integrators import one_step_map
+from skewflow.linalg import checked_inverse
+
+rows = {}
+
+
+def row(name, value, unit, on):
+    rows[name] = {"value": round(value, 3), "unit": unit, "input": on}
+
+
+def timed(name, call, scale, unit, on, fresh=lambda: None):
+    """Row ``name``: the median of 25 calls of ``call(fresh())`` after a warm-up, times
+    ``scale``.  Returns the warm-up's seconds; a call returning False stops the script."""
+    times = []
+    for _ in range(26):
+        arg = fresh()
+        start = time.perf_counter()
+        if call(arg) is False:
+            sys.exit(f"{name} failed")
+        times.append(time.perf_counter() - start)
+    row(name, np.median(times[1:]) * scale, unit, on)
+    return times[0]
+
+
+def skew(seed, *shape):
+    a = np.random.default_rng(seed).standard_normal(shape)
+    return a - np.swapaxes(a, -1, -2)
+
+
+with tempfile.TemporaryDirectory() as work:
+    # no bytecode is read from the empty prefix or written, so each module is
+    # compiled afresh, as the benchmark's setup_s pays it where none is kept
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=work)
+    err = subprocess.run([sys.executable, "-X", "importtime", "-c", "import skewflow.cli"],
+                         env=env, capture_output=True, text=True, check=True).stderr
+    for us, module in re.findall(r"import time:\s+(\d+) \|\s+\d+ \|\s+(skewflow\S*)", err):
+        row(f"import.{module}", int(us), "us", "self time in a fresh import of skewflow.cli")
+    argv = ["propagate", "--method", "gauss2", "--omega", "0,0,1", "--h", "0.1",
+            "--t-end", "1", "--out", os.path.join(work, "t.csv")]
+    on = "3x3 gauss2 propagate of 10 steps"
+    with contextlib.redirect_stdout(io.StringIO()):  # the process's first main call
+        row("cli.main.first", timed("cli.main", lambda _: cli.main(argv) == 0, 1e3, "ms", on)
+            * 1e3, "ms", on)
+    np.savetxt(os.path.join(work, "s.txt"), skew(0, 40, 40), fmt="%.17g")
+    timed("_load_matrix_file", lambda _: cli._load_matrix_file(os.path.join(work, "s.txt")),
+          1e9 / 1600, "ns a number", "seeded 40x40 skew file")
+row("src.lines", sum(p.read_bytes().count(b"\n") for p in Path(cli.__file__).parent.glob("*.py")),
+    "lines", "skewflow/*.py")
+rng = np.random.default_rng(0)
+table = rng.standard_normal((2048, 5)) * 10.0 ** rng.integers(-20, 21, (2048, 5))
+timed("format_rows", lambda _: format_rows(table, ","), 1e9 / table.size, "ns a number",
+      "seeded 2048x5 table, exponents -20 to 20")
+for d, n in ((3, 20001), (40, 201)):
+    qs = np.random.default_rng(0).standard_normal((n, d, d))
+    timed(f"meters.d{d}", lambda t: (t.orth_defects, t.det_drifts), 1e9 / n, "ns a record",
+          f"orth_defects + det_drifts of a fresh Trajectory of a seeded {n}x{d}x{d} stack",
+          lambda: Trajectory("x", 0.1, np.arange(n) * 0.1, qs))
+for tableau in map(builtin, BUILTIN_NAMES):
+    for m in (skew(3, 3, 3), skew(10, 10, 10), skew(40, 40, 40), skew(3, 2048, 3, 3)):
+        shape = "x".join(map(str, m.shape))
+        timed(f"one_step_map.{tableau.name}.{shape}", lambda _: one_step_map(tableau, m, 0.1),
+              1e6 * m.shape[-1] ** 2 / m.size, "us a map", f"seeded {shape} skew S, h = 0.1")
+system = np.eye(80) - np.kron(builtin("gauss2").a, 0.1 * skew(40, 40, 40))
+timed("checked_inverse.gauss2.d40", lambda _: checked_inverse(system), 1e6, "us",
+      "gauss2 stage system I - A kron hS of a seeded 40x40 skew S, h = 0.1")
+json.dump(dict(python=sys.version.split()[0], numpy=np.__version__, rows=rows), sys.stdout,
+          indent=1)
