@@ -4,7 +4,10 @@ Every method is an s-stage Runge-Kutta tableau; the labels
 ``cayley-midpoint`` and ``rk2-closed`` name the built-in ``midpoint`` and
 ``rk2-explicit`` tableaus.  Every method is linear in Q, so a step is
 ``Q -> phi(S, h) @ Q`` with the one-step map phi, the method's stability
-function at hS.
+function at hS, and :func:`one_step_map` builds the map of any number of
+steps at once: from Rodrigues' formula up to dimension 3, from one
+eigendecomposition of S above it, and, for an S that is not exactly
+antisymmetric, from the stage system and a matrix power.
 """
 
 from dataclasses import dataclass, replace
@@ -13,9 +16,9 @@ import numpy as np
 
 from .diagnostics import Trajectory
 from .linalg import (
-    InputError, SingularMatrixError, checked_inverse, scan, skew_function, stack_rows,
+    InputError, SingularMatrixError, checked_inverse, cis, scan, skew_function, stack_rows,
 )
-from .tableaus import ButcherTableau, builtin
+from .tableaus import ButcherTableau, builtin, symplecticity
 
 # each label and the built-in tableau it names
 _LABELS = {"cayley-midpoint": "midpoint", "rk2-closed": "rk2-explicit"}
@@ -71,23 +74,33 @@ def one_step_map(tableau, m, h, n=1, h_last=None):
 
     One step is ``Q -> phi(S, h) @ Q``, with phi the stability function
     ``R(z) = 1 + z b^T (I - z A)^-1 1`` at ``z = hS``; ``h`` may be negative
-    (for the adjoint), and ``h_last`` defaults to ``h``.  Two paths:
+    (for the adjoint), and ``h_last`` defaults to ``h``.  ``m`` may be a
+    ``(k, d, d)`` stack and ``h``, ``n``, ``h_last`` arrays; they broadcast
+    as numpy's arrays do, one map for each entry.  Three paths:
 
     - an exactly antisymmetric ``m`` of dimension at most 3 takes
       :func:`~skewflow.linalg.skew_function` with the n-step map's value
       ``w = R(iy)^(n-1) R(iy h_last / h)`` at each eigenvalue ``iy`` of
-      hS.  ``m`` may be a ``(k, d, d)`` stack and ``h``, ``n``, ``h_last``
-      ``(k,)`` arrays, each map bit for bit its own call's;
-    - any other ``m`` builds phi for a scalar h, and again for each
-      ``h_last`` that differs, then takes ``np.linalg.matrix_power``;
-      ``n`` and ``h_last`` may be arrays, for a stack of maps.
+      hS, each map of a stack bit for bit its own call's;
+    - any other exactly antisymmetric ``m`` takes one
+      :func:`~skewflow.linalg.skew_function` call, one eigendecomposition
+      of each S for all its maps: R is evaluated once at ``h lam`` for
+      each distinct h and eigenvalue ``i lam`` of S, and ``h`` enters only
+      there, so a huge h cannot overflow the decomposition.  ``w`` is
+      ``R(ih lam)^(n-1) R(ih_last lam)``, or, when ``tableau`` is
+      symplectic, the unit-modulus ``exp(i((n-1) arg R(ih lam) + arg
+      R(ih_last lam)))``: its maps stay orthogonal to rounding at any n;
+    - an ``m`` that is not exactly antisymmetric builds phi of each
+      matrix at each distinct step, by Horner's rule or the Kronecker
+      stage inverse, and takes ``np.linalg.matrix_power``.
 
     R is Horner's rule for explicit tableaus; otherwise it takes a guarded
     inverse, and :class:`StageSolveError` when that is singular.
     """
     h_last = h if h_last is None else h_last
+    skew = np.array_equal(m, -np.swapaxes(m, -1, -2))
     try:
-        if m.shape[-1] <= 3 and np.array_equal(m, -np.swapaxes(m, -1, -2)):
+        if skew and m.shape[-1] <= 3:
             h = np.asarray(h, dtype=float)
             ratio = np.asarray(h_last, dtype=float) / h
             shape = np.broadcast_shapes(m.shape[:-2], h.shape, np.shape(n), ratio.shape)
@@ -99,13 +112,47 @@ def one_step_map(tableau, m, h, n=1, h_last=None):
 
             x = np.broadcast_to(h[..., None, None] * m, shape + m.shape[-2:])
             return skew_function(x, w)
-        first = _step_map(tableau, m, h)
-        n, h_last = np.broadcast_arrays(n, h_last)
-        maps = [(first if hl == h else _step_map(tableau, m, hl))
-                @ np.linalg.matrix_power(first, int(k) - 1) for k, hl in zip(n.flat, h_last.flat)]
+        shape, n, steps, first, last = _distinct_steps(m, h, n, h_last)
+        if skew:
+            unit = symplecticity(tableau).symplectic
+
+            def w(y):
+                y = y.reshape(-1, y.shape[-1])
+                r = _stability(tableau, 1j * np.concatenate([step * y[i] for i, step in steps]))
+                r = r.reshape(len(steps), -1)
+                k = (n - 1)[:, None]
+                if unit:
+                    # as r ** 0 is 1, a single step ignores R at h, even a nan
+                    v = cis(np.where(k > 0, k * np.angle(r[first]), 0.0) + np.angle(r[last]))
+                else:
+                    v = r[first] ** k * r[last]
+                return v.reshape(shape + y.shape[-1:])
+
+            return skew_function(m, w)
+        stack = m.reshape((-1,) + m.shape[-2:])
+        phis = [_step_map(tableau, stack[i], step) for i, step in steps]
+        maps = [phis[j] @ np.linalg.matrix_power(phis[i], k - 1)
+                for i, j, k in zip(first, last, n.tolist())]
     except SingularMatrixError as exc:
         raise StageSolveError(f"stage system is singular: {exc}") from exc
-    return np.reshape(maps, n.shape + m.shape)
+    return np.reshape(maps, shape + m.shape[-2:])
+
+
+def _distinct_steps(m, h, n, h_last):
+    """The plan of the maps ``one_step_map`` builds off the closed form.
+
+    Returns their broadcast shape, their flat step counts, the distinct
+    ``(matrix, step)`` pairs over the flat stack of ``m`` and the steps
+    ``h`` and ``h_last``, and, for each map, the index of its pair at h and
+    of its pair at h_last.
+    """
+    index = np.arange(np.prod(m.shape[:-2], dtype=int)).reshape(m.shape[:-2])
+    index, h, n, h_last = np.broadcast_arrays(index, h, n, h_last)
+    shape, index = index.shape, index.ravel().tolist()
+    steps = {}
+    first, last = ([steps.setdefault(pair, len(steps)) for pair in zip(index, x.ravel().tolist())]
+                   for x in (h, h_last))
+    return shape, n.ravel(), list(steps), first, last
 
 
 def _stability(tableau, z):
@@ -139,7 +186,7 @@ def _step_map(tableau, m, h):
     x = h * m
     if tableau.is_explicit:
         return _horner(tableau, x, eye, np.matmul)
-    s, d = tableau.stages, m.shape[0]
+    s, d = tableau.stages, m.shape[-1]
     inv = checked_inverse(np.eye(s * d) - np.kron(tableau.a, x))
     # phi = I + x (b^T kron I) Y, where Y = (I - A kron x)^-1 (1 kron I) is
     # the inverse summed over its s column blocks

@@ -266,13 +266,20 @@ def skew_function(x, w):
     ``th = 0`` gives I.  ``th^2`` is summed entry by entry and ``w`` is
     called once on a 1-d array, so each matrix of a stack rounds as it
     does alone.  Above dimension 3 the Hermitian ``i x`` has unitary
-    eigenvectors U and real eigenvalues lam, and f(x) is the real part of
-    ``U diag(w(-lam)) U^H``, for one x.
+    eigenvectors U and real eigenvalues lam, one decomposition for each x
+    of the stack, and f(x) is the real part of ``U diag(w(-lam)) U^H``,
+    the one real product ``[Re V, Im V] @ [Re U, Im U]^T`` with ``V = U
+    diag(w)``.  There ``w`` takes the ``(..., d)`` array of ``-lam`` and
+    may return more rows than the stack has matrices, any ``(..., d)``
+    shape the stack's shape broadcasts to: one f(x) for each row, so
+    several functions of one x share its decomposition.
     """
     d = x.shape[-1]
     if d > 3:
         lam, u = np.linalg.eigh(1j * x)
-        return ((u * w(-lam)) @ u.conj().T).real
+        v = u * w(-lam)[..., None, :]
+        parts = np.concatenate([u.real, u.imag], axis=-1)
+        return np.concatenate([v.real, v.imag], axis=-1) @ np.swapaxes(parts, -1, -2)
     th2 = sum((x[..., i, j] ** 2 for i in range(d) for j in range(i + 1, d)),
               np.zeros(x.shape[:-2])).reshape(-1)
     th = np.sqrt(th2)

@@ -11,12 +11,15 @@ checks of the whole object (squareness, skewness, orthogonality, the
 consistency of c) may carry none.
 """
 
+import itertools
 import os
 import random
 import warnings
 from pathlib import Path
 
-from skewflow import GyroLogError, InputError, TableauError, TableauParseError
+import numpy as np
+
+from skewflow import BUILTIN_NAMES, GyroLogError, InputError, TableauError, TableauParseError
 from skewflow.cli import _load_matrix_file, main
 from skewflow.gyro import parse_gyro_csv
 from skewflow.tableaus import parse_tableau
@@ -108,4 +111,44 @@ def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, monkeypatch, capsy
         if rc == 2 and reader is not None:
             check_line(reader, path, where)
     # the mutations reach past the readers: every exit code occurs
+    assert min(exits.values()) > 0, exits
+
+
+# the spectral maps above dimension 3: a seeded exactly skew 4x4 under every
+# built-in method and hostile steps, spans and strides, then a 6x6 scaled
+# to the ends of the float range
+STEPS = ["0.1", "1e-300", "5e-324", "1e200", "1e308", "-0.1"]
+SPANS = ["1", "1e18", "1e308", "5e-324"]
+STRIDES = ["1", "7", str(2**62)]
+SCALES = [1e300, 1e307, 1e-300]
+
+
+def spectral_runs():
+    rng = np.random.default_rng(SEED)
+    a = rng.standard_normal((4, 4))
+    for h, t_end, stride, method in itertools.product(STEPS, SPANS, STRIDES, BUILTIN_NAMES):
+        yield a - a.T, [method, "--h", h, "--t-end", t_end, "--record-every", stride]
+    a = rng.standard_normal((6, 6))
+    for scale, h, method in itertools.product(SCALES, ["0.1", "1e-3", "1e200"], BUILTIN_NAMES):
+        yield scale * (a - a.T), [method, "--h", h, "--t-end", "1"]
+
+
+def test_spectral_maps_keep_the_exit_code_contract(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    exits = {0: 0, 2: 0, 3: 0}
+    for s, args in spectral_runs():
+        np.savetxt("s.txt", s, fmt="%.17g")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["propagate", "--s-file", "s.txt", "--out", "out.csv", "--method"] + args)
+        err = capsys.readouterr().err
+        where = f"{s.shape} x {s.max():g}: {args}"
+        assert rc in exits, where
+        exits[rc] += 1
+        assert "Traceback" not in err, where
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], where
+        if rc != 0:
+            assert os.listdir() == ["s.txt"], where
+        for name in os.listdir():
+            os.remove(name)
     assert min(exits.values()) > 0, exits

@@ -251,6 +251,20 @@ class TestStackedMaps:
         for m, phi in zip(ms, one_step_map(method, ms, -0.25)):
             assert_array_equal(phi, one_step_map(method, m, -0.25))
 
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    @pytest.mark.parametrize("leak", [0.0, 1e-3], ids=["skew", "leaky"])
+    def test_stacks_above_dimension_3_equal_single_calls_bitwise(self, name, leak):
+        # an exactly skew stack shares one spectral call, a leaky one takes
+        # the general path matrix by matrix
+        rng = np.random.default_rng(11)
+        ms = np.array([random_skew(rng, 4, norm=x) + leak * np.eye(4) for x in (0.5, 2.0)])
+        method = builtin(name)
+        for h, n, h_last in ((0.1, 1, 0.1), (np.array([0.1, -0.3]), [3, 40], [0.05, 0.2])):
+            got = one_step_map(method, ms, h, n, h_last)
+            assert got.shape == ms.shape
+            for m, phi, args in zip(ms, got, np.broadcast(h, n, h_last)):
+                assert_array_equal(phi, one_step_map(method, m, *args))
+
     def test_zero_weight_tableau_keeps_the_stack_shape(self):
         tableau = ButcherTableau([[0.0]], [0.0], [0.0])
         ms = np.zeros((4, 3, 3))
@@ -336,12 +350,14 @@ class TestNStepMaps:
         assert np.max(np.abs(got - want)) <= n * np.finfo(float).eps
 
     def test_general_path_takes_the_same_powers(self):
-        # d = 4, and a near-skew 3 x 3: Horner's or the stage inverse, then
-        # matrix_power, agree with repeated steps
+        # a skew 4 x 4 (the spectral path), and a near-skew 3 x 3 and 4 x 4:
+        # Horner's or the stage inverse, then matrix_power, agree with
+        # repeated steps
         rng = np.random.default_rng(5)
         for method in (builtin("gauss2"), builtin("rk4-classical"),
                        IntegratorConfig("cayley-midpoint", 1.0).method):
-            for s in (random_skew(rng, 4, norm=2.0), BENCH_MAT + 1e-3 * np.eye(3)):
+            for s in (random_skew(rng, 4, norm=2.0), BENCH_MAT + 1e-3 * np.eye(3),
+                      random_skew(rng, 4) + 1e-3 * np.eye(4)):
                 phi, last = one_step_map(method, s, 0.1), one_step_map(method, s, 0.04)
                 want = last @ phi @ phi @ phi @ phi
                 got = one_step_map(method, s, 0.1, 5, 0.04)
@@ -349,6 +365,15 @@ class TestNStepMaps:
                 pair = one_step_map(method, s, 0.1, [5, 2], [0.04, 0.1])
                 assert_array_equal(pair[0], got)
                 assert np.max(np.abs(pair[1] - phi @ phi)) <= 1e-15
+
+    @pytest.mark.parametrize("name", ["gauss2", "midpoint"])
+    def test_maps_above_dimension_3_stay_orthogonal_at_any_step_count(self, name):
+        # one eigendecomposition and a unit-modulus value per eigenvalue: no
+        # product of n one-step maps rounds into the n-step map
+        s = random_skew(np.random.default_rng(40), 40, norm=1.0)
+        for n in (1, 10**4, 10**6, 2**30):
+            phi = one_step_map(builtin(name), s, 0.05, n)
+            assert np.linalg.norm(phi.T @ phi - np.eye(40)) <= 1e-13
 
     def test_rk2_gate_forecast_stays_the_closed_form(self, monkeypatch):
         # the benchmark gate checks the maps against 1 + 2 (1 + h^4 theta^4 / 4)^k,

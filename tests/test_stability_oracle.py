@@ -7,7 +7,10 @@ function at hS: ``phi = R(hS)`` with ``R(z) = 1 + z b^T (I - z A)^-1 1``.
 its own complex s x s solve.  The oracle shares no code with
 ``one_step_map``: no Kronecker stage system and no closed form.  Its own
 orthogonality defect grows with d (about 1e-14 at d = 40), so it judges the
-maps and does not replace them.
+maps and does not replace them.  Above d = 3 ``one_step_map`` takes the
+same eigendecomposition of ``i*S`` for an exactly skew S, so there this
+oracle is not independent of it: the per-step Kronecker oracle of
+``test_march_oracle.py`` (d = 10 and 40) is the independent check.
 """
 
 import numpy as np

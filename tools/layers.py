@@ -75,11 +75,33 @@ for d, n in ((3, 20001), (40, 201)):
     timed(f"meters.d{d}", lambda t: (t.orth_defects, t.det_drifts), 1e9 / n, "ns a record",
           f"orth_defects + det_drifts of a fresh Trajectory of a seeded {n}x{d}x{d} stack",
           lambda: Trajectory("x", 0.1, np.arange(n) * 0.1, qs))
+s40 = skew(40, 40, 40)
+s40 *= 2.0 / np.linalg.norm(s40, 2)  # the benchmark's norm: no explicit map overflows
 for tableau in map(builtin, BUILTIN_NAMES):
     for m in (skew(3, 3, 3), skew(10, 10, 10), skew(40, 40, 40), skew(3, 2048, 3, 3)):
         shape = "x".join(map(str, m.shape))
         timed(f"one_step_map.{tableau.name}.{shape}", lambda _: one_step_map(tableau, m, 0.1),
               1e6 * m.shape[-1] ** 2 / m.size, "us a map", f"seeded {shape} skew S, h = 0.1")
+    timed(f"one_step_map.{tableau.name}.40x40.run",
+          lambda _: one_step_map(tableau, s40, 0.1, [100, 2000], [0.1, 200 - 1999 * 0.1]), 1e6,
+          "us", "stride and end maps of a 40x40 propagate: seeded skew S of norm 2, h = 0.1, "
+          "n = [100, 2000]")
+# a child's ru_maxrss starts at the peak of the process that spawned it, so it
+# reads its own high-water mark; BLAS at one thread, as the benchmark runs it
+env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+rise = subprocess.run([sys.executable, "-c", """import re, numpy as np
+from skewflow import IntegratorConfig, OrthogonalState, SkewMatrix, builtin, propagate
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return int(re.search(r"VmHWM:\\s+(\\d+)", fh.read())[1])
+a = np.random.default_rng(40).standard_normal((40, 40))
+s, q0 = SkewMatrix(a - a.T), OrthogonalState(np.eye(40))
+config = IntegratorConfig(builtin("gauss2"), 0.1)
+kb = peak_kb()
+propagate(config, s, q0, 200.0, 100)
+print(peak_kb() - kb)"""], env=env, capture_output=True, text=True, check=True).stdout
+row("rss.d40.first_call", int(rise) / 1024, "MB", "peak RSS rise of a fresh child's first 40x40 "
+    "gauss2 propagate (h = 0.1, t_end = 200, record_every = 100) over its import")
 system = np.eye(80) - np.kron(builtin("gauss2").a, 0.1 * skew(40, 40, 40))
 timed("checked_inverse.gauss2.d40", lambda _: checked_inverse(system), 1e6, "us",
       "gauss2 stage system I - A kron hS of a seeded 40x40 skew S, h = 0.1")
