@@ -13,6 +13,11 @@ fit in memory, 3 numerical failure.  A run's output files are renamed
 into place together, after all of them are written, so a run that stops on
 an error leaves none; with them goes a flat ``key=value`` manifest so runs
 can be reproduced byte for byte at the BLAS thread count it records.
+
+``gyro`` reads and runs its log a block at a time, from a file or a pipe
+alike, so its memory does not grow with the log; after an error it reads
+the rest of the log, so that its errors come in the order a run on the
+whole log meets them.
 """
 
 import argparse
@@ -27,7 +32,6 @@ import numpy as np
 from . import __version__, gyro
 from ._fmt17 import fmt17, text_blocks, text_parts
 from .diagnostics import require_orthogonal_start, rk2_energy_forecast
-from .gyro import propagate_gyro, reference_gyro
 from .integrators import (
     CLOSED_FORM_METHODS,
     IntegratorConfig,
@@ -131,10 +135,9 @@ def _manifest(subcommand, method="-", step=None, t_end=None, inputs="-", outputs
     return ["".join(f"{key}={value}\n" for key, value in entries.items())]
 
 
-def _trajectory_csv(traj, ref=None):
-    """The trajectory CSV of a run in text blocks, with the reference's
-    ``ref_err`` column when ``ref`` is given."""
-    return _csv_text([(traj, None if ref is None else ref.qs)], ref is not None)
+def _trajectory_csv(traj):
+    """The trajectory CSV of a run in text blocks."""
+    return _csv_text([(traj, None)], False)
 
 
 def _csv_text(parts, reference):
@@ -319,33 +322,6 @@ def cmd_benchmark(args):
 
 
 def cmd_gyro(args):
-    with _outputs() as write:
-        try:
-            records, t_end, label = _stream_gyro(args, write)
-        except (gyro.NotStreamable,) + _NUMERIC_ERRORS + _INPUT_ERRORS:
-            # the whole-log path decides every log the stream leaves, and
-            # reports every error in the order it meets them
-            records, t_end, label = _whole_gyro(args, write)
-        write(args.out + ".manifest", _manifest(
-            "gyro",
-            method=label,
-            step=args.h,
-            t_end=t_end,
-            inputs=args.input,
-            outputs=args.out,
-        ))
-    print(f"wrote {args.out} ({records} records)")
-    return EXIT_OK
-
-
-def _stream_gyro(args, write):
-    """``gyro`` a block at a time: the records, last time and method label
-    of the run, or :class:`~skewflow.gyro.NotStreamable` or an error for
-    :func:`_whole_gyro` to decide."""
-    if not os.path.isfile(args.input):
-        # a pipe cannot be read again by the whole-log path
-        raise gyro.NotStreamable
-    config = IntegratorConfig(method=_resolve_method(args.method), step=args.h)
     run = [0, None]  # records so far, and the last block
 
     def counted(blocks):
@@ -353,22 +329,30 @@ def _stream_gyro(args, write):
             run[:] = run[0] + len(traj), traj
             yield traj, refs
 
-    with open(args.input) as fh:
-        blocks = gyro.stream_gyro(fh, config, args.reference)
-        write(args.out, _csv_text(counted(blocks), args.reference))
-    return run[0], float(run[1].times[-1]), run[1].method
-
-
-def _whole_gyro(args, write):
-    """``gyro`` on the whole log: the reference, and the only source of errors."""
-    with open(args.input) as fh:
-        log = gyro.parse_gyro_csv(fh.read())
-    method = _resolve_method(args.method)
-    config = IntegratorConfig(method=method, step=args.h)
-    traj = propagate_gyro(log, config)
-    ref = reference_gyro(log) if args.reference else None
-    write(args.out, _trajectory_csv(traj, ref=ref))
-    return len(traj), float(log.times[-1]), traj.method
+    with open(args.input) as fh, _outputs() as write:
+        blocks = rows = gyro.read_rows(fh)
+        try:
+            config = IntegratorConfig(method=_resolve_method(args.method), step=args.h)
+            blocks = gyro.stream_gyro(rows, config, args.reference)
+            write(args.out, _csv_text(counted(blocks), args.reference))
+        except _NUMERIC_ERRORS + _INPUT_ERRORS:
+            # a run on the whole log meets the log's errors before those of
+            # --method and --h, and the run's before the output's: so the
+            # rest of the log is read, and run once the run has started,
+            # and an error met there wins
+            for _ in blocks:
+                pass
+            raise
+        write(args.out + ".manifest", _manifest(
+            "gyro",
+            method=run[1].method,
+            step=args.h,
+            t_end=float(run[1].times[-1]),
+            inputs=args.input,
+            outputs=args.out,
+        ))
+    print(f"wrote {args.out} ({run[0]} records)")
+    return EXIT_OK
 
 
 # built on the first call and reused: main only reads it.  The cmd_*

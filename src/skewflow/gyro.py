@@ -21,28 +21,27 @@ complex number per interval: the n-step map's ``w`` (see
 temporaries under 1 MB however long the log is, and are large enough that
 numpy's fixed cost per call stops dominating.
 
-Parsing has two paths.  A clean log, whose first line is the header and
-whose body is four numbers a line, is read in one ``np.loadtxt`` call;
-any other text goes to a line-by-line parser that gives the same log
-wherever both succeed, and whose errors carry the physical line number.
-
-A clean log can also be streamed: :func:`read_rows` parses it a
-chunk of whole lines at a time by the same loadtxt rule, and
-:func:`stream_gyro` marches and meters each block of ``_BLOCK`` intervals
-as it arrives, from the states that end the block before and against the
-first record.  Its records are the pipelines' bit for bit, and it holds
-one block, not the log, so its memory does not grow with the log's
-length.  It raises :class:`NotStreamable` for any log it does not finish,
-and the whole-log pipelines, the reference, decide that log.
+A log is read a chunk of whole lines at a time by :func:`read_rows`.  A
+chunk of four finite numbers a line, its times increasing past the last
+time read, is parsed in one ``np.loadtxt`` call; any other chunk goes to
+a line-by-line parser that gives the same samples wherever both succeed,
+and whose errors carry the physical line number.  :func:`stream_gyro`
+marches and meters each block of ``_BLOCK`` intervals as it arrives, from
+the states that end the block before and against the first record.  Its
+records are :func:`propagate_gyro`'s bit for bit, its errors are the ones
+propagate_gyro raises on the whole log, and it holds one block, not the
+log, so its memory does not grow with the log's length.
 """
 
 import functools
+import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .diagnostics import Trajectory, require_orthogonal_start
-from .integrators import grid, march, metered, one_step_map
+from .integrators import NonFiniteStateError, grid, march, metered, one_step_map
 from .linalg import (
     InputError, OrthogonalState, cis, data_lines, hat_stack, line_floats, scan, skew_function,
     table_floats,
@@ -64,11 +63,6 @@ _READ_SIZE = 1 << 17
 
 class GyroLogError(InputError):
     """Malformed or mis-ordered gyro log; carries the 1-based line number."""
-
-
-class NotStreamable(Exception):
-    """A log, or a run of one, that :func:`stream_gyro` leaves to the
-    whole-log pipelines, which decide it and report its errors."""
 
 
 @dataclass(frozen=True)
@@ -110,34 +104,21 @@ def parse_gyro_csv(text):
     Format: ``#``-prefixed and blank lines are ignored; the first data line
     must be the header ``t,wx,wy,wz``; each following line holds four finite
     reals (time in seconds, rates in rad/s).  Errors report the physical
-    1-based line number, including ordering violations.
-
-    Text whose first line is exactly the header is read in one
-    ``np.loadtxt`` call over the lines ``str.splitlines`` gives.  Anything
-    that call refuses, or that is empty, not four wide, not finite or not
-    strictly increasing in time, goes to the line-by-line parser, which gives the
-    same log for any text both accept and is the one that reports errors.
+    1-based line number, including ordering violations.  The text is read
+    by :func:`read_rows`, as ``skewflow gyro`` reads a file.
     """
-    log = _loadtxt_log(text)
-    return _parse_lines(text.splitlines()) if log is None else log
+    rows = np.concatenate(list(read_rows(io.StringIO(text, newline=None))))
+    return GyroLog(rows[:, 0], rows[:, 1:])
 
 
-def _loadtxt_log(text):
-    """The log of a header line and a four-wide body in one loadtxt call, or None."""
-    lines = text.splitlines()
-    if not lines or lines[0] != GYRO_HEADER:
-        return None
-    table = table_floats(lines[1:], ",")
-    if table is None or table.shape[1] != 4 or not np.all(table[1:, 0] > table[:-1, 0]):
-        return None
-    return GyroLog(table[:, 0], table[:, 1:])
-
-
-def _parse_lines(lines):
-    """The line-by-line parser: every error names its physical line."""
-    times, rates = [], []
-    header_seen = False
+def _parse_lines(lines, offset=0, last=-math.inf, header_seen=False):
+    """The line-by-line parser of ``lines``, which follow ``offset`` lines of
+    the log, the last of whose samples is at time ``last``: the ``(k, 4)``
+    table of their samples, and whether the header has been seen by their
+    end.  Every error names its physical line."""
+    rows = []
     for lineno, stripped in data_lines(lines):
+        lineno += offset
         if not header_seen:
             if stripped != GYRO_HEADER:
                 raise GyroLogError(
@@ -149,17 +130,11 @@ def _parse_lines(lines):
         if len(fields) != 4:
             raise GyroLogError(f"expected 4 fields, got {len(fields)}", lineno)
         values = line_floats(lineno, fields, repr(stripped), GyroLogError)
-        if times and values[0] <= times[-1]:
-            raise GyroLogError(
-                f"time {values[0]!r} does not increase past {times[-1]!r}", lineno
-            )
-        times.append(values[0])
-        rates.append(values[1:])
-    if not header_seen:
-        raise GyroLogError("missing header line", max(len(lines), 1))
-    if not times:
-        raise GyroLogError("log contains no samples", len(lines))
-    return GyroLog(np.array(times), np.array(rates))
+        if values[0] <= last:
+            raise GyroLogError(f"time {values[0]!r} does not increase past {last!r}", lineno)
+        last = values[0]
+        rows.append(values)
+    return np.array(rows).reshape(-1, 4), header_seen
 
 
 def _initial_state(log, q0, allow_nonorthogonal):
@@ -175,10 +150,13 @@ def _initial_state(log, q0, allow_nonorthogonal):
     return q0
 
 
-def _interval_maps(config, times, rates):
-    # the map of each interval between consecutive samples of a block
-    counts, h_last = grid(times[:-1], times[1:], config.step)
-    return one_step_map(config.method, hat_stack(rates[:-1]), config.step, counts, h_last)
+def _interval_maps(config, times, rates, counts=None):
+    # the map of each interval between consecutive samples of a block; the
+    # list counts, when given, is set to their step counts as Python ints
+    n, h_last = grid(times[:-1], times[1:], config.step)
+    if counts is not None:
+        counts[:] = n.tolist()
+    return one_step_map(config.method, hat_stack(rates[:-1]), config.step, n, h_last)
 
 
 def _rotations(times, rates):
@@ -247,42 +225,51 @@ def reference_gyro(log, q0=None, allow_nonorthogonal=False):
 
 
 def read_rows(fh):
-    """Yield the samples of a clean log as ``(k, 4)`` tables, the whole
-    lines of about ``_READ_SIZE`` characters of text at a time, or raise
-    :class:`NotStreamable` at the first text that :func:`parse_gyro_csv`
-    must decide.
+    """Yield the samples of the log read from ``fh`` as ``(k, 4)`` tables,
+    the whole lines of about ``_READ_SIZE`` characters of text at a time,
+    and raise :class:`GyroLogError` at the first line the log is refused on.
 
-    A clean log is one that parse_gyro_csv reads in its one loadtxt call:
-    the first line is exactly the header and every other line holds four
-    finite numbers, times strictly increasing from table to table too; a
-    blank or ``#`` line is not clean.  The rows yielded are those of
-    parse_gyro_csv's log, bit for bit.
+    A chunk whose lines, empty ones aside, all hold four finite numbers,
+    with times strictly increasing past the last time read, is one
+    ``np.loadtxt`` call (see :func:`~skewflow.linalg.table_floats`); every
+    other chunk goes to the line-by-line parser, told how many lines and
+    which time come before it.  ``fh`` translates every line end to
+    ``\\n``, as a file opened in text mode does; chunks are cut there, where
+    ``str.splitlines`` breaks too, so their lines are those of the whole
+    text.  A missing header and a log with no samples are refused at the
+    end.
     """
-    if fh.readline().splitlines() != [GYRO_HEADER]:
-        raise NotStreamable
-    last, tail = -np.inf, ""
+    offset, last, header_seen = 0, -math.inf, False
+    for lines in _chunks(fh):
+        # the lines loadtxt may read: the header must already be behind them
+        body = lines if header_seen else lines[1:] if lines[0] == GYRO_HEADER else None
+        table = None if body is None else table_floats(body, ",")
+        if (table is not None and table.shape[1] == 4 and table[0, 0] > last
+                and np.all(table[1:, 0] > table[:-1, 0])):
+            header_seen = True
+        else:
+            table, header_seen = _parse_lines(lines, offset, last, header_seen)
+        offset += len(lines)
+        if len(table):
+            # a Python float, whose repr the next chunk's errors print
+            last = float(table[-1, 0])
+            yield table
+    if not header_seen:
+        raise GyroLogError("missing header line", max(offset, 1))
+    if last == -math.inf:
+        raise GyroLogError("log contains no samples", offset)
+
+
+def _chunks(fh):
+    # the lines of each read of fh up to its last line end, the rest going
+    # to the next
+    tail = ""
     while text := fh.read(_READ_SIZE):
-        cut = text.rfind("\n") + 1
-        if not cut:
-            tail += text
-            continue
-        table = _clean_table(tail + text[:cut], last)
-        last, tail = table[-1, 0], text[cut:]
-        yield table
+        head, end, tail = (tail + text).rpartition("\n")
+        if end:
+            yield (head + end).splitlines()
     if tail:
-        yield _clean_table(tail, last)
-
-
-def _clean_table(text, last):
-    # the table of the whole lines of text, whose first time must pass last.
-    # text is cut at line ends, where str.splitlines breaks too, so its
-    # lines are those parse_gyro_csv's splitlines makes of the same text
-    body = text.splitlines()
-    table = table_floats(body, ",")
-    if (table is None or table.shape != (len(body), 4) or not table[0, 0] > last
-            or not np.all(table[1:, 0] > table[:-1, 0])):
-        raise NotStreamable
-    return table
+        yield tail.splitlines()
 
 
 def _blocks(tables):
@@ -306,38 +293,45 @@ def _blocks(tables):
         yield block(np.concatenate(held))
 
 
-def _refuse(j):
-    raise NotStreamable
-
-
-def stream_gyro(fh, config, reference):
-    """:func:`propagate_gyro` of the log that :func:`read_rows` reads from
-    ``fh``, as :func:`~skewflow.integrators.metered` trajectories of its
-    blocks of records, each with the block's :func:`reference_gyro` states
-    when ``reference`` is set (else None).
+def stream_gyro(tables, config, reference):
+    """:func:`propagate_gyro` of the log whose samples ``tables`` yields (see
+    :func:`read_rows`), as :func:`~skewflow.integrators.metered`
+    trajectories of its blocks of records, each with the block's
+    :func:`reference_gyro` states when ``reference`` is set (else None).
 
     Each block is marched on from the states that end the block before
     and metered against the first record, so the blocks hold the whole
-    run's records bit for bit while only one block is held.  Raises
-    :class:`NotStreamable` for a log that is not clean, has fewer than 2
-    samples, or whose run meets a non-finite record or reference state:
-    the whole-log pipelines decide those, and report their errors.
+    run's records bit for bit while only one block is held.  Its errors
+    are the ones propagate_gyro raises on the whole log, in the same
+    order: after an error the rest of ``tables`` is read, so that an error
+    in a later line comes first, and after a non-finite record the rest of
+    the maps are built, as propagate_gyro builds every map before it
+    meters a record.
     """
-    maps = functools.partial(_interval_maps, config)
+    counts = []  # the step counts of the block's intervals
+    maps = functools.partial(_interval_maps, config, counts=counts)
     q = q_ref = np.eye(3)
-    origin = None
-    for times, rates in _blocks(read_rows(fh)):
+    # Python ints: the step counts of a long log can sum past 2**63
+    origin, steps = None, 0
+    blocks = _blocks(tables)
+    try:
+        for times, rates in blocks:
+            with np.errstate(over="ignore", invalid="ignore"):
+                qs = _march(q, times, rates, maps)
+                refs = _march(q_ref, times, rates, _rotations) if reference else None
+            # a block after the first starts with the record that ended the one before
+            first = 0 if origin is None else 1
+            traj = metered(config, times[first:], qs[first:],
+                           lambda j: steps + sum(counts[: j + first]), origin)
+            if refs is not None:
+                q_ref, refs = refs[-1], refs[first:]
+            yield traj, refs
+            q, origin, steps = qs[-1], np.eye(3), steps + sum(counts)
+    except (ArithmeticError, ValueError) as exc:
         with np.errstate(over="ignore", invalid="ignore"):
-            qs = _march(q, times, rates, maps)
-            refs = _march(q_ref, times, rates, _rotations) if reference else None
-        # a block after the first starts with the record that ended the one before
-        new = slice(0 if origin is None else 1, None)
-        traj = metered(config, times[new], qs[new], _refuse, origin)
-        if refs is not None:
-            if not (np.isfinite(refs.min()) and np.isfinite(refs.max())):
-                raise NotStreamable
-            q_ref, refs = refs[-1], refs[new]
-        yield traj, refs
-        q, origin = qs[-1], np.eye(3)
+            for times, rates in blocks:
+                if isinstance(exc, NonFiniteStateError):
+                    maps(times, rates)
+        raise
     if origin is None:
-        raise NotStreamable
+        raise GyroLogError("propagation needs at least 2 samples")

@@ -6,6 +6,7 @@ method preserves the Gram matrix of the linear flow; :func:`symplecticity`
 reports the defect matrix and its Frobenius norm.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,9 +72,10 @@ class ButcherTableau:
     def stages(self):
         return self.a.shape[0]
 
-    @property
+    @functools.cached_property
     def is_explicit(self):
-        """True when A is strictly lower triangular (forward-substitutable)."""
+        """True when A is strictly lower triangular (forward-substitutable);
+        computed on the first read, as A cannot change."""
         return bool(np.all(np.triu(self.a) == 0.0))
 
 

@@ -98,3 +98,18 @@ def random_skew(rng, dim, norm=None):
 def random_orthogonal(rng, dim):
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
     return q * np.sign(np.diag(r))
+
+
+def line_parser_log(text):
+    """The gyro log of ``text`` by the line-by-line parser alone, over the
+    whole text at once, with the reader's two refusals at its end: the
+    reference for every streamed read."""
+    from skewflow.gyro import GyroLog, GyroLogError, _parse_lines
+
+    lines = text.splitlines()
+    rows, header_seen = _parse_lines(lines)
+    if not header_seen:
+        raise GyroLogError("missing header line", max(len(lines), 1))
+    if not len(rows):
+        raise GyroLogError("log contains no samples", len(lines))
+    return GyroLog(rows[:, 0], rows[:, 1:])

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import format_rows_oracle, random_skew
+from conftest import format_rows_oracle, line_parser_log, random_skew
 from test_exit_contract import GYRO_LOG, S_FILE, TOKENS
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -30,9 +30,7 @@ from skewflow import (
 )
 from skewflow.cli import main
 from skewflow.diagnostics import Trajectory
-from skewflow.gyro import (
-    _BLOCK, GYRO_HEADER, NotStreamable, parse_gyro_csv, propagate_gyro, reference_gyro,
-)
+from skewflow.gyro import _BLOCK, GYRO_HEADER, parse_gyro_csv, propagate_gyro, reference_gyro
 from skewflow.integrators import IntegratorConfig
 from skewflow.linalg import data_lines
 from skewflow.tableaus import builtin, parse_tableau
@@ -773,10 +771,14 @@ GYRO_CASES = {
     "header-only": lambda text: GYRO_HEADER + "\n",
     "leading-comment": lambda text: "# a log\n" + text,
 }
+# the overflow of block 2 is a numerical failure, but a bad line after it
+# is met first when the log is read whole, and so it wins
+GYRO_CASES["overflow-then-bad-line"] = lambda text: GYRO_CASES[
+    "bad-line-after-the-first-block"](GYRO_CASES["overflowing"](text))
 GYRO_METHODS = ["cayley-midpoint", "rk2-closed", "gauss2"]
 
 
-def gyro_outcome(work, text, method, reference, capsys):
+def gyro_outcome(work, text, method, reference, capsys, flags=()):
     """Everything a ``gyro`` run leaves: exit code, stdout, stderr, and the
     bytes of every file in ``work``, where the log is written first."""
     work.mkdir()
@@ -787,7 +789,8 @@ def gyro_outcome(work, text, method, reference, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main(["gyro", "--input", "in.csv", "--method", method, "--h", "0.004",
-                         "--out", "att.csv"] + (["--reference"] if reference else []))
+                         "--out", "att.csv"] + (["--reference"] if reference else [])
+                        + list(flags))
     finally:
         os.chdir(old)
     out, err = capsys.readouterr()
@@ -795,19 +798,55 @@ def gyro_outcome(work, text, method, reference, capsys):
     return code, out, err, [str(w.message) for w in caught], files
 
 
-def refuse_to_stream(*args):
-    raise NotStreamable
+def whole_log_gyro(args):
+    """``gyro`` on the whole log, the reference of every run: the line
+    parser over the whole text, then ``propagate_gyro`` and
+    ``reference_gyro``, their CSV and manifest written as ``gyro`` writes
+    them; each step raises its own errors, so they come in that order."""
+    with open(args.input) as fh:
+        log = line_parser_log(fh.read())
+    config = IntegratorConfig(method=cli._resolve_method(args.method), step=args.h)
+    traj = propagate_gyro(log, config)
+    ref = reference_gyro(log).qs if args.reference else None
+    with cli._outputs() as write:
+        write(args.out, cli._csv_text([(traj, ref)], args.reference))
+        write(args.out + ".manifest", cli._manifest(
+            "gyro", method=traj.method, step=args.h, t_end=float(log.times[-1]),
+            inputs=args.input, outputs=args.out))
+    print(f"wrote {args.out} ({len(traj)} records)")
+    return cli.EXIT_OK
+
+
+class WholeLogParser:
+    """``main``'s parser, with every ``gyro`` run sent to :func:`whole_log_gyro`,
+    so that its errors become main's exit codes and lines."""
+
+    build = staticmethod(cli.build_parser)
+
+    def __init__(self):
+        self.parser = self.build()
+
+    def parse_args(self, argv):
+        args = self.parser.parse_args(argv)
+        if args.subcommand == "gyro":
+            args.func = whole_log_gyro
+        return args
+
+
+def whole_log_outcome(work, text, method, reference, capsys, flags=()):
+    """:func:`gyro_outcome` of the same run on the whole log."""
+    with mock.patch.object(cli, "build_parser", WholeLogParser):
+        return gyro_outcome(work, text, method, reference, capsys, flags)
 
 
 class TestStreamedGyro:
-    """``gyro`` streams a clean log a block at a time; every other log, and
-    every run the stream does not finish, takes the whole-log path.  Either
-    way a run leaves what the whole-log path alone leaves."""
+    """``gyro`` reads every log a chunk of lines at a time and runs it a
+    block at a time.  A run leaves what a run on the whole log leaves:
+    exit code, stdout, stderr and every file's bytes."""
 
-    def both(self, tmp_path, monkeypatch, capsys, text, method, reference):
-        streamed = gyro_outcome(tmp_path / "streamed", text, method, reference, capsys)
-        monkeypatch.setattr(cli, "_stream_gyro", refuse_to_stream)
-        whole = gyro_outcome(tmp_path / "whole", text, method, reference, capsys)
+    def both(self, tmp_path, monkeypatch, capsys, text, method, reference, flags=()):
+        streamed = gyro_outcome(tmp_path / "streamed", text, method, reference, capsys, flags)
+        whole = whole_log_outcome(tmp_path / "whole", text, method, reference, capsys, flags)
         assert streamed == whole
         return streamed
 
@@ -833,14 +872,49 @@ class TestStreamedGyro:
         if code != 0:
             assert list(files) == ["in.csv"]
 
+    @pytest.mark.parametrize("case", ["bad-line-after-the-first-block", "header-only", "clean"])
+    def test_an_unknown_method_loses_to_the_logs_error(self, tmp_path, monkeypatch, capsys,
+                                                       case):
+        text = GYRO_CASES[case](clean_log(2 * _BLOCK + 1, 5))
+        code, _, err, *_ = self.both(tmp_path, monkeypatch, capsys, text, "no-such-method",
+                                     False)
+        assert code == 2
+        assert ("unknown method" in err) == (case == "clean")
+
+    def test_a_bad_line_after_an_overflow_wins(self, tmp_path, monkeypatch, capsys):
+        # the overflow in block 2 is met first by the stream, and the log
+        # is read on to its end, where line 2 * _BLOCK + 2 is refused
+        text = GYRO_CASES["overflow-then-bad-line"](clean_log(2 * _BLOCK + 1, 5))
+        code, _, err, *_ = self.both(tmp_path, monkeypatch, capsys, text, "gauss2", False)
+        assert (code, err) == (2, f"skewflow: line {2 * _BLOCK + 2}: non-numeric value in "
+                                  "'1,2,x,3'\n")
+
+    def test_an_overlong_interval_after_an_overflow_wins(self, tmp_path, monkeypatch, capsys):
+        # every map is built before a record is metered, so the interval of
+        # more than 2**63 steps in block 2 wins over the overflow in block 1
+        text = GYRO_HEADER + "\n" + "".join(f"{i},0,0,50\n" for i in range(_BLOCK + 9))
+        text += "1e19,0,0,1\n1.1e19,0,0,1\n"
+        code, _, err, *_ = self.both(tmp_path, monkeypatch, capsys, text, "rk2-closed", False,
+                                     ["--h", "1"])
+        assert code == 2 and "2**63 - 1 steps" in err
+
+    @pytest.mark.parametrize("case", ["overflowing", "bad-line-after-the-first-block", "clean"])
+    def test_an_output_that_cannot_be_written_loses_to_the_runs_error(
+            self, tmp_path, monkeypatch, capsys, case):
+        text = GYRO_CASES[case](clean_log(2 * _BLOCK + 1, 5))
+        code, _, err, *_ = self.both(tmp_path, monkeypatch, capsys, text, "rk2-closed", False,
+                                     ["--out", "missing/att.csv"])
+        assert code == {"overflowing": 3}.get(case, 2)
+        assert ("No such file" in err) == (case == "clean")
+
     @pytest.mark.parametrize("samples", [2, _BLOCK + 1, 2 * _BLOCK + 7])
     @pytest.mark.parametrize("case", ["clean", "crlf", "no-final-newline"])
-    def test_a_clean_log_never_takes_the_whole_log_path(self, tmp_path, monkeypatch, capsys,
-                                                        case, samples):
-        def whole(*args):
-            raise AssertionError("the whole-log path ran")
+    def test_a_clean_log_never_takes_the_line_parser(self, tmp_path, monkeypatch, capsys,
+                                                     case, samples):
+        def refuse(*args):
+            raise AssertionError("the line parser ran")
 
-        monkeypatch.setattr(cli, "_whole_gyro", whole)
+        monkeypatch.setattr(gyro, "_parse_lines", refuse)
         text = GYRO_CASES[case](clean_log(samples))
         for method in GYRO_METHODS:
             for reference in (False, True):
@@ -849,30 +923,33 @@ class TestStreamedGyro:
                 assert code == 0 and f"({samples} records)" in out
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    @pytest.mark.parametrize("case", ["clean", "comment-line"])
-    def test_a_log_from_a_pipe_is_read_once(self, tmp_path, capsys, case):
-        # a pipe cannot be read twice, so it always takes the whole-log path
-        text = GYRO_CASES[case](clean_log(50))
-        want = gyro_outcome(tmp_path / "file", text, "gauss2", True, capsys)
+    @pytest.mark.parametrize("case", ["clean", "comment-line", "leading-comment"])
+    def test_a_log_from_a_pipe_is_read_once(self, tmp_path, monkeypatch, capsys, case):
+        # a pipe is read once, a chunk at a time, as a file is
+        text = GYRO_CASES[case](clean_log(3 * _BLOCK))
+        want = whole_log_outcome(tmp_path / "file", text, "gauss2", True, capsys)
         work = tmp_path / "pipe"
         work.mkdir()
         os.mkfifo(work / "in.csv")
         writer = threading.Thread(target=(work / "in.csv").write_text, args=(text,))
         writer.start()
+        monkeypatch.chdir(work)
         try:
-            code = main(["gyro", "--input", str(work / "in.csv"), "--method", "gauss2",
-                         "--h", "0.004", "--out", str(work / "att.csv"), "--reference"])
+            code = main(["gyro", "--input", "in.csv", "--method", "gauss2", "--h", "0.004",
+                         "--out", "att.csv", "--reference"])
         finally:
             writer.join(timeout=10)
-        assert code == 0
+        assert (code, capsys.readouterr().out) == want[:2]
         assert (work / "att.csv").read_bytes() == want[4]["att.csv"]
+        assert (work / "att.csv.manifest").read_bytes() == want[4]["att.csv.manifest"]
 
     @staticmethod
-    def temporaries(tmp_path, blocks):
+    def temporaries(tmp_path, blocks, edit):
         """Peak traced bytes of a streamed ``gyro --reference`` run over a
-        log of ``blocks`` blocks, above what it holds at the start."""
+        log of ``blocks`` blocks edited by ``edit``, above what it holds at
+        the start."""
         log = tmp_path / f"{blocks}.csv"
-        log.write_text(clean_log(blocks * _BLOCK + 1))
+        log.write_text(edit(clean_log(blocks * _BLOCK + 1)))
         argv = ["gyro", "--input", str(log), "--method", "cayley-midpoint", "--h", "0.01",
                 "--out", str(tmp_path / f"{blocks}-att.csv"), "--reference"]
         with contextlib.redirect_stdout(io.StringIO()):
@@ -888,8 +965,17 @@ class TestStreamedGyro:
     def test_a_run_holds_one_block_however_long_the_log(self, tmp_path):
         # a run that held the text, its lines or the state stacks of the
         # whole log would hold about 30 MB more at 48 blocks than at 3
-        short = self.temporaries(tmp_path, 3)
-        long = self.temporaries(tmp_path, 48)
+        short = self.temporaries(tmp_path, 3, lambda text: text)
+        long = self.temporaries(tmp_path, 48, lambda text: text)
+        assert long - short <= 64 * 1024, (short, long)
+
+    def test_a_commented_log_holds_one_block_too(self, tmp_path):
+        # a preamble, and a comment and a blank line in the body
+        def edit(text):
+            return "# a log\n" + replace_line(text, 3000, "# note\n\n" + text.split("\n")[2999])
+
+        short = self.temporaries(tmp_path, 3, edit)
+        long = self.temporaries(tmp_path, 48, edit)
         assert long - short <= 64 * 1024, (short, long)
 
 
@@ -1222,14 +1308,15 @@ class TestRunOutputs:
     def test_a_gyro_run_that_stops_at_its_manifest_leaves_no_csv(self, tmp_path, monkeypatch,
                                                                  capsys):
         (tmp_path / "log.csv").write_text(GYRO_LOG)
-        # the first call was the stream's, refused here so that the
-        # whole-log path writes the CSV too, and fails after it
-        monkeypatch.setattr(gyro, "stream_gyro", mock.Mock(side_effect=NotStreamable))
+        # the CSV is written whole before the manifest fails, by the
+        # command and by a run on the whole log alike
         monkeypatch.setattr(cli, "_manifest", mock.Mock(side_effect=MemoryError))
         argv = ["gyro", "--input", "log.csv", "--method", "gauss2", "--h", "0.02",
                 "--out", "att.csv"]
-        assert self.run(tmp_path, monkeypatch, capsys, argv) == (
-            2, "skewflow: out of memory\n", ["log.csv"])
+        want = (2, "skewflow: out of memory\n", ["log.csv"])
+        assert self.run(tmp_path, monkeypatch, capsys, argv) == want
+        with mock.patch.object(cli, "build_parser", WholeLogParser):
+            assert self.run(tmp_path, monkeypatch, capsys, argv) == want
 
     def test_a_benchmark_whose_checks_fail_writes_every_file(self, tmp_path, monkeypatch,
                                                              capsys):

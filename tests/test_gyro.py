@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from conftest import BENCH_RATE, random_orthogonal
+from conftest import BENCH_RATE, line_parser_log, random_orthogonal
 from skewflow import (
     GyroLog,
     GyroLogError,
@@ -25,9 +25,7 @@ from skewflow import (
     reference_gyro,
 )
 from skewflow import gyro
-from skewflow.gyro import (
-    GYRO_HEADER, _BLOCK, NotStreamable, _blocks, _loadtxt_log, _parse_lines, read_rows,
-)
+from skewflow.gyro import GYRO_HEADER, _BLOCK, _blocks, read_rows
 
 CONSTANT_LOG = "t,wx,wy,wz\n0,0,0,1\n1,0,0,1\n"
 
@@ -122,6 +120,20 @@ def outcome(parse, text):
     return None if log is None else ("log", log.times.tobytes(), log.rates.tobytes())
 
 
+class LineParserCalled(Exception):
+    pass
+
+
+def loadtxt_log(text):
+    """The log of ``text`` when every chunk of it takes the one-call loadtxt
+    path, else None."""
+    with mock.patch.object(gyro, "_parse_lines", mock.Mock(side_effect=LineParserCalled)):
+        try:
+            return parse_gyro_csv(text)
+        except LineParserCalled:
+            return None
+
+
 class TestParsePaths:
     """The one-call loadtxt path against the line-by-line parser."""
 
@@ -139,9 +151,9 @@ class TestParsePaths:
     @example("t,wx,wy,wz\n0,\x1f1,0,1\n1,0,0,1\n")
     @example("t,wx,wy,wz\n\u0661,0,0,1\n")
     def test_both_paths_agree(self, text):
-        slow = outcome(lambda t: _parse_lines(t.splitlines()), text)
+        slow = outcome(line_parser_log, text)
         assert outcome(parse_gyro_csv, text) == slow
-        fast = outcome(_loadtxt_log, text)
+        fast = outcome(loadtxt_log, text)
         assert fast is None or fast == slow
 
     @pytest.mark.parametrize("text", [
@@ -150,7 +162,7 @@ class TestParsePaths:
         "t,wx,wy,wz\n0,1e-3,-2E2,0.5\n\n 1 ,0,\t0,0\n",
     ])
     def test_clean_logs_take_the_one_call_path(self, monkeypatch, text):
-        def refuse(lines):
+        def refuse(*args):
             raise AssertionError("line-by-line parser called")
 
         monkeypatch.setattr(gyro, "_parse_lines", refuse)
@@ -190,11 +202,17 @@ def read_as_a_file(text):
     return io.StringIO(text, newline=None)
 
 
+def streamed_log(text):
+    """The log :func:`read_rows` reads from ``text`` as a file."""
+    rows = np.concatenate(list(read_rows(read_as_a_file(text))))
+    return GyroLog(rows[:, 0], rows[:, 1:])
+
+
 class TestStreamedReader:
-    """The block reader against :func:`parse_gyro_csv`, with its reads and
-    its blocks cut small, so that their edges fall anywhere: inside a run
-    of comments, right after the header, between two times that fail to
-    increase."""
+    """The block reader against the line-by-line parser of the whole text,
+    with its reads and its blocks cut small, so that their edges fall
+    anywhere: inside a run of comments, right after the header, between
+    two times that fail to increase."""
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(st.one_of(stream_texts(), gyro_texts()), st.integers(1, 48))
@@ -202,21 +220,13 @@ class TestStreamedReader:
     @example("t,wx,wy,wz\n0,0,0,1\n# c\n# c\n1,0,0,1\n", 9)
     @example("t,wx,wy,wz\n0,0,0,1\x0c\n1,0,0,1\n", 8)
     @example("t,wx,wy,wz\n", 1)
-    def test_the_reader_gives_the_log_bit_for_bit_or_refuses(self, text, size):
-        try:
-            with mock.patch.object(gyro, "_READ_SIZE", size):
-                tables = list(read_rows(read_as_a_file(text)))
-        except NotStreamable:
-            return
-        whole = read_as_a_file(text).read()
-        if not tables:
-            with pytest.raises(GyroLogError, match="no samples"):
-                parse_gyro_csv(whole)
-            return
-        rows = np.concatenate(tables)
-        log = parse_gyro_csv(whole)
-        assert rows[:, 0].tobytes() == log.times.tobytes()
-        assert rows[:, 1:].tobytes() == log.rates.tobytes()
+    @example("# c\n\nt,wx,wy,wz\n0,0,0,1\n", 3)
+    @example("t,wx,wy,wz\n16.5,0,0,1\n0.5,0,0,1\n", 12)
+    def test_the_reader_gives_the_line_parsers_log_or_its_error(self, text, size):
+        # the same log bit for bit, or the same GyroLogError message and line
+        with mock.patch.object(gyro, "_READ_SIZE", size):
+            streamed = outcome(streamed_log, text)
+        assert streamed == outcome(line_parser_log, read_as_a_file(text).read())
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.integers(1, 9), max_size=8), st.integers(1, 5))
@@ -235,6 +245,20 @@ class TestStreamedReader:
             assert_array_equal(times, rows[start : stop + 1, 0])
             assert_array_equal(rates, rows[start : stop + 1, 1:])
         assert stop == len(rows) - 1
+
+    def test_only_the_chunks_with_a_comment_take_the_line_parser(self, monkeypatch):
+        lines = [f"{0.5 * i},0,{i},1\n" for i in range(40)]
+        lines[20] = "# c\n" + lines[20]
+        text = "# a log\n" + GYRO_HEADER + "\n" + "".join(lines)
+        parsed, parse = [], gyro._parse_lines
+        monkeypatch.setattr(gyro, "_parse_lines",
+                            lambda lines, *rest: parsed.append(lines) or parse(lines, *rest))
+        with mock.patch.object(gyro, "_READ_SIZE", 64):
+            rows = np.concatenate(list(read_rows(read_as_a_file(text))))
+        assert_array_equal(rows[:, 0], 0.5 * np.arange(40))
+        # the chunk of the preamble and the header, and the chunk of "# c"
+        assert [[line for line in chunk if line.startswith("#")] for chunk in parsed] == [
+            ["# a log"], ["# c"]]
 
     def test_a_clean_log_is_streamed_whatever_the_read_size(self):
         text = "t,wx,wy,wz\r\n" + "".join(f"{0.5 * i},0,{i},1\r\n" for i in range(40))

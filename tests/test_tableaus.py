@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from skewflow import tableaus
 from skewflow import (
     BUILTIN_NAMES,
     ButcherTableau,
@@ -73,6 +74,33 @@ class TestCatalogue:
     def test_every_builtin_validates(self):
         for name in BUILTIN_NAMES:
             assert builtin(name).is_explicit in (True, False)
+
+
+class TestIsExplicit:
+    """``is_explicit`` is computed on the first read and kept: a later read
+    runs no numpy, so the stability function's every call does not pay it."""
+
+    @staticmethod
+    def read_twice(monkeypatch, tableau):
+        first = tableau.is_explicit
+        monkeypatch.setattr(tableaus, "np", None)
+        assert tableau.is_explicit is first
+        return first
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_every_builtin(self, monkeypatch, name):
+        explicit = {"midpoint": False, "rk2-explicit": True, "gauss2": False,
+                    "rk4-classical": True}[name]
+        assert self.read_twice(monkeypatch, builtin(name)) is explicit
+
+    @pytest.mark.parametrize("text, explicit", [
+        (RK2_TEXT, True),
+        (MIDPOINT_TEXT, False),
+        # one tiny diagonal entry makes a tableau implicit
+        ("2\n0 0\n0 1e-300\n0.5 0.5\n", False),
+    ], ids=["rk2", "midpoint", "tiny-diagonal"])
+    def test_a_parsed_file(self, monkeypatch, text, explicit):
+        assert self.read_twice(monkeypatch, parse_tableau(text)) is explicit
 
 
 class TestValidation:

@@ -18,6 +18,7 @@ import numpy as np
 import skewflow.cli as cli
 from skewflow import BUILTIN_NAMES, Trajectory, builtin
 from skewflow._fmt17 import format_rows
+from skewflow.gyro import _READ_SIZE, read_rows
 from skewflow.integrators import one_step_map
 from skewflow.linalg import checked_inverse
 
@@ -70,6 +71,16 @@ rng = np.random.default_rng(0)
 table = rng.standard_normal((2048, 5)) * 10.0 ** rng.integers(-20, 21, (2048, 5))
 timed("format_rows", lambda _: format_rows(table, ","), 1e9 / table.size, "ns a number",
       "seeded 2048x5 table, exponents -20 to 20")
+lines = [f"{0.01 * k!r},{x!r},{y!r},{z!r}\n"
+         for k, (x, y, z) in enumerate(rng.uniform(-2.0, 2.0, (10**4, 3)).tolist())]
+# a "#" line every half read's worth of lines puts one in every read the parser makes
+every = _READ_SIZE // (2 * max(map(len, lines)))
+commented = ["# c\n" + line if k % every == 1 else line for k, line in enumerate(lines)]
+for kind, body, on in (("clean", lines, "seeded 10^4-sample log"),
+                       ("commented", commented, "the same log with a # line in every read")):
+    text = "t,wx,wy,wz\n" + "".join(body)
+    timed(f"gyro.read_rows.{kind}", lambda _: list(read_rows(io.StringIO(text))), 1e6 / 10**4,
+          "us a sample", on)
 for d, n in ((3, 20001), (40, 201)):
     qs = np.random.default_rng(0).standard_normal((n, d, d))
     timed(f"meters.d{d}", lambda t: (t.orth_defects, t.det_drifts), 1e9 / n, "ns a record",
