@@ -264,10 +264,29 @@ def _chunks(fh):
     # the lines of each read of fh up to its last line end, the rest going
     # to the next
     tail = ""
-    while text := fh.read(_READ_SIZE):
-        head, end, tail = (tail + text).rpartition("\n")
+    try:
+        while text := fh.read(_READ_SIZE):
+            head, end, tail = (tail + text).rpartition("\n")
+            if end:
+                yield (head + end).splitlines()
+    except UnicodeDecodeError as exc:
+        # the read's text is lost: its whole lines before the bad byte are
+        # still parsed, so that a line refused there wins, as one refused
+        # in an earlier read does
+        good = exc.object[: exc.start].decode(exc.encoding)
+        head, end, _ = (tail + good.replace("\r\n", "\n").replace("\r", "\n")).rpartition("\n")
         if end:
             yield (head + end).splitlines()
+        # the bad byte's offset in the file: the bytes the read decoded end
+        # where the file has been read to.  A pipe cannot tell, and keeps
+        # the offset within the read
+        try:
+            at = fh.buffer.tell() - len(exc.object) + exc.start
+        except OSError:
+            raise exc from None
+        bad = exc.object[exc.start]
+        raise GyroLogError(f"'{exc.encoding}' codec can't decode byte 0x{bad:02x} in "
+                           f"position {at}: {exc.reason}") from None
     if tail:
         yield tail.splitlines()
 

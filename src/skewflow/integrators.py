@@ -5,9 +5,9 @@ Every method is an s-stage Runge-Kutta tableau; the labels
 ``rk2-explicit`` tableaus.  Every method is linear in Q, so a step is
 ``Q -> phi(S, h) @ Q`` with the one-step map phi, the method's stability
 function at hS, and :func:`one_step_map` builds the map of any number of
-steps at once: from Rodrigues' formula up to dimension 3, from one
-eigendecomposition of S above it, and, for an S that is not exactly
-antisymmetric, from the stage system and a matrix power.
+steps at once: for an exactly antisymmetric S of any dimension, from
+:func:`~skewflow.linalg.skew_function` of S with h only in its ``w``;
+for any other S, from the stage system and a matrix power.
 """
 
 from dataclasses import dataclass, replace
@@ -76,59 +76,45 @@ def one_step_map(tableau, m, h, n=1, h_last=None):
     ``R(z) = 1 + z b^T (I - z A)^-1 1`` at ``z = hS``; ``h`` may be negative
     (for the adjoint), and ``h_last`` defaults to ``h``.  ``m`` may be a
     ``(k, d, d)`` stack and ``h``, ``n``, ``h_last`` arrays; they broadcast
-    as numpy's arrays do, one map for each entry.  Three paths:
+    as numpy's arrays do, one map for each entry.  Two paths:
 
-    - an exactly antisymmetric ``m`` of dimension at most 3 takes
-      :func:`~skewflow.linalg.skew_function` with the n-step map's value
-      ``w = R(iy)^(n-1) R(iy h_last / h)`` at each eigenvalue ``iy`` of
-      hS, each map of a stack bit for bit its own call's;
-    - any other exactly antisymmetric ``m`` takes one
-      :func:`~skewflow.linalg.skew_function` call, one eigendecomposition
-      of each S for all its maps: R is evaluated once at ``h lam`` for
-      each distinct h and eigenvalue ``i lam`` of S, and ``h`` enters only
-      there, so a huge h cannot overflow the decomposition.  ``w`` is
-      ``R(ih lam)^(n-1) R(ih_last lam)``, or, when ``tableau`` is
-      symplectic, the unit-modulus ``exp(i((n-1) arg R(ih lam) + arg
-      R(ih_last lam)))``: its maps stay orthogonal to rounding at any n;
+    - an exactly antisymmetric ``m``, of any dimension, takes one
+      :func:`~skewflow.linalg.skew_function` call on S itself: Rodrigues'
+      formula up to dimension 3, one eigendecomposition of each S above
+      it, for all its maps.  ``h`` enters only through the n-step map's
+      value ``w`` at each eigenvalue ``i lam`` of S, so a huge h cannot
+      overflow the decomposition.  R is evaluated at ``h lam`` and
+      ``h_last lam`` in the shapes of h and h_last, and only its values
+      broadcast over the maps.  ``w`` is ``R(ih lam)^(n-1) R(ih_last
+      lam)``, or, when ``tableau`` is symplectic, the unit-modulus
+      ``exp(i((n-1) arg R(ih lam) + arg R(ih_last lam)))``: its maps stay
+      orthogonal to rounding at any n;
     - an ``m`` that is not exactly antisymmetric builds phi of each
-      matrix at each distinct step, by Horner's rule or the Kronecker
-      stage inverse, and takes ``np.linalg.matrix_power``.
+      matrix at each distinct step (see :func:`_distinct_steps`), by
+      Horner's rule or the Kronecker stage inverse, and takes
+      ``np.linalg.matrix_power``.
 
     R is Horner's rule for explicit tableaus; otherwise it takes a guarded
     inverse, and :class:`StageSolveError` when that is singular.
     """
     h_last = h if h_last is None else h_last
-    skew = np.array_equal(m, -np.swapaxes(m, -1, -2))
     try:
-        if skew and m.shape[-1] <= 3:
-            h = np.asarray(h, dtype=float)
-            ratio = np.asarray(h_last, dtype=float) / h
-            shape = np.broadcast_shapes(m.shape[:-2], h.shape, np.shape(n), ratio.shape)
-            n, ratio = (np.broadcast_to(v, shape).ravel() for v in (n, ratio))
-
-            def w(y):
-                r = _stability(tableau, 1j * np.concatenate([y, ratio * y]))
-                return r[: y.size] ** (n - 1) * r[y.size :]
-
-            x = np.broadcast_to(h[..., None, None] * m, shape + m.shape[-2:])
-            return skew_function(x, w)
-        shape, n, steps, first, last = _distinct_steps(m, h, n, h_last)
-        if skew:
+        if np.array_equal(m, -np.swapaxes(m, -1, -2)):
             unit = symplecticity(tableau).symplectic
+            # a trailing axis for the eigenvalues: R is evaluated in the shapes
+            # of h and h_last, and only its values broadcast over the maps
+            n, step, last = (np.asarray(x)[..., None] for x in (n, h, h_last))
 
             def w(y):
-                y = y.reshape(-1, y.shape[-1])
-                r = _stability(tableau, 1j * np.concatenate([step * y[i] for i, step in steps]))
-                r = r.reshape(len(steps), -1)
-                k = (n - 1)[:, None]
+                r = _stability(tableau, 1j * (step * y))
+                r_last = r if h_last is h else _stability(tableau, 1j * (last * y))
                 if unit:
                     # as r ** 0 is 1, a single step ignores R at h, even a nan
-                    v = cis(np.where(k > 0, k * np.angle(r[first]), 0.0) + np.angle(r[last]))
-                else:
-                    v = r[first] ** k * r[last]
-                return v.reshape(shape + y.shape[-1:])
+                    return cis(np.where(n > 1, (n - 1) * np.angle(r), 0.0) + np.angle(r_last))
+                return r ** (n - 1) * r_last
 
             return skew_function(m, w)
+        shape, n, steps, first, last = _distinct_steps(m, h, n, h_last)
         stack = m.reshape((-1,) + m.shape[-2:])
         phis = [_step_map(tableau, stack[i], step) for i, step in steps]
         maps = [phis[j] @ np.linalg.matrix_power(phis[i], k - 1)
@@ -139,7 +125,8 @@ def one_step_map(tableau, m, h, n=1, h_last=None):
 
 
 def _distinct_steps(m, h, n, h_last):
-    """The plan of the maps ``one_step_map`` builds off the closed form.
+    """The plan of the maps ``one_step_map`` builds for an S that is not
+    exactly antisymmetric, where each distinct pair costs a stage inverse.
 
     Returns their broadcast shape, their flat step counts, the distinct
     ``(matrix, step)`` pairs over the flat stack of ``m`` and the steps
@@ -156,16 +143,16 @@ def _distinct_steps(m, h, n, h_last):
 
 
 def _stability(tableau, z):
-    """R(z) at each entry of a 1-d complex array z."""
+    """R(z) at each entry of a complex array z."""
     a, b = tableau.a, tableau.b
     if tableau.is_explicit:
         return _horner(tableau, z, 1.0, np.multiply)
     if tableau.stages == 1:
         # |1 - a z| >= 1 on the imaginary axis: nothing singular
         return 1.0 + z * b[0] / (1.0 - z * a[0, 0])
-    # hS has eigenvalues 0 and +-i y, so the stage system I - h A (x) S is
-    # singular exactly when one of these s x s systems is
-    inv = checked_inverse(np.eye(tableau.stages) - z[:, None, None] * a)
+    # z runs over the eigenvalues of hS, so the stage system I - h A (x) S
+    # is singular exactly when one of these s x s systems is
+    inv = checked_inverse(np.eye(tableau.stages) - z[..., None, None] * a)
     return 1.0 + z * (inv.sum(axis=-1) * b).sum(axis=-1)
 
 

@@ -260,19 +260,19 @@ def skew_function(x, w):
 
     x is normal with eigenvalues on the imaginary axis, so ``f(x) = U f(L)
     U^H``; ``w`` takes a real array of y and returns the complex f(iy).
-    Up to dimension 3, ``x^3 = -th^2 x`` with ``th^2`` the sum of squares
-    above the diagonal, so f(x) is Rodrigues' formula ``I + k1 x + k2 x^2``
-    with ``k1 = Im w(th) / th`` and ``k2 = (1 - Re w(th)) / th^2``, and
-    ``th = 0`` gives I.  ``th^2`` is summed entry by entry and ``w`` is
-    called once on a 1-d array, so each matrix of a stack rounds as it
-    does alone.  Above dimension 3 the Hermitian ``i x`` has unitary
+    Both branches call ``w`` once, on a ``(..., k)`` array whose leading
+    shape is the stack's, and take any ``(..., k)`` array that shape
+    broadcasts to: one f(x) for each row, so several functions of one x
+    share its work.  Up to dimension 3, k is 1 and y the angle th: ``x^3 =
+    -th^2 x`` with ``th^2`` the sum of squares above the diagonal, so f(x)
+    is Rodrigues' formula ``I + k1 x + k2 x^2`` with ``k1 = Im w(th) / th``
+    and ``k2 = (1 - Re w(th)) / th^2``, and ``th = 0`` gives I.  ``th^2``
+    is summed entry by entry, so each matrix of a stack rounds as it does
+    alone.  Above dimension 3 the Hermitian ``i x`` has unitary
     eigenvectors U and real eigenvalues lam, one decomposition for each x
-    of the stack, and f(x) is the real part of ``U diag(w(-lam)) U^H``,
-    the one real product ``[Re V, Im V] @ [Re U, Im U]^T`` with ``V = U
-    diag(w)``.  There ``w`` takes the ``(..., d)`` array of ``-lam`` and
-    may return more rows than the stack has matrices, any ``(..., d)``
-    shape the stack's shape broadcasts to: one f(x) for each row, so
-    several functions of one x share its decomposition.
+    of the stack, k is d and y is ``-lam``, and f(x) is the real part of
+    ``U diag(w(-lam)) U^H``, the one real product ``[Re V, Im V] @ [Re U,
+    Im U]^T`` with ``V = U diag(w)``.
     """
     d = x.shape[-1]
     if d > 3:
@@ -281,14 +281,13 @@ def skew_function(x, w):
         parts = np.concatenate([u.real, u.imag], axis=-1)
         return np.concatenate([v.real, v.imag], axis=-1) @ np.swapaxes(parts, -1, -2)
     th2 = sum((x[..., i, j] ** 2 for i in range(d) for j in range(i + 1, d)),
-              np.zeros(x.shape[:-2])).reshape(-1)
+              np.zeros(x.shape[:-2]))[..., None]
     th = np.sqrt(th2)
     v = w(th)
     nonzero = th2 > 0
     k1 = v.imag / np.where(nonzero, th, 1.0)
     k2 = (1.0 - v.real) / np.where(nonzero, th2, 1.0)
-    k1, k2 = (k.reshape(x.shape[:-2] + (1, 1)) for k in (k1, k2))
-    return np.eye(d) + k1 * x + k2 * (x @ x)
+    return np.eye(d) + k1[..., None] * x + k2[..., None] * (x @ x)
 
 
 def stack_rows(d):

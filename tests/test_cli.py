@@ -716,6 +716,34 @@ class TestGyroCommand:
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "att.csv").exists()
 
+    @pytest.mark.parametrize("refused", [None, "first-read", "line-before", "line-after"])
+    def test_a_non_utf8_byte_is_named_at_its_offset_in_the_file(self, tmp_path, capsys,
+                                                                refused):
+        # the bad byte lies two reads into the log; a line refused before it,
+        # in an earlier read or in its own, wins, and one after it loses
+        data = bytearray(clean_log(6000).encode())
+        at = 300055
+        assert at > 2 * gyro._READ_SIZE
+        bad_line = data.count(b"\n", 0, at) + 1
+        data[at] = 0xFF
+        lineno = {None: None, "first-read": 7, "line-before": bad_line - 1,
+                  "line-after": bad_line + 1}[refused]
+        if lineno is not None:
+            # the first digit of the line's time becomes an x
+            data[sum(len(line) + 1 for line in data.split(b"\n")[: lineno - 1])] = ord("x")
+        log = tmp_path / "gyro.csv"
+        log.write_bytes(bytes(data))
+        rc = main(["gyro", "--input", str(log), "--method", "cayley-midpoint",
+                   "--h", "0.01", "--out", str(tmp_path / "att.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        if refused in ("first-read", "line-before"):
+            assert err.startswith(f"skewflow: line {lineno}: non-numeric value")
+        else:
+            assert err == ("skewflow: 'utf-8' codec can't decode byte 0xff in position 300055: "
+                           "invalid start byte\n")
+        assert not (tmp_path / "att.csv").exists()
+
     def test_repeated_timestamp_exits_2(self, tmp_path, capsys):
         log = tmp_path / "gyro.csv"
         log.write_text("t,wx,wy,wz\n0,0,0,1\n0,0,0,1\n")

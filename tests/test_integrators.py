@@ -367,13 +367,15 @@ class TestNStepMaps:
                 assert np.max(np.abs(pair[1] - phi @ phi)) <= 1e-15
 
     @pytest.mark.parametrize("name", ["gauss2", "midpoint"])
-    def test_maps_above_dimension_3_stay_orthogonal_at_any_step_count(self, name):
-        # one eigendecomposition and a unit-modulus value per eigenvalue: no
-        # product of n one-step maps rounds into the n-step map
-        s = random_skew(np.random.default_rng(40), 40, norm=1.0)
+    @pytest.mark.parametrize("dim", [1, 2, 3, 40])
+    def test_maps_stay_orthogonal_at_any_step_count_at_every_dimension(self, name, dim):
+        # Rodrigues' formula or one eigendecomposition, and a unit-modulus
+        # value per eigenvalue: no product of n one-step maps rounds into
+        # the n-step map
+        s = random_skew(np.random.default_rng(40), dim, norm=1.0)
         for n in (1, 10**4, 10**6, 2**30):
             phi = one_step_map(builtin(name), s, 0.05, n)
-            assert np.linalg.norm(phi.T @ phi - np.eye(40)) <= 1e-13
+            assert np.linalg.norm(phi.T @ phi - np.eye(dim)) <= 1e-13
 
     def test_rk2_gate_forecast_stays_the_closed_form(self, monkeypatch):
         # the benchmark gate checks the maps against 1 + 2 (1 + h^4 theta^4 / 4)^k,

@@ -16,7 +16,9 @@ from pathlib import Path
 import numpy as np
 
 import skewflow.cli as cli
-from skewflow import BUILTIN_NAMES, Trajectory, builtin
+from skewflow import (
+    BUILTIN_NAMES, IntegratorConfig, OrthogonalState, Trajectory, builtin, hat, propagate,
+)
 from skewflow._fmt17 import format_rows
 from skewflow.gyro import _READ_SIZE, read_rows
 from skewflow.integrators import one_step_map
@@ -97,6 +99,25 @@ for tableau in map(builtin, BUILTIN_NAMES):
           lambda _: one_step_map(tableau, s40, 0.1, [100, 2000], [0.1, 200 - 1999 * 0.1]), 1e6,
           "us", "stride and end maps of a 40x40 propagate: seeded skew S of norm 2, h = 0.1, "
           "n = [100, 2000]")
+# the phases of ``skewflow benchmark``, as it runs them on the reference problem
+s3, q3 = hat(cli.BENCH_OMEGA), OrthogonalState(np.eye(3))
+on = (f"cayley-midpoint and rk2-closed, {cli.BENCH_T_END / cli.BENCH_STEP:.0f} steps of "
+      f"h = {cli.BENCH_STEP} on hat{cli.BENCH_OMEGA}, every step recorded")
+
+
+def both_runs(_=None):
+    return [propagate(IntegratorConfig(label, cli.BENCH_STEP), s3, q3, cli.BENCH_T_END)
+            for label in ("cayley-midpoint", "rk2-closed")]
+
+
+timed("benchmark.propagate", both_runs, 1e3, "ms", on + ", meters included")
+runs = both_runs()
+timed("benchmark.meters", lambda fresh: [(t.energy_errors, t.det_drifts, t.orth_defects)
+                                         for t in fresh], 1e3, "ms",
+      on + ": the meters propagate reads, on fresh Trajectories of its records",
+      lambda: [Trajectory(t.method, t.step, t.times, t.qs) for t in runs])
+timed("benchmark.csv", lambda _: ["".join(cli._trajectory_csv(t)) for t in runs], 1e3, "ms",
+      on + ": the CSV text of both")
 # a child's ru_maxrss starts at the peak of the process that spawned it, so it
 # reads its own high-water mark; BLAS at one thread, as the benchmark runs it
 env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
