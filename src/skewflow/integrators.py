@@ -16,7 +16,7 @@ import numpy as np
 
 from .diagnostics import Trajectory
 from .linalg import (
-    InputError, SingularMatrixError, checked_inverse, cis, scan, skew_function, stack_rows,
+    InputError, SingularMatrixError, checked_inverse, cis, skew_function, stack_rows,
 )
 from .tableaus import ButcherTableau, builtin, symplecticity
 
@@ -83,16 +83,17 @@ def one_step_map(tableau, m, h, n=1, h_last=None):
       formula up to dimension 3, one eigendecomposition of each S above
       it, for all its maps.  ``h`` enters only through the n-step map's
       value ``w`` at each eigenvalue ``i lam`` of S, so a huge h cannot
-      overflow the decomposition.  R is evaluated at ``h lam`` and
-      ``h_last lam`` in the shapes of h and h_last, and only its values
-      broadcast over the maps.  ``w`` is ``R(ih lam)^(n-1) R(ih_last
-      lam)``, or, when ``tableau`` is symplectic, the unit-modulus
-      ``exp(i((n-1) arg R(ih lam) + arg R(ih_last lam)))``: its maps stay
+      overflow the decomposition.  R is evaluated at ``h_last lam`` in the
+      shape of h_last and at ``h lam`` only for maps of more than one
+      step, and only its values broadcast over the maps.  ``w`` is
+      ``R(ih lam)^(n-1) R(ih_last lam)``, or, when ``tableau`` is
+      symplectic, the unit-modulus ``exp(i((n-1) arg R(ih lam) + arg
+      R(ih_last lam)))``: its maps stay
       orthogonal to rounding at any n;
     - an ``m`` that is not exactly antisymmetric builds phi of each
-      matrix at each distinct step (see :func:`_distinct_steps`), by
-      Horner's rule or the Kronecker stage inverse, and takes
-      ``np.linalg.matrix_power``.
+      matrix at each distinct step a map takes (see
+      :func:`_distinct_steps`), by Horner's rule or the Kronecker stage
+      inverse, and takes ``np.linalg.matrix_power``.
 
     R is Horner's rule for explicit tableaus; otherwise it takes a guarded
     inverse, and :class:`StageSolveError` when that is singular.
@@ -106,11 +107,12 @@ def one_step_map(tableau, m, h, n=1, h_last=None):
             n, step, last = (np.asarray(x)[..., None] for x in (n, h, h_last))
 
             def w(y):
-                r = _stability(tableau, 1j * (step * y))
-                r_last = r if h_last is h else _stability(tableau, 1j * (last * y))
+                # R at h only for maps of more than one step, and R(0) = 1 for
+                # the rest, so a map of one step never fails on R at h
+                r_last = _stability(tableau, 1j * (last * y))
+                r = r_last if h_last is h else _stability(tableau, 1j * (step * (n > 1) * y))
                 if unit:
-                    # as r ** 0 is 1, a single step ignores R at h, even a nan
-                    return cis(np.where(n > 1, (n - 1) * np.angle(r), 0.0) + np.angle(r_last))
+                    return cis((n - 1) * np.angle(r) + np.angle(r_last))
                 return r ** (n - 1) * r_last
 
             return skew_function(m, w)
@@ -131,14 +133,16 @@ def _distinct_steps(m, h, n, h_last):
     Returns their broadcast shape, their flat step counts, the distinct
     ``(matrix, step)`` pairs over the flat stack of ``m`` and the steps
     ``h`` and ``h_last``, and, for each map, the index of its pair at h and
-    of its pair at h_last.
+    of its pair at h_last.  A map of one step takes its pair at h_last for
+    both, as the power of phi at h it takes is I: no phi is built at an h
+    that no map steps by.
     """
     index = np.arange(np.prod(m.shape[:-2], dtype=int)).reshape(m.shape[:-2])
     index, h, n, h_last = np.broadcast_arrays(index, h, n, h_last)
     shape, index = index.shape, index.ravel().tolist()
     steps = {}
     first, last = ([steps.setdefault(pair, len(steps)) for pair in zip(index, x.ravel().tolist())]
-                   for x in (h, h_last))
+                   for x in (np.where(n > 1, h, h_last), h_last))
     return shape, n.ravel(), list(steps), first, last
 
 
@@ -250,13 +254,15 @@ def propagate(config, s, q0, t_end, record_every=1):
 
     A record is kept for the initial state, after every
     ``record_every``-th step, and for the final state.  No step is taken
-    one at a time: one :func:`one_step_map` call gives the stride map
-    ``P = phi^record_every`` and the end map ``phi_last @ phi^(n-1)``.
-    :func:`march` carries each block of records on from the last record of
-    the block before with a table of the prefix products ``P, P^2, ...``
-    (as many as fit a ``STACK_ENTRIES`` temporary), and the final state is
-    the end map applied to ``q0``, taken straight from the start so that it
-    does not depend on ``record_every``.  The records are
+    one at a time: one :func:`one_step_map` call gives every map the run
+    uses, the table of n-step maps ``P, P^2, ...`` of the stride map ``P =
+    phi^record_every`` (as many as fit a ``STACK_ENTRIES`` temporary, each
+    built directly, so it is orthogonal to rounding for a symplectic
+    tableau) and the end map ``phi_last @ phi^(n-1)``.  :func:`march`
+    carries each block of records on from the last record of the block
+    before with that table, and the final state is the end map applied to
+    ``q0``, taken straight from the start so that it does not depend on
+    ``record_every``.  The records are
     stacked in a :class:`~skewflow.diagnostics.Trajectory`, each of whose
     meters is one pass over the stack.  Energy and determinant
     drifts are measured against the first record.  Raises
@@ -303,16 +309,16 @@ def propagate(config, s, q0, t_end, record_every=1):
                 f"{records} records of {s.dim}x{s.dim} states and 5 meters exceed the "
                 f"{RECORD_BYTES_MAX}-byte record budget; use a --record-every "
                 f"(record_every) larger than {record_every}")
-        # the stride map is used only when record_every < n
-        stride_map, end_map = one_step_map(config.method, s.mat, config.step,
-                                           [min(record_every, n), n], [config.step, h_last])
         ks = np.append(np.arange(0, n, record_every), n)
-        # table[j] = (phi^record_every)^(j+1), a row for each record between
-        # the first and the last; the end map then redoes the march's last
-        rows = max(1, min(stack_rows(s.dim), len(ks) - 2))
-        table = scan(np.broadcast_to(stride_map, (rows, s.dim, s.dim)))
-        qs = march(q0.q, len(ks), rows, lambda a, b: table[: b - a])
-        qs[-1] = end_map @ q0.q
+        # maps[j] = phi^((j+1) record_every), a row for each record between
+        # the first and the last, then the end map, which redoes the march's
+        # last record; with no record between them, the end map is the table
+        rows = min(stack_rows(s.dim), len(ks) - 2)
+        maps = one_step_map(config.method, s.mat, config.step,
+                            np.append(min(record_every, n) * np.arange(1, rows + 1), n),
+                            np.append(np.full(rows, config.step), h_last))
+        qs = march(q0.q, len(ks), max(rows, 1), lambda a, b: maps[: b - a])
+        qs[-1] = maps[-1] @ q0.q
     times = q0.t + ks * config.step
     times[-1] = t_end
     return metered(config, times, qs, lambda j: ks[j])

@@ -302,8 +302,7 @@ def scan(maps):
     out as r rows of c = ceil(sqrt(n)) consecutive maps (the tail padded
     with identities), one stacked product per column carries each row's
     running product, the r row totals are scanned in turn, and one stacked
-    product applies each row's carry.  ``p[0]`` is ``maps[0]`` unchanged;
-    the input is never written, so it may be a read-only view.
+    product applies each row's carry.  ``p[0]`` is ``maps[0]`` unchanged.
     """
     maps = np.asarray(maps, dtype=float)
     n, d = maps.shape[0], maps.shape[-1]

@@ -1243,6 +1243,14 @@ class TestBenchmark:
         assert all(b >= a for a, b in zip(energy_errors, energy_errors[1:]))
         assert rows[-1][1] == pytest.approx(6196.5189110466, rel=1e-10)
 
+    def test_midpoint_records_stay_orthogonal_to_rounding(self, tmp_path):
+        # the paper's headline meter: 20000 records of the Cayley map, each
+        # its own n-step map, stay within a few dozen ulps of orthogonal
+        assert main(["benchmark", "--out", str(tmp_path / "bench")]) == 0
+        summary = read(tmp_path / "bench" / "summary.txt")
+        fields = dict(line.split("=") for line in summary.splitlines())
+        assert float(fields["midpoint.max_orth_defect"]) <= 7.2e-14
+
 
 class TestInputErrors:
     @pytest.mark.parametrize("exc, line", [

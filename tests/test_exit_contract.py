@@ -163,3 +163,30 @@ def test_spectral_maps_keep_the_exit_code_contract(tmp_path, monkeypatch, capsys
         for name in os.listdir():
             os.remove(name)
     assert min(exits.values()) > 0, exits
+
+
+def one_step_runs():
+    # a seeded 3x3 and 4x4, exactly skew and an ulp off it (the general
+    # path), under every built-in method, each with a step longer than the
+    # run, so that its only step is its shortened last one
+    rng = np.random.default_rng(SEED)
+    for d in (3, 4):
+        a = rng.standard_normal((d, d))
+        s = a - a.T
+        leaky = s.copy()
+        leaky[0, 1] = np.nextafter(leaky[0, 1], np.inf)
+        for m, h, method in itertools.product((s, leaky), ["2", "1e200", "1e308"], BUILTIN_NAMES):
+            yield m, [method, "--t-end", "1", "--h", h]
+
+
+def test_a_run_of_one_step_exits_as_that_step_does(tmp_path, monkeypatch, capsys):
+    # the run takes no step of length h, so h cannot decide its exit code:
+    # it is that of the same run with h equal to the run's length
+    monkeypatch.chdir(tmp_path)
+    for s, args in one_step_runs():
+        np.savetxt("s.txt", s, fmt="%.17g")
+        argv = ["propagate", "--s-file", "s.txt", "--out", "out.csv", "--method"] + args
+        rcs = [main(argv), main(argv[:-1] + ["1"])]
+        err = capsys.readouterr().err
+        assert rcs[0] == rcs[1], f"{s.shape} {'skew' if (s == -s.T).all() else 'leaky'}: {args}"
+        assert "Traceback" not in err

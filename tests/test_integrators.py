@@ -499,6 +499,15 @@ class TestPropagate:
         for q in ends[1:]:
             assert_array_equal(q, ends[0])
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_records_of_a_symplectic_run_stay_orthogonal(self, seed):
+        # every record of a table is its own n-step map, on the unit circle,
+        # not a product of copies of the stride map that rounds as it grows
+        s = SkewMatrix(random_skew(np.random.default_rng(seed), 4, norm=1.0))
+        traj = propagate(IntegratorConfig(builtin("gauss2"), 0.1), s, eye_state(4), 200.0)
+        assert len(traj) == 2001
+        assert np.max(traj.orth_defects) < 1e-13
+
     @given(
         t0=st.one_of(st.sampled_from([0.0, 3.3e4, 1e6, 1e12]), st.floats(1.6e9, 1.8e9)),
         h=st.floats(1e-3, 1.0),

@@ -17,7 +17,8 @@ import numpy as np
 
 import skewflow.cli as cli
 from skewflow import (
-    BUILTIN_NAMES, IntegratorConfig, OrthogonalState, Trajectory, builtin, hat, propagate,
+    BUILTIN_NAMES, IntegratorConfig, OrthogonalState, SkewMatrix, Trajectory, builtin, hat,
+    propagate,
 )
 from skewflow._fmt17 import format_rows
 from skewflow.gyro import _READ_SIZE, read_rows
@@ -95,10 +96,10 @@ for tableau in map(builtin, BUILTIN_NAMES):
         shape = "x".join(map(str, m.shape))
         timed(f"one_step_map.{tableau.name}.{shape}", lambda _: one_step_map(tableau, m, 0.1),
               1e6 * m.shape[-1] ** 2 / m.size, "us a map", f"seeded {shape} skew S, h = 0.1")
-    timed(f"one_step_map.{tableau.name}.40x40.run",
-          lambda _: one_step_map(tableau, s40, 0.1, [100, 2000], [0.1, 200 - 1999 * 0.1]), 1e6,
-          "us", "stride and end maps of a 40x40 propagate: seeded skew S of norm 2, h = 0.1, "
-          "n = [100, 2000]")
+    timed(f"one_step_map.{tableau.name}.40x40.run", lambda _: one_step_map(
+          tableau, s40, 0.1, [100, 200, 2000], [0.1, 0.1, 200 - 1999 * 0.1]), 1e6, "us",
+          "the record table and end map of a 40x40 propagate: seeded skew S of norm 2, "
+          "h = 0.1, n = [100, 200, 2000]")
 # the phases of ``skewflow benchmark``, as it runs them on the reference problem
 s3, q3 = hat(cli.BENCH_OMEGA), OrthogonalState(np.eye(3))
 on = (f"cayley-midpoint and rk2-closed, {cli.BENCH_T_END / cli.BENCH_STEP:.0f} steps of "
@@ -118,6 +119,16 @@ timed("benchmark.meters", lambda fresh: [(t.energy_errors, t.det_drifts, t.orth_
       lambda: [Trajectory(t.method, t.step, t.times, t.qs) for t in runs])
 timed("benchmark.csv", lambda _: ["".join(cli._trajectory_csv(t)) for t in runs], 1e3, "ms",
       on + ": the CSV text of both")
+row("benchmark.midpoint.max_orth_defect", np.max(runs[0].orth_defects) / np.finfo(float).eps,
+    "eps", on + ": summary.txt's midpoint.max_orth_defect, in units of 2^-52")
+# an S an ulp off skew takes the general path, whose record table is one
+# matrix power a row
+near = hat(cli.BENCH_OMEGA).mat.copy()
+near[0, 1] = np.nextafter(near[0, 1], np.inf)
+timed("propagate.near_skew.3x3", lambda _: propagate(
+    IntegratorConfig("cayley-midpoint", cli.BENCH_STEP), SkewMatrix(near), q3, cli.BENCH_T_END),
+    1e3, "ms", f"cayley-midpoint on hat{cli.BENCH_OMEGA} with one entry an ulp off skew, "
+    f"{cli.BENCH_T_END / cli.BENCH_STEP:.0f} steps of h = {cli.BENCH_STEP}, every step recorded")
 # a child's ru_maxrss starts at the peak of the process that spawned it, so it
 # reads its own high-water mark; BLAS at one thread, as the benchmark runs it
 env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
