@@ -83,9 +83,9 @@ def one_step_map(tableau, m, h, n=1, h_last=None):
       formula up to dimension 3, one eigendecomposition of each S above
       it, for all its maps.  ``h`` enters only through the n-step map's
       value ``w`` at each eigenvalue ``i lam`` of S, so a huge h cannot
-      overflow the decomposition.  R is evaluated at ``h_last lam`` in the
-      shape of h_last and at ``h lam`` only for maps of more than one
-      step, and only its values broadcast over the maps.  ``w`` is
+      overflow the decomposition.  R is evaluated at ``h_last lam`` and at
+      ``first lam`` (see below), each in its own shape, and only its values
+      broadcast over the maps.  ``w`` is
       ``R(ih lam)^(n-1) R(ih_last lam)``, or, when ``tableau`` is
       symplectic, the unit-modulus ``exp(i((n-1) arg R(ih lam) + arg
       R(ih_last lam)))``: its maps stay
@@ -95,55 +95,57 @@ def one_step_map(tableau, m, h, n=1, h_last=None):
       :func:`_distinct_steps`), by Horner's rule or the Kronecker stage
       inverse, and takes ``np.linalg.matrix_power``.
 
+    A map of one step takes no step of length h: the power of phi(S, h) it
+    takes is I.  So ``first``, the step each map takes before its last, is
+    h, or h_last for a map of one step, and neither path evaluates R or
+    builds phi at an h that no map steps by.
+
     R is Horner's rule for explicit tableaus; otherwise it takes a guarded
     inverse, and :class:`StageSolveError` when that is singular.
     """
     h_last = h if h_last is None else h_last
+    first = h if h_last is h else np.where(np.asarray(n) > 1, h, h_last)
     try:
         if np.array_equal(m, -np.swapaxes(m, -1, -2)):
             unit = symplecticity(tableau).symplectic
             # a trailing axis for the eigenvalues: R is evaluated in the shapes
-            # of h and h_last, and only its values broadcast over the maps
-            n, step, last = (np.asarray(x)[..., None] for x in (n, h, h_last))
+            # of first and h_last, and only its values broadcast over the maps
+            n, step, last = (np.asarray(x)[..., None] for x in (n, first, h_last))
 
             def w(y):
-                # R at h only for maps of more than one step, and R(0) = 1 for
-                # the rest, so a map of one step never fails on R at h
                 r_last = _stability(tableau, 1j * (last * y))
-                r = r_last if h_last is h else _stability(tableau, 1j * (step * (n > 1) * y))
+                r = r_last if first is h_last else _stability(tableau, 1j * (step * y))
                 if unit:
                     return cis((n - 1) * np.angle(r) + np.angle(r_last))
                 return r ** (n - 1) * r_last
 
             return skew_function(m, w)
-        shape, n, steps, first, last = _distinct_steps(m, h, n, h_last)
+        shape, n, steps, at_first, at_last = _distinct_steps(m, n, first, h_last)
         stack = m.reshape((-1,) + m.shape[-2:])
         phis = [_step_map(tableau, stack[i], step) for i, step in steps]
         maps = [phis[j] @ np.linalg.matrix_power(phis[i], k - 1)
-                for i, j, k in zip(first, last, n.tolist())]
+                for i, j, k in zip(at_first, at_last, n.tolist())]
     except SingularMatrixError as exc:
         raise StageSolveError(f"stage system is singular: {exc}") from exc
     return np.reshape(maps, shape + m.shape[-2:])
 
 
-def _distinct_steps(m, h, n, h_last):
+def _distinct_steps(m, n, first, h_last):
     """The plan of the maps ``one_step_map`` builds for an S that is not
     exactly antisymmetric, where each distinct pair costs a stage inverse.
 
     Returns their broadcast shape, their flat step counts, the distinct
     ``(matrix, step)`` pairs over the flat stack of ``m`` and the steps
-    ``h`` and ``h_last``, and, for each map, the index of its pair at h and
-    of its pair at h_last.  A map of one step takes its pair at h_last for
-    both, as the power of phi at h it takes is I: no phi is built at an h
-    that no map steps by.
+    ``first`` and ``h_last``, and, for each map, the index of its pair at
+    ``first`` and of its pair at h_last.
     """
     index = np.arange(np.prod(m.shape[:-2], dtype=int)).reshape(m.shape[:-2])
-    index, h, n, h_last = np.broadcast_arrays(index, h, n, h_last)
+    index, n, first, h_last = np.broadcast_arrays(index, n, first, h_last)
     shape, index = index.shape, index.ravel().tolist()
     steps = {}
-    first, last = ([steps.setdefault(pair, len(steps)) for pair in zip(index, x.ravel().tolist())]
-                   for x in (np.where(n > 1, h, h_last), h_last))
-    return shape, n.ravel(), list(steps), first, last
+    at_first, at_last = ([steps.setdefault(pair, len(steps))
+                          for pair in zip(index, x.ravel().tolist())] for x in (first, h_last))
+    return shape, n.ravel(), list(steps), at_first, at_last
 
 
 def _stability(tableau, z):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -590,6 +591,29 @@ class TestPropagate:
         traj = propagate(config, BENCH, eye_state(3), 1.0)
         assert traj.method == "gauss2"
         assert traj.step == 0.5
+
+    @pytest.mark.parametrize("method, dim, t_end, records", [
+        ("midpoint", 3, 200.0, 2001),
+        ("midpoint", 3, 2000.0, 20001),
+        ("midpoint", 3, 20000.0, 200001),
+        ("gauss2", 40, 20.0, 201),
+        ("gauss2", 40, 200.0, 2001),
+    ])
+    def test_peak_memory_is_the_records_and_a_constant(self, method, dim, t_end, records):
+        # each record holds its state, five meter columns, its step count and
+        # its time, d^2 + 7 numbers; beyond them a run keeps one record table
+        # of at most stack_rows(d) maps, so a run that held a map for every
+        # record (1.4 MB more at 20001 3x3 records) would not fit
+        s = BENCH if dim == 3 else SkewMatrix(random_skew(np.random.default_rng(dim), dim, 2.0))
+        config = IntegratorConfig(builtin(method), step=0.1)
+        tracemalloc.start()
+        try:
+            traj = propagate(config, s, eye_state(dim), t_end)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == records
+        assert peak <= records * (dim**2 + 7) * 8 + 512 * 1024, peak
 
 
 class TestConservation:

@@ -1,6 +1,6 @@
 """Per-layer numbers of skewflow, one JSON object of seeded rows: value, unit and input.
-A time is the median of 25 calls after a warm-up call, and gates nothing.  Run from the
-root as ``PYTHONPATH=src python tools/layers.py``; PYTHONPATH at another src/ measures it."""
+A time is the median of 25 calls after a warm-up; the script gates nothing, CI its rss rows.
+Run from the root as ``PYTHONPATH=src python tools/layers.py``, or PYTHONPATH at another src/."""
 
 import contextlib
 import io
@@ -29,7 +29,8 @@ rows = {}
 
 
 def row(name, value, unit, on):
-    rows[name] = {"value": round(value, 3), "unit": unit, "input": on}
+    value = value if isinstance(value, int) else float(f"{value:.4g}")
+    rows[name] = {"value": value, "unit": unit, "input": on}
 
 
 def timed(name, call, scale, unit, on, fresh=lambda: None):
@@ -51,12 +52,37 @@ def skew(seed, *shape):
     return a - np.swapaxes(a, -1, -2)
 
 
+# each child below runs skewflow.cli.main(argv) with BLAS at one thread, as the benchmark does,
+# and reads its own peak RSS, VmHWM, which starts again at exec (ru_maxrss keeps the fork's)
+CHILD = """import json, pathlib, re, sys, time
+import skewflow.cli
+peak = lambda: int(re.search(r"VmHWM:\\s+(\\d+)",
+                             pathlib.Path("/proc/self/status").read_text())[1]) / 1024
+imported, start = peak(), time.perf_counter()
+code = skewflow.cli.main(sys.argv[1:])
+print(json.dumps([time.perf_counter() - start, imported, peak()]))
+sys.exit(code)"""
+env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), OPENBLAS_NUM_THREADS="1",
+           OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+
+def child_run(work, name, count, args):
+    """Rows ``scale.<name>``, us a record of ``count``, and ``rss.<name>``, MB, of a fresh child's
+    ``skewflow <args>``, whose failure stops the script; returns the peak's rise over import."""
+    out = subprocess.run([sys.executable, "-c", CHILD, *args.split(), "--out", "out.csv"],
+                         cwd=work, env=env, stdout=subprocess.PIPE, text=True, check=True).stdout
+    seconds, imported, peak = json.loads(out.splitlines()[-1])
+    row(f"scale.{name}", seconds * 1e6 / count, "us a record", f"skewflow {args}")
+    row(f"rss.{name}", peak, "MB", f"the child's peak RSS (VmHWM) in skewflow {args}")
+    return peak - imported
+
+
 with tempfile.TemporaryDirectory() as work:
     # no bytecode is read from the empty prefix or written, so each module is
     # compiled afresh, as the benchmark's setup_s pays it where none is kept
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=work)
     err = subprocess.run([sys.executable, "-X", "importtime", "-c", "import skewflow.cli"],
-                         env=env, capture_output=True, text=True, check=True).stderr
+                         env=dict(env, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=work),
+                         capture_output=True, text=True, check=True).stderr
     for us, module in re.findall(r"import time:\s+(\d+) \|\s+\d+ \|\s+(skewflow\S*)", err):
         row(f"import.{module}", int(us), "us", "self time in a fresh import of skewflow.cli")
     argv = ["propagate", "--method", "gauss2", "--omega", "0,0,1", "--h", "0.1",
@@ -65,9 +91,26 @@ with tempfile.TemporaryDirectory() as work:
     with contextlib.redirect_stdout(io.StringIO()):  # the process's first main call
         row("cli.main.first", timed("cli.main", lambda _: cli.main(argv) == 0, 1e3, "ms", on)
             * 1e3, "ms", on)
-    np.savetxt(os.path.join(work, "s.txt"), skew(0, 40, 40), fmt="%.17g")
-    timed("_load_matrix_file", lambda _: cli._load_matrix_file(os.path.join(work, "s.txt")),
+    np.savetxt(os.path.join(work, "s40.txt"), skew(40, 40, 40), fmt="%.17g")
+    timed("_load_matrix_file", lambda _: cli._load_matrix_file(os.path.join(work, "s40.txt")),
           1e9 / 1600, "ns a number", "seeded 40x40 skew file")
+    args = "propagate --method gauss2 --s-file s40.txt --h 0.1 --t-end 200 --record-every 100"
+    row("rss.d40.first_call", child_run(work, "propagate.d40", 21, args), "MB",
+        "rss.propagate.d40's rise over the child's import")
+    for t_end, size in (("100", "1e5"), ("1000", "1e6")):
+        child_run(work, f"propagate.{size}", float(size), "propagate --method cayley-midpoint "
+                  f"--omega 0,-0.1,-2 --h 0.001 --t-end {t_end}")
+    # seeded 400 Hz logs; the commented one has a preamble, and a comment and a blank line halfway
+    samples = np.column_stack([np.arange(10**6) / 400.0,
+                               np.random.default_rng(0).uniform(-2.0, 2.0, (10**6, 3))])
+    for kind, count, preamble, comment in (("1e5", 10**5, "", ""), ("1e6.clean", 10**6, "", ""), (
+            "1e6.commented", 10**6, "# preamble\n", "# a comment in the body\n")):
+        with open(os.path.join(work, f"{kind}.csv"), "w") as fh:
+            np.savetxt(fh, samples[:count // 2], delimiter=",", header=preamble + "t,wx,wy,wz",
+                       footer=comment, comments="")
+            np.savetxt(fh, samples[count // 2:count], delimiter=",")
+        child_run(work, f"gyro.{kind}", count, f"gyro --input {kind}.csv --method "
+                  "cayley-midpoint --h 0.0025 --reference")
 row("src.lines", sum(p.read_bytes().count(b"\n") for p in Path(cli.__file__).parent.glob("*.py")),
     "lines", "skewflow/*.py")
 rng = np.random.default_rng(0)
@@ -119,8 +162,8 @@ timed("benchmark.meters", lambda fresh: [(t.energy_errors, t.det_drifts, t.orth_
       lambda: [Trajectory(t.method, t.step, t.times, t.qs) for t in runs])
 timed("benchmark.csv", lambda _: ["".join(cli._trajectory_csv(t)) for t in runs], 1e3, "ms",
       on + ": the CSV text of both")
-row("benchmark.midpoint.max_orth_defect", np.max(runs[0].orth_defects) / np.finfo(float).eps,
-    "eps", on + ": summary.txt's midpoint.max_orth_defect, in units of 2^-52")
+row("benchmark.midpoint.max_orth_defect", np.max(runs[0].orth_defects), "1",
+    on + ": summary.txt's midpoint.max_orth_defect")
 # an S an ulp off skew takes the general path, whose record table is one
 # matrix power a row
 near = hat(cli.BENCH_OMEGA).mat.copy()
@@ -129,22 +172,6 @@ timed("propagate.near_skew.3x3", lambda _: propagate(
     IntegratorConfig("cayley-midpoint", cli.BENCH_STEP), SkewMatrix(near), q3, cli.BENCH_T_END),
     1e3, "ms", f"cayley-midpoint on hat{cli.BENCH_OMEGA} with one entry an ulp off skew, "
     f"{cli.BENCH_T_END / cli.BENCH_STEP:.0f} steps of h = {cli.BENCH_STEP}, every step recorded")
-# a child's ru_maxrss starts at the peak of the process that spawned it, so it
-# reads its own high-water mark; BLAS at one thread, as the benchmark runs it
-env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-rise = subprocess.run([sys.executable, "-c", """import re, numpy as np
-from skewflow import IntegratorConfig, OrthogonalState, SkewMatrix, builtin, propagate
-def peak_kb():
-    with open("/proc/self/status") as fh:
-        return int(re.search(r"VmHWM:\\s+(\\d+)", fh.read())[1])
-a = np.random.default_rng(40).standard_normal((40, 40))
-s, q0 = SkewMatrix(a - a.T), OrthogonalState(np.eye(40))
-config = IntegratorConfig(builtin("gauss2"), 0.1)
-kb = peak_kb()
-propagate(config, s, q0, 200.0, 100)
-print(peak_kb() - kb)"""], env=env, capture_output=True, text=True, check=True).stdout
-row("rss.d40.first_call", int(rise) / 1024, "MB", "peak RSS rise of a fresh child's first 40x40 "
-    "gauss2 propagate (h = 0.1, t_end = 200, record_every = 100) over its import")
 system = np.eye(80) - np.kron(builtin("gauss2").a, 0.1 * skew(40, 40, 40))
 timed("checked_inverse.gauss2.d40", lambda _: checked_inverse(system), 1e6, "us",
       "gauss2 stage system I - A kron hS of a seeded 40x40 skew S, h = 0.1")
