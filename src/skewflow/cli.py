@@ -80,11 +80,14 @@ def _outputs():
     that the umask applies as it does for ``open``.  Every file is renamed
     into place when the block ends, after all of them are written; a block
     that raises unlinks them instead, so a run that stops on an error
-    leaves none of its outputs.
+    leaves none of its outputs.  A path that names the same file as one
+    already written is refused, as one of the two would be lost.
     """
     staged = []  # (temporary name, path) of each file written whole
 
     def write(path, parts):
+        if any(os.path.realpath(path) == os.path.realpath(p) for _, p in staged):
+            raise InputError(f"{path}: named as two outputs of one run")
         directory = os.path.dirname(os.path.abspath(path))
         tmp = os.path.join(directory, f".skewflow-{os.urandom(8).hex()}")
         try:

@@ -10,6 +10,7 @@ steps at once: for an exactly antisymmetric S of any dimension, from
 for any other S, from the stage system and a matrix power.
 """
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -90,10 +91,11 @@ def one_step_map(tableau, m, h, n=1, h_last=None):
       symplectic, the unit-modulus ``exp(i((n-1) arg R(ih lam) + arg
       R(ih_last lam)))``: its maps stay
       orthogonal to rounding at any n;
-    - an ``m`` that is not exactly antisymmetric builds phi of each
-      matrix at each distinct step a map takes (see
-      :func:`_distinct_steps`), by Horner's rule or the Kronecker stage
-      inverse, and takes ``np.linalg.matrix_power``.
+    - an ``m`` that is not exactly antisymmetric walks the maps in their
+      broadcast order and takes phi of each matrix at each step from a
+      per-call cache, so each distinct ``(matrix, step)`` pair is built
+      once, by Horner's rule or the Kronecker stage inverse; each map is
+      ``phi(S, h_last) @ np.linalg.matrix_power(phi(S, first), n - 1)``.
 
     A map of one step takes no step of length h: the power of phi(S, h) it
     takes is I.  So ``first``, the step each map takes before its last, is
@@ -120,32 +122,18 @@ def one_step_map(tableau, m, h, n=1, h_last=None):
                 return r ** (n - 1) * r_last
 
             return skew_function(m, w)
-        shape, n, steps, at_first, at_last = _distinct_steps(m, n, first, h_last)
         stack = m.reshape((-1,) + m.shape[-2:])
-        phis = [_step_map(tableau, stack[i], step) for i, step in steps]
-        maps = [phis[j] @ np.linalg.matrix_power(phis[i], k - 1)
-                for i, j, k in zip(at_first, at_last, n.tolist())]
+        broadcast = np.broadcast(np.arange(len(stack)).reshape(m.shape[:-2]), n, first, h_last)
+        # each distinct (matrix, step) pair costs one stage inverse; every
+        # power comes before any phi at h_last, so a singular system at h is
+        # the one reported even when h_last's is singular too
+        phi = functools.cache(lambda i, step: _step_map(tableau, stack[i], step))
+        powers = [(i, last, np.linalg.matrix_power(phi(i, step), k - 1))
+                  for i, k, step, last in broadcast]
+        maps = [phi(i, last) @ power for i, last, power in powers]
     except SingularMatrixError as exc:
         raise StageSolveError(f"stage system is singular: {exc}") from exc
-    return np.reshape(maps, shape + m.shape[-2:])
-
-
-def _distinct_steps(m, n, first, h_last):
-    """The plan of the maps ``one_step_map`` builds for an S that is not
-    exactly antisymmetric, where each distinct pair costs a stage inverse.
-
-    Returns their broadcast shape, their flat step counts, the distinct
-    ``(matrix, step)`` pairs over the flat stack of ``m`` and the steps
-    ``first`` and ``h_last``, and, for each map, the index of its pair at
-    ``first`` and of its pair at h_last.
-    """
-    index = np.arange(np.prod(m.shape[:-2], dtype=int)).reshape(m.shape[:-2])
-    index, n, first, h_last = np.broadcast_arrays(index, n, first, h_last)
-    shape, index = index.shape, index.ravel().tolist()
-    steps = {}
-    at_first, at_last = ([steps.setdefault(pair, len(steps))
-                          for pair in zip(index, x.ravel().tolist())] for x in (first, h_last))
-    return shape, n.ravel(), list(steps), at_first, at_last
+    return np.reshape(maps, broadcast.shape + m.shape[-2:])
 
 
 def _stability(tableau, z):

@@ -1,7 +1,7 @@
 """Dense matrix kernels for the linear flow Q' = S*Q with skew-symmetric S.
 
 Everything here is small and dense (attitude-sized matrices, at most a few
-dozen rows after stage stacking).  The one linear-algebra kernel is
+dozen rows after stage stacking).  The one inverse is
 :func:`checked_inverse`, a LAPACK inverse behind a reciprocal-condition
 guard.  The one kernel for functions of a skew matrix, the exact flow and
 each method's map alike, is :func:`skew_function`.  All returned arrays

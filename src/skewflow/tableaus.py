@@ -79,28 +79,13 @@ class ButcherTableau:
         return bool(np.all(np.triu(self.a) == 0.0))
 
 
-def _midpoint():
-    return ButcherTableau([[0.5]], [1.0], [0.5], name="midpoint")
-
-
-def _rk2_explicit():
-    return ButcherTableau(
-        [[0.0, 0.0], [0.5, 0.0]], [0.0, 1.0], [0.0, 0.5], name="rk2-explicit"
-    )
-
-
-def _gauss2():
-    r = np.sqrt(3.0) / 6.0
-    return ButcherTableau(
-        [[0.25, 0.25 - r], [0.25 + r, 0.25]],
-        [0.5, 0.5],
-        [0.5 - r, 0.5 + r],
-        name="gauss2",
-    )
-
-
-def _rk4_classical():
-    return ButcherTableau(
+_R = np.sqrt(3.0) / 6.0  # gauss2's abscissae are 1/2 -+ sqrt(3)/6
+# each built-in name and its (A, b, c)
+_CATALOGUE = {
+    "midpoint": ([[0.5]], [1.0], [0.5]),
+    "rk2-explicit": ([[0.0, 0.0], [0.5, 0.0]], [0.0, 1.0], [0.0, 0.5]),
+    "gauss2": ([[0.25, 0.25 - _R], [0.25 + _R, 0.25]], [0.5, 0.5], [0.5 - _R, 0.5 + _R]),
+    "rk4-classical": (
         [
             [0.0, 0.0, 0.0, 0.0],
             [0.5, 0.0, 0.0, 0.0],
@@ -109,15 +94,7 @@ def _rk4_classical():
         ],
         [1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0],
         [0.0, 0.5, 0.5, 1.0],
-        name="rk4-classical",
-    )
-
-
-_CATALOGUE = {
-    "midpoint": _midpoint,
-    "rk2-explicit": _rk2_explicit,
-    "gauss2": _gauss2,
-    "rk4-classical": _rk4_classical,
+    ),
 }
 
 BUILTIN_NAMES = tuple(_CATALOGUE)
@@ -131,11 +108,11 @@ def builtin(name):
     symplectic), ``rk4-classical`` (order 4).
     """
     try:
-        factory = _CATALOGUE[name]
+        a, b, c = _CATALOGUE[name]
     except KeyError:
         known = ", ".join(BUILTIN_NAMES)
         raise TableauError(f"unknown built-in tableau {name!r} (known: {known})")
-    return factory()
+    return ButcherTableau(a, b, c, name=name)
 
 
 @dataclass(frozen=True)

@@ -1334,6 +1334,15 @@ class TestRunOutputs:
         assert (code, left) == (2, ["traj.csv.manifest"])
         assert err == "skewflow: [Errno 21] Is a directory: 'traj.csv.manifest'\n"
 
+    @pytest.mark.parametrize("dump", ["traj.csv", "./traj.csv", "traj.csv.manifest"])
+    def test_a_path_named_twice_is_refused_and_leaves_no_file(self, tmp_path, monkeypatch,
+                                                              capsys, dump):
+        # each output would overwrite another, which a manifest still lists
+        code, err, left = self.run(tmp_path, monkeypatch, capsys,
+                                   self.PROPAGATE + ["--dump-q", dump])
+        assert (code, left) == (2, [])
+        assert err == f"skewflow: {dump}: named as two outputs of one run\n"
+
     def test_a_benchmark_that_stops_at_rk2_leaves_no_midpoint_csv(self, tmp_path,
                                                                    monkeypatch, capsys):
         _second_call_out_of_memory(monkeypatch, "propagate")

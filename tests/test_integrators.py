@@ -266,6 +266,43 @@ class TestStackedMaps:
             for m, phi, args in zip(ms, got, np.broadcast(h, n, h_last)):
                 assert_array_equal(phi, one_step_map(method, m, *args))
 
+    @staticmethod
+    def spy_step_maps(monkeypatch):
+        """Record the (matrix, step) of each phi the general path builds."""
+        import skewflow.integrators as integrators
+
+        calls, original = [], integrators._step_map
+
+        def spy(tableau, m, h):
+            calls.append((m.tobytes(), float(h)))
+            return original(tableau, m, h)
+
+        monkeypatch.setattr(integrators, "_step_map", spy)
+        return calls
+
+    def test_a_near_skew_run_builds_each_distinct_step_once(self, monkeypatch):
+        # an ulp off skew: the general path, whose record table would build
+        # 456 maps were each row to build its own phi
+        near = BENCH_MAT.copy()
+        near[0, 1] = np.nextafter(near[0, 1], np.inf)
+        calls = self.spy_step_maps(monkeypatch)
+        traj = propagate(IntegratorConfig("cayley-midpoint", 0.1), SkewMatrix(near),
+                         eye_state(3), 2000.0)
+        assert len(traj.times) == 20001
+        _, h_last = grid(0.0, 2000.0, 0.1)
+        assert sorted(h for _, h in calls) == sorted({0.1, float(h_last)})
+
+    def test_a_leaky_stack_builds_each_distinct_matrix_and_step_once(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        ms = np.array([random_skew(rng, 4, norm=x) + 1e-3 * np.eye(4) for x in (0.5, 2.0)])
+        calls = self.spy_step_maps(monkeypatch)
+        # a second row of step counts repeats every pair of the first
+        got = one_step_map(builtin("gauss2"), ms, np.array([0.1, -0.3]), [[3, 40], [7, 2]],
+                           [0.05, 0.2])
+        assert got.shape == (2, 2, 4, 4)
+        assert sorted(calls) == sorted({(ms[0].tobytes(), 0.1), (ms[0].tobytes(), 0.05),
+                                        (ms[1].tobytes(), -0.3), (ms[1].tobytes(), 0.2)})
+
     def test_zero_weight_tableau_keeps_the_stack_shape(self):
         tableau = ButcherTableau([[0.0]], [0.0], [0.0])
         ms = np.zeros((4, 3, 3))
