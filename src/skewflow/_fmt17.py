@@ -43,10 +43,10 @@ of columns, written with slice copies; one row scatter of the transposed
 grid restores the order.
 
 A block of fewer than ``SMALL`` numbers goes wholly through the fallback,
-which is faster there.  :func:`text_blocks` formats at most
-``BLOCK_NUMBERS`` numbers at a time, so that a writer holds one block;
-:func:`text_parts` does the same for a table that comes in parts.
-Every table is built on first use.
+which is faster there.  :func:`text_blocks` formats a table that comes in
+parts, such as the blocks of a streamed run, each part on its own and at
+most ``BLOCK_NUMBERS`` numbers at a time, so that a writer holds one
+block.  Every table is built on first use.
 """
 
 import functools
@@ -54,8 +54,9 @@ import functools
 import numpy as np
 
 SPEC = "%.17g"
-# numbers per block of text_blocks: 2048 rows of a five-column CSV
-BLOCK_NUMBERS = 10240
+# numbers per block of text_blocks: at least 2049 * 6, so that each streamed
+# gyro block is one, the first with record 0 and all with --reference's column
+BLOCK_NUMBERS = 16384
 # below this many numbers per-value formatting beats the bulk kernel: on the
 # benchmark's rows bulk took 1.04-1.09x per-value's time at 250, 0.90-0.93x at 300
 SMALL = 260
@@ -253,37 +254,16 @@ def format_rows(rows, sep):
     return out.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def text_blocks(n, width, rows, sep):
-    """Yield the text of an ``n``-row, ``width``-column table block by block.
+def text_blocks(parts, width, sep):
+    """Yield the text of a ``width``-column table that comes in parts, each
+    a pair ``(n, rows)`` of its row count and row function, block by block.
 
-    ``rows(a, b)`` returns rows ``a:b`` as a ``(b - a, width)`` float array.
-    A block holds at most ``BLOCK_NUMBERS`` numbers (at least one row), so
-    a caller that writes each block as it comes never holds more.
-    """
-    return text_parts([(n, rows)], width, sep)
-
-
-def text_parts(parts, width, sep):
-    """:func:`text_blocks` of a table that comes in parts, each a pair
-    ``(n, rows)`` of its row count and row function, read as they come.
-
-    The blocks are those of the whole table: a block that spans parts
-    joins their rows before it is formatted.
+    ``rows(a, b)`` returns rows ``a:b`` of its part as a ``(b - a, width)``
+    float array.  Each part is formatted on its own, in blocks of at most
+    ``BLOCK_NUMBERS`` numbers (at least one row), so a caller that writes
+    each block as it comes never holds more.
     """
     step = max(1, BLOCK_NUMBERS // width)
-    held, count = [], 0
     for n, rows in parts:
-        a = 0
-        while a < n:
-            b = min(n, a + step - count)
-            held.append(rows(a, b))
-            count, a = count + b - a, b
-            if count == step:
-                yield format_rows(_joined(held), sep)
-                held, count = [], 0
-    if held:
-        yield format_rows(_joined(held), sep)
-
-
-def _joined(blocks):
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        for a in range(0, n, step):
+            yield format_rows(rows(a, min(n, a + step)), sep)

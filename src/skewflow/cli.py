@@ -30,7 +30,7 @@ import sys
 import numpy as np
 
 from . import __version__, gyro
-from ._fmt17 import fmt17, text_blocks, text_parts
+from ._fmt17 import fmt17, text_blocks
 from .diagnostics import require_orthogonal_start, rk2_energy_forecast
 from .integrators import (
     CLOSED_FORM_METHODS,
@@ -162,12 +162,12 @@ def _csv_text(parts, reference):
         return len(traj), rows
 
     yield header + "\n"
-    yield from text_parts((rows_of(*part) for part in parts), 5 + reference, ",")
+    yield from text_blocks((rows_of(*part) for part in parts), 5 + reference, ",")
 
 
 def _dump_q_text(traj):
     qs = traj.qs.reshape(len(traj), -1)
-    return text_blocks(len(qs), qs.shape[1], lambda a, b: qs[a:b], " ")
+    return text_blocks([(len(qs), lambda a, b: qs[a:b])], qs.shape[1], " ")
 
 
 def _load_matrix_file(path):

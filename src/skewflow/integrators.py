@@ -309,8 +309,8 @@ def propagate(config, s, q0, t_end, record_every=1):
                             np.append(np.full(rows, config.step), h_last))
         qs = march(q0.q, len(ks), max(rows, 1), lambda a, b: maps[: b - a])
         qs[-1] = maps[-1] @ q0.q
-    times = q0.t + ks * config.step
-    times[-1] = t_end
+        times = q0.t + ks * config.step
+        times[-1] = t_end
     return metered(config, times, qs, lambda j: ks[j])
 
 

@@ -17,6 +17,7 @@ from test_exit_contract import GYRO_LOG, S_FILE, TOKENS
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import skewflow._fmt17 as _fmt17
 import skewflow.cli as cli
 import skewflow.diagnostics as diagnostics
 import skewflow.gyro as gyro
@@ -970,6 +971,22 @@ class TestStreamedGyro:
         assert (code, capsys.readouterr().out) == want[:2]
         assert (work / "att.csv").read_bytes() == want[4]["att.csv"]
         assert (work / "att.csv.manifest").read_bytes() == want[4]["att.csv.manifest"]
+
+    @pytest.mark.parametrize("reference", [False, True], ids=["plain", "reference"])
+    def test_a_block_is_one_format_rows_call(self, tmp_path, monkeypatch, capsys, reference):
+        # the first block carries record 0 as well as its own records
+        calls = []
+        format_rows = _fmt17.format_rows
+
+        def spy(rows, sep):
+            calls.append(len(rows))
+            return format_rows(rows, sep)
+
+        monkeypatch.setattr(_fmt17, "format_rows", spy)
+        code = gyro_outcome(tmp_path / "run", clean_log(3 * _BLOCK + 1), "cayley-midpoint",
+                            reference, capsys)[0]
+        assert code == 0
+        assert calls == [_BLOCK + 1, _BLOCK, _BLOCK]
 
     @staticmethod
     def temporaries(tmp_path, blocks, edit):

@@ -190,3 +190,17 @@ def test_a_run_of_one_step_exits_as_that_step_does(tmp_path, monkeypatch, capsys
         err = capsys.readouterr().err
         assert rcs[0] == rcs[1], f"{s.shape} {'skew' if (s == -s.T).all() else 'leaky'}: {args}"
         assert "Traceback" not in err
+
+
+def test_record_times_that_overflow_exit_3_without_a_warning(tmp_path, monkeypatch, capsys):
+    # the span ends half a step past a huge h, so the time of the grid's
+    # last step, 2 * h, overflows before t_end takes its place
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["propagate", "--method", "rk2-closed", "--omega", "0,0,1", "--h", "1e308",
+                   "--t-end", "1.5e308", "--out", "out.csv"])
+    err = capsys.readouterr().err
+    assert rc == 3 and "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert os.listdir() == []

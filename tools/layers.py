@@ -21,7 +21,7 @@ from skewflow import (
     propagate,
 )
 from skewflow._fmt17 import format_rows
-from skewflow.gyro import _READ_SIZE, read_rows
+from skewflow.gyro import _READ_SIZE, read_rows, stream_gyro
 from skewflow.integrators import one_step_map
 from skewflow.linalg import checked_inverse
 
@@ -162,6 +162,12 @@ timed("benchmark.meters", lambda fresh: [(t.energy_errors, t.det_drifts, t.orth_
       lambda: [Trajectory(t.method, t.step, t.times, t.qs) for t in runs])
 timed("benchmark.csv", lambda _: ["".join(cli._trajectory_csv(t)) for t in runs], 1e3, "ms",
       on + ": the CSV text of both")
+# the blocks that cmd_gyro hands to the CSV writer, each a part of the text
+parts = list(stream_gyro(read_rows(io.StringIO("t,wx,wy,wz\n" + "".join(lines))),
+                         IntegratorConfig("cayley-midpoint", 0.0025), True))
+timed("csv.gyro.streamed", lambda _: "".join(cli._csv_text(parts, True)), 1e3, "ms",
+      "the CSV text of the streamed blocks of gyro --reference on the seeded 10^4-sample log, "
+      "cayley-midpoint, h = 0.0025")
 row("benchmark.midpoint.max_orth_defect", np.max(runs[0].orth_defects), "1",
     on + ": summary.txt's midpoint.max_orth_defect")
 # an S an ulp off skew takes the general path, whose record table is one
