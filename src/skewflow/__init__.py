@@ -10,13 +10,9 @@ checker, and a gyro-log front end for strapdown attitude propagation.
 """
 
 from .diagnostics import (
-    IndeterminateOrderError,
     Trajectory,
-    convergence_order,
-    det_drift,
     energy,
     orthogonality_defect,
-    pseudo_symplectic_defect,
     rk2_energy_forecast,
 )
 from .gyro import (
@@ -41,10 +37,8 @@ from .linalg import (
     SingularMatrixError,
     SkewMatrix,
     SkewnessError,
-    apply_velocity,
     expm,
     hat,
-    vee,
 )
 from .tableaus import (
     BUILTIN_NAMES,
@@ -54,7 +48,6 @@ from .tableaus import (
     TableauParseError,
     builtin,
     parse_tableau,
-    serialize_tableau,
     symplecticity,
 )
 
@@ -66,7 +59,6 @@ __all__ = [
     "CLOSED_FORM_METHODS",
     "GyroLog",
     "GyroLogError",
-    "IndeterminateOrderError",
     "InputError",
     "IntegratorConfig",
     "NonFiniteStateError",
@@ -80,10 +72,7 @@ __all__ = [
     "TableauParseError",
     "Trajectory",
     "adjoint_defect",
-    "apply_velocity",
     "builtin",
-    "convergence_order",
-    "det_drift",
     "energy",
     "expm",
     "hat",
@@ -92,11 +81,8 @@ __all__ = [
     "parse_tableau",
     "propagate",
     "propagate_gyro",
-    "pseudo_symplectic_defect",
     "reference_gyro",
     "rk2_energy_forecast",
-    "serialize_tableau",
     "symplecticity",
     "transfer_matrix",
-    "vee",
 ]

@@ -72,6 +72,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 @contextlib.contextmanager
+def _naming(path):
+    # an OSError names path, not the temporary file written for it
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+
+
+@contextlib.contextmanager
 def _outputs():
     """The output files of one run, renamed into place together.
 
@@ -81,7 +90,8 @@ def _outputs():
     into place when the block ends, after all of them are written; a block
     that raises unlinks them instead, so a run that stops on an error
     leaves none of its outputs.  A path that names the same file as one
-    already written is refused, as one of the two would be lost.
+    already written is refused, as one of the two would be lost.  An error
+    in creating or writing a file names the path asked for.
     """
     staged = []  # (temporary name, path) of each file written whole
 
@@ -90,16 +100,18 @@ def _outputs():
             raise InputError(f"{path}: named as two outputs of one run")
         directory = os.path.dirname(os.path.abspath(path))
         tmp = os.path.join(directory, f".skewflow-{os.urandom(8).hex()}")
-        try:
+        with _naming(path):
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        except OSError as exc:
-            # name the path asked for, not the temporary file beside it
-            raise OSError(exc.errno, exc.strerror, path) from None
+        fh = os.fdopen(fd, "w", newline="\n")
         try:
-            with os.fdopen(fd, "w", newline="\n") as fh:
-                for part in parts:
+            for part in parts:  # an error that parts raise names what it names
+                with _naming(path):
                     fh.write(part)
+            with _naming(path):
+                fh.close()
         except BaseException:
+            with contextlib.suppress(OSError):  # the file is dropped, buffer and all
+                fh.close()
             os.unlink(tmp)
             raise
         staged.append((tmp, path))
@@ -336,7 +348,7 @@ def cmd_gyro(args):
         blocks = rows = gyro.read_rows(fh)
         try:
             config = IntegratorConfig(method=_resolve_method(args.method), step=args.h)
-            blocks = gyro.stream_gyro(rows, config, args.reference)
+            blocks = gyro.stream_gyro(rows, config, args.reference, np.eye(3))
             write(args.out, _csv_text(counted(blocks), args.reference))
         except _NUMERIC_ERRORS + _INPUT_ERRORS:
             # a run on the whole log meets the log's errors before those of

@@ -1,10 +1,9 @@
-"""Conservation meters and analysis oracles for matrix trajectories.
+"""Conservation meters and a closed-form forecast for matrix trajectories.
 
 The flow Q' = S*Q with skew-symmetric S conserves the energy trace(Q^T Q),
 the full Gram matrix Q^T Q, and det(Q).  The meters here measure how far a
-numerical trajectory drifts from those laws; the forecast and order
-estimators provide closed-form and asymptotic cross-checks that are
-independent of the stepping code they judge.
+numerical trajectory drifts from those laws; the RK2 energy forecast is a
+closed-form cross-check that is independent of the stepping code it judges.
 """
 
 from dataclasses import dataclass
@@ -15,10 +14,6 @@ import numpy as np
 from .linalg import STACK_ENTRIES, InputError, stack_rows
 
 Q0_ORTH_TOL = 1e-8
-
-
-class IndeterminateOrderError(ArithmeticError):
-    """All sampled errors sit at rounding level; no order can be fitted."""
 
 
 def _sum_squares(qs):
@@ -176,23 +171,6 @@ def require_orthogonal_start(q, what, override):
         )
 
 
-def det_drift(q, det0):
-    """Signed determinant drift det(q) - det0."""
-    return float(_dets(np.asarray(q, dtype=float)[None])[0]) - float(det0)
-
-
-def pseudo_symplectic_defect(phi, s):
-    """How far a transfer matrix is from satisfying phi^T S phi = S.
-
-    For one-step maps Q -> phi @ Q this measures (in Frobenius norm) the
-    violation of the two-form conservation that symplectic tableaus
-    guarantee.
-    """
-    p = np.asarray(phi, dtype=float)
-    m = s.mat
-    return float(np.linalg.norm(p.T @ m @ p - m))
-
-
 def rk2_energy_forecast(theta_sq, h, k, m=3):
     """Closed-form energy after k explicit-RK2 steps on a single-axis problem.
 
@@ -217,36 +195,3 @@ def rk2_energy_forecast(theta_sq, h, k, m=3):
         raise InputError("step count must be nonnegative")
     growth = 1.0 + (h**4) * theta_sq**2 / 4.0
     return (m - 2) + 2.0 * growth**k
-
-
-def convergence_order(method, s, q0, t_end, steps):
-    """Least-squares slope of log global error against log step size.
-
-    For each step size the problem is propagated from ``q0`` to ``t_end``
-    and the terminal state is compared (Frobenius norm) against the exact
-    flow ``exp((t_end - t0) S) @ q0``.  Raises
-    :class:`IndeterminateOrderError` when every error is at rounding level,
-    since a fit through noise would be meaningless.
-    """
-    from .integrators import IntegratorConfig, propagate
-    from .linalg import expm
-
-    steps = [float(h) for h in steps]
-    if len(steps) < 3:
-        raise InputError("need at least 3 step sizes for an order fit")
-    if any(h <= 0 for h in steps):
-        raise InputError("step sizes must be positive")
-
-    reference = expm(s, t_end - q0.t) @ q0.q
-    errors = []
-    for h in steps:
-        config = IntegratorConfig(method=method, step=h)
-        traj = propagate(config, s, q0, t_end, record_every=2**62)
-        errors.append(float(np.linalg.norm(traj.qs[-1] - reference)))
-
-    if max(errors) < 1e-14:
-        raise IndeterminateOrderError(
-            "all errors below 1e-14; order cannot be determined"
-        )
-    slope, _ = np.polyfit(np.log(steps), np.log(errors), 1)
-    return float(slope)

@@ -27,10 +27,9 @@ time read, is parsed in one ``np.loadtxt`` call; any other chunk goes to
 a line-by-line parser that gives the same samples wherever both succeed,
 and whose errors carry the physical line number.  :func:`stream_gyro`
 marches and meters each block of ``_BLOCK`` intervals as it arrives, from
-the states that end the block before and against the first record.  Its
-records are :func:`propagate_gyro`'s bit for bit, its errors are the ones
-propagate_gyro raises on the whole log, and it holds one block, not the
-log, so its memory does not grow with the log's length.
+the states that end the block before and against the starting state, and
+holds one block, not the log, so its memory does not grow with the log's
+length.  :func:`propagate_gyro` is that stream over a whole log in memory.
 """
 
 import functools
@@ -150,12 +149,10 @@ def _initial_state(log, q0, allow_nonorthogonal):
     return q0
 
 
-def _interval_maps(config, times, rates, counts=None):
-    # the map of each interval between consecutive samples of a block; the
-    # list counts, when given, is set to their step counts as Python ints
+def _interval_maps(config, counts, times, rates):
+    # the map of each interval of a block, and counts set to their step counts
     n, h_last = grid(times[:-1], times[1:], config.step)
-    if counts is not None:
-        counts[:] = n.tolist()
+    counts[:] = n.tolist()
     return one_step_map(config.method, hat_stack(rates[:-1]), config.step, n, h_last)
 
 
@@ -193,20 +190,17 @@ def propagate_gyro(log, config, q0=None, allow_nonorthogonal=False):
 
     ``q0`` defaults to the identity at the first sample time; a supplied
     starting attitude must be orthogonal to within ``Q0_ORTH_TOL`` unless
-    ``allow_nonorthogonal`` is set.
+    ``allow_nonorthogonal`` is set.  It runs :func:`stream_gyro` on the log
+    ``_BLOCK`` samples at a time and copies its blocks into one stack.
     """
     state = _initial_state(log, q0, allow_nonorthogonal)
-    h = config.step
-
-    # overflow surfaces as NonFiniteStateError, not as numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        qs = _march(state.q, log.times, log.rates, functools.partial(_interval_maps, config))
-
-    def steps_before(j):
-        # Python ints: the step counts of a long log can sum past 2**63
-        return sum(grid(log.times[:j], log.times[1 : j + 1], h)[0].tolist())
-
-    return metered(config, log.times, qs, steps_before)
+    chunks = (np.column_stack((log.times[a : a + _BLOCK], log.rates[a : a + _BLOCK]))
+              for a in range(0, len(log), _BLOCK))
+    qs, at = np.empty((len(log), 3, 3)), 0
+    for traj, _ in stream_gyro(chunks, config, False, state.q):
+        qs[at : at + len(traj)] = traj.qs
+        at += len(traj)
+    return Trajectory(traj.method, traj.step, log.times, qs)
 
 
 def reference_gyro(log, q0=None, allow_nonorthogonal=False):
@@ -312,24 +306,23 @@ def _blocks(tables):
         yield block(np.concatenate(held))
 
 
-def stream_gyro(tables, config, reference):
-    """:func:`propagate_gyro` of the log whose samples ``tables`` yields (see
-    :func:`read_rows`), as :func:`~skewflow.integrators.metered`
-    trajectories of its blocks of records, each with the block's
-    :func:`reference_gyro` states when ``reference`` is set (else None).
+def stream_gyro(tables, config, reference, q0):
+    """The records from the 3 x 3 state ``q0`` of the log whose samples
+    ``tables`` yields (see :func:`read_rows`), as
+    :func:`~skewflow.integrators.metered` trajectories of its blocks of
+    records, each with the block's :func:`reference_gyro` states when
+    ``reference`` is set (else None).
 
     Each block is marched on from the states that end the block before
-    and metered against the first record, so the blocks hold the whole
-    run's records bit for bit while only one block is held.  Its errors
-    are the ones propagate_gyro raises on the whole log, in the same
-    order: after an error the rest of ``tables`` is read, so that an error
-    in a later line comes first, and after a non-finite record the rest of
-    the maps are built, as propagate_gyro builds every map before it
-    meters a record.
+    and metered against ``q0``, so the blocks hold the whole run's records
+    bit for bit while only one block is held.  Every map is built before
+    a record is metered: after an error the rest of ``tables`` is read, so
+    that an error in a later line comes first, and after a non-finite
+    record the rest of the maps are built.
     """
     counts = []  # the step counts of the block's intervals
-    maps = functools.partial(_interval_maps, config, counts=counts)
-    q = q_ref = np.eye(3)
+    maps = functools.partial(_interval_maps, config, counts)
+    q = q_ref = q0
     # Python ints: the step counts of a long log can sum past 2**63
     origin, steps = None, 0
     blocks = _blocks(tables)
@@ -345,8 +338,9 @@ def stream_gyro(tables, config, reference):
             if refs is not None:
                 q_ref, refs = refs[-1], refs[first:]
             yield traj, refs
-            q, origin, steps = qs[-1], np.eye(3), steps + sum(counts)
+            q, origin, steps = qs[-1], q0, steps + sum(counts)
     except (ArithmeticError, ValueError) as exc:
+        # every map is built before a record is metered
         with np.errstate(over="ignore", invalid="ignore"):
             for times, rates in blocks:
                 if isinstance(exc, NonFiniteStateError):

@@ -219,22 +219,6 @@ def hat_stack(omegas):
     return m
 
 
-def vee(s):
-    """Inverse of :func:`hat`: extract the rate vector from a 3x3 skew matrix."""
-    if s.dim != 3:
-        raise InputError(f"vee is defined for dimension 3 only, got {s.dim}")
-    m = s.mat
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
-
-
-def apply_velocity(omega, x):
-    """Velocity of point ``x`` under angular rate ``omega``: hat(omega) @ x."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != (3,):
-        raise InputError(f"point must be a 3-vector, got shape {x.shape}")
-    return hat(omega).mat @ x
-
-
 def expm(s, t=1.0):
     """Exponential ``exp(t*S)`` of a skew-symmetric matrix: the exact flow.
 
@@ -266,7 +250,8 @@ def skew_function(x, w):
     share its work.  Up to dimension 3, k is 1 and y the angle th: ``x^3 =
     -th^2 x`` with ``th^2`` the sum of squares above the diagonal, so f(x)
     is Rodrigues' formula ``I + k1 x + k2 x^2`` with ``k1 = Im w(th) / th``
-    and ``k2 = (1 - Re w(th)) / th^2``, and ``th = 0`` gives I.  ``th^2``
+    and ``k2 = (1 - Re w(th)) / th^2``, and ``th = 0`` gives I; at
+    dimension 2, where ``x^2 = -th^2 I``, it is ``Re w(th) I + k1 x``.  ``th^2``
     is summed entry by entry, so each matrix of a stack rounds as it does
     alone.  Above dimension 3 the Hermitian ``i x`` has unitary
     eigenvectors U and real eigenvalues lam, one decomposition for each x
@@ -286,6 +271,9 @@ def skew_function(x, w):
     v = w(th)
     nonzero = th2 > 0
     k1 = v.imag / np.where(nonzero, th, 1.0)
+    if d == 2:
+        # x^2 = -th^2 I, so I + k2 x^2 is Re w I, without the cancelling 1 - (1 - Re w)
+        return v.real[..., None] * np.eye(2) + k1[..., None] * x
     k2 = (1.0 - v.real) / np.where(nonzero, th2, 1.0)
     return np.eye(d) + k1[..., None] * x + k2[..., None] * (x @ x)
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fmt17 import fmt17
 from .linalg import InputError, data_lines, line_floats
 
 C_CONSISTENCY_TOL = 1e-14
@@ -200,13 +199,3 @@ def parse_tableau(text):
         with np.errstate(over="ignore"):  # an infinite row sum is refused
             c = np.array(a).sum(axis=1)
     return ButcherTableau(a, b, c)
-
-
-def serialize_tableau(t):
-    """Render a tableau in the :func:`parse_tableau` format.
-
-    Numbers are written with 17 significant digits, so parsing the output
-    reproduces the coefficients bit for bit.
-    """
-    rows = [*t.a, t.b, t.c]
-    return "\n".join([str(t.stages)] + [" ".join(map(fmt17, row)) for row in rows]) + "\n"

@@ -50,6 +50,25 @@ def series_expm(x, dps=60, max_terms=2000):
         return np.array(acc.tolist(), dtype=float)
 
 
+
+def pseudo_symplectic_defect(phi, s):
+    """``||phi^T S phi - S||_F``: how far the one-step map ``Q -> phi @ Q`` is
+    from keeping the two-form of the SkewMatrix ``s``, as a symplectic
+    tableau's map does."""
+    return float(np.linalg.norm(phi.T @ s.mat @ phi - s.mat))
+
+
+def convergence_order(method, s, q0, t_end, steps):
+    """Least-squares slope of log global error against log step size: the last
+    state of ``propagate`` from the OrthogonalState ``q0`` at each step size,
+    against the series exponential of ``(t_end - t0) * S`` applied to it."""
+    from skewflow import IntegratorConfig, propagate
+
+    exact = series_expm((t_end - q0.t) * s.mat) @ q0.q
+    errors = [np.linalg.norm(propagate(IntegratorConfig(method, h), s, q0, t_end,
+                                       record_every=2**62).qs[-1] - exact) for h in steps]
+    return float(np.polyfit(np.log(steps), np.log(errors), 1)[0])
+
 def mp_meters(q, dps=40):
     """``(det q, ||q^T q - I||_F)`` of a float matrix as ``dps``-digit mpf values.
 

@@ -14,7 +14,9 @@ from conftest import (
     BENCH_STEP,
     BENCH_T_END,
     BENCH_THETA_SQ,
+    convergence_order,
     mp_rk2_energy,
+    pseudo_symplectic_defect,
     random_skew,
 )
 from skewflow import (
@@ -24,10 +26,8 @@ from skewflow import (
     SkewMatrix,
     adjoint_defect,
     builtin,
-    convergence_order,
     propagate,
     propagate_gyro,
-    pseudo_symplectic_defect,
     symplecticity,
     transfer_matrix,
 )

@@ -1,6 +1,8 @@
 import contextlib
+import errno
 import io
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -528,6 +530,37 @@ def test_a_run_that_does_not_fit_in_memory_exits_2(tmp_path):
     assert child.returncode == 2, child.stderr
     assert child.stderr.startswith("skewflow: out of memory")
     assert child.stderr.count("\n") == 1 and "Traceback" not in child.stderr
+    assert os.listdir(tmp_path) == []
+
+
+# a child that ignores SIGXFSZ and caps each file it writes at argv[1] bytes,
+# so that a write past the cap fails with EFBIG, then runs main on the rest
+FSIZE_CHILD = """
+import resource, signal, sys
+from skewflow.cli import main
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+soft = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_FSIZE, (soft if hard < 0 else min(soft, hard), hard))
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs RLIMIT_FSIZE")
+@pytest.mark.parametrize("cap, argv, path", [
+    # the 2 MB midpoint.csv fails in a write of its text
+    pytest.param(200 * 1024, ["benchmark", "--out", "."], "./midpoint.csv", id="write"),
+    # a CSV shorter than the text buffer fails only as it is closed
+    pytest.param(1000, ["propagate", "--method", "gauss2", "--omega", "0,0,1", "--h", "0.1",
+                        "--t-end", "3", "--out", "t.csv"], "t.csv", id="close"),
+])
+def test_a_write_past_the_file_size_limit_names_the_output(tmp_path, cap, argv, path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    child = subprocess.run([sys.executable, "-c", FSIZE_CHILD, str(cap), *argv], env=env,
+                           cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert (child.returncode, child.stderr) == (
+        2, f"skewflow: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: {path!r}\n")
     assert os.listdir(tmp_path) == []
 
 

@@ -15,7 +15,7 @@ from skewflow import (
     IntegratorConfig,
     NonFiniteStateError,
     OrthogonalState,
-    det_drift,
+    Trajectory,
     expm,
     hat,
     orthogonality_defect,
@@ -25,6 +25,7 @@ from skewflow import (
     reference_gyro,
 )
 from skewflow import gyro
+from skewflow.diagnostics import _dets
 from skewflow.gyro import GYRO_HEADER, _BLOCK, _blocks, read_rows
 
 CONSTANT_LOG = "t,wx,wy,wz\n0,0,0,1\n1,0,0,1\n"
@@ -438,6 +439,26 @@ class TestPropagateGyro:
         assert traj.energies[0] == pytest.approx(3.0, abs=1e-12)
 
 
+class TestStreamGyro:
+    def test_every_block_is_metered_against_q0(self):
+        # q0 is neither I nor orthogonal, so a later block metered against I
+        # gives energy errors about 9 off and det drifts about 7 off
+        rng = np.random.default_rng(31)
+        samples = 2 * _BLOCK + 1
+        table = np.column_stack([np.cumsum(rng.uniform(0.5, 1.5, samples)) * 0.01,
+                                 rng.uniform(-2.0, 2.0, (samples, 3))])
+        q0 = 2.0 * random_orthogonal(rng, 3)
+        config = IntegratorConfig(method="cayley-midpoint", step=0.004)
+        blocks = [traj for traj, _ in gyro.stream_gyro([table], config, False, q0)]
+        assert len(blocks) == 2
+        qs = np.concatenate([traj.qs for traj in blocks])
+        assert_array_equal(qs[0], q0)
+        whole = Trajectory("whole", 0.004, table[:, 0], qs)
+        for column in ("energy_errors", "det_drifts"):
+            assert_array_equal(np.concatenate([getattr(traj, column) for traj in blocks]),
+                               getattr(whole, column))
+
+
 class TestReferenceGyro:
     def test_zero_rates_hold_attitude(self):
         traj = reference_gyro(constant_rate_log([0.0, 0.0, 0.0], 3.0, n=4))
@@ -465,8 +486,8 @@ class TestReferenceGyro:
         assert defects is traj.orth_defects
         assert not defects.flags.writeable and not traj.det_drifts.flags.writeable
         assert_array_equal(defects, [orthogonality_defect(q) for q in traj.qs])
-        det0 = det_drift(traj.qs[0], 0.0)
-        assert_array_equal(traj.det_drifts, [det_drift(q, det0) for q in traj.qs])
+        det0 = _dets(traj.qs[:1])[0]
+        assert_array_equal(traj.det_drifts, [_dets(q[None])[0] - det0 for q in traj.qs])
         assert np.max(defects) <= 1e-13 and np.max(np.abs(traj.det_drifts)) <= 1e-13
 
     def test_matches_composed_exponentials(self):

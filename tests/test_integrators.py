@@ -8,7 +8,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import BENCH_MAT, BENCH_RATE, random_orthogonal, random_skew
+from conftest import (
+    BENCH_MAT, BENCH_RATE, pseudo_symplectic_defect, random_orthogonal, random_skew,
+)
 from skewflow import (
     BUILTIN_NAMES,
     CLOSED_FORM_METHODS,
@@ -676,8 +678,6 @@ class TestConservation:
             assert np.linalg.norm(gram1 - gram0) <= 1e-12 * np.linalg.norm(gram0)
 
     def test_transfer_two_form_identity_for_symplectic_methods(self):
-        from skewflow import pseudo_symplectic_defect
-
         rng = np.random.default_rng(13)
         for _ in range(60):
             dim = int(rng.integers(2, 7))
@@ -689,8 +689,6 @@ class TestConservation:
                 assert pseudo_symplectic_defect(phi, s) <= 1e-12 * s_norm
 
     def test_rk2_two_form_defect_hand_value(self):
-        from skewflow import pseudo_symplectic_defect
-
         phi = transfer_matrix("rk2-closed", QUARTER, 1.0)
         expected = 0.25 * np.linalg.norm(QUARTER.mat)
         assert pseudo_symplectic_defect(phi, QUARTER) == pytest.approx(expected, abs=1e-15)

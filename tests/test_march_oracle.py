@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_skew
@@ -236,6 +236,10 @@ def test_a_gyro_run_resumed_at_a_block_boundary_is_the_same_bits(name):
     short=st.floats(0.0, 0.9),
     stride=st.integers(1, 10),
 )
+# a map that contracts: rk4-classical at y = 1.5 shrinks the state to 2.7e-4
+# of its norm, where a Rodrigues form that cancels 1 - (1 - Re w) loses
+# its relative accuracy
+@example(dim=2, rate=3.0, h=0.5, steps=149, short=0.22647358130571407, stride=1)
 def test_dims_1_and_2_match_the_per_step_oracle_and_expm(name, dim, rate, h, steps, short,
                                                          stride):
     # S = 0, and in dimension 2 the generator of plane rotations at any rate;

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from skewflow import tableaus
@@ -12,7 +10,6 @@ from skewflow import (
     TableauParseError,
     builtin,
     parse_tableau,
-    serialize_tableau,
     symplecticity,
 )
 
@@ -246,25 +243,3 @@ class TestParsing:
     def test_validation_failure_propagates(self):
         with pytest.raises(TableauError, match="row 1"):
             parse_tableau("1\n0.5\n1\n0.3\n")
-
-    @pytest.mark.parametrize("name", BUILTIN_NAMES)
-    def test_serialize_parse_roundtrip_is_exact(self, name):
-        t = builtin(name)
-        back = parse_tableau(serialize_tableau(t))
-        assert_array_equal(back.a, t.a)
-        assert_array_equal(back.b, t.b)
-        assert_array_equal(back.c, t.c)
-
-    @given(
-        st.integers(min_value=1, max_value=4),
-        st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    def test_roundtrip_on_random_tableaus(self, stages, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.uniform(-2.0, 2.0, size=(stages, stages))
-        b = rng.uniform(-1.0, 1.0, size=stages)
-        t = ButcherTableau(a, b, a.sum(axis=1))
-        back = parse_tableau(serialize_tableau(t))
-        assert_array_equal(back.a, t.a)
-        assert_array_equal(back.b, t.b)
-        assert_array_equal(back.c, t.c)

@@ -18,7 +18,7 @@ import numpy as np
 import skewflow.cli as cli
 from skewflow import (
     BUILTIN_NAMES, IntegratorConfig, OrthogonalState, SkewMatrix, Trajectory, builtin, hat,
-    propagate,
+    parse_gyro_csv, propagate, propagate_gyro,
 )
 from skewflow._fmt17 import format_rows
 from skewflow.gyro import _READ_SIZE, read_rows, stream_gyro
@@ -164,10 +164,20 @@ timed("benchmark.csv", lambda _: ["".join(cli._trajectory_csv(t)) for t in runs]
       on + ": the CSV text of both")
 # the blocks that cmd_gyro hands to the CSV writer, each a part of the text
 parts = list(stream_gyro(read_rows(io.StringIO("t,wx,wy,wz\n" + "".join(lines))),
-                         IntegratorConfig("cayley-midpoint", 0.0025), True))
+                         IntegratorConfig("cayley-midpoint", 0.0025), True, np.eye(3)))
 timed("csv.gyro.streamed", lambda _: "".join(cli._csv_text(parts, True)), 1e3, "ms",
       "the CSV text of the streamed blocks of gyro --reference on the seeded 10^4-sample log, "
       "cayley-midpoint, h = 0.0025")
+log = parse_gyro_csv("t,wx,wy,wz\n" + "".join(lines))
+
+
+def whole_log(_):
+    traj = propagate_gyro(log, IntegratorConfig("cayley-midpoint", 0.0025))
+    return traj.energy_errors, traj.det_drifts, traj.orth_defects
+
+
+timed("gyro.propagate_gyro", whole_log, 1e3, "ms", "the whole-log library call on the seeded "
+      "10^4-sample log, cayley-midpoint, h = 0.0025, its meters read")
 row("benchmark.midpoint.max_orth_defect", np.max(runs[0].orth_defects), "1",
     on + ": summary.txt's midpoint.max_orth_defect")
 # an S an ulp off skew takes the general path, whose record table is one
