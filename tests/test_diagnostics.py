@@ -76,6 +76,15 @@ class TestOrthogonalityDefect:
 
 
 class TestDetDrift:
+    def test_identity(self):
+        traj = Trajectory("x", 1.0, np.arange(2.0), np.stack([np.eye(3)] * 2))
+        assert_array_equal(traj.det_drifts, [0.0, 0.0])
+
+    def test_rk2_transfer(self):
+        qs = np.stack([np.eye(2), np.array([[0.5, 1.0], [-1.0, 0.5]])])
+        traj = Trajectory("x", 1.0, np.arange(2.0), qs)
+        assert traj.det_drifts[1] == pytest.approx(0.25, abs=1e-15)
+
     def test_cayley_transfer_drift_at_rounding_level(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
@@ -85,6 +94,9 @@ class TestDetDrift:
 
 
 class TestPseudoSymplecticDefect:
+    def test_identity_transfer(self):
+        assert pseudo_symplectic_defect(np.eye(3), BENCH) == 0.0
+
     def test_cayley_transfer(self):
         phi = transfer_matrix("cayley-midpoint", BENCH, 0.3)
         assert pseudo_symplectic_defect(phi, BENCH) <= 1e-12 * np.linalg.norm(BENCH.mat)
@@ -205,6 +217,14 @@ class TestConvergenceOrder:
             builtin("gauss2"), BENCH, OrthogonalState(np.eye(3), 0.0), 10.0, self.H_SET
         )
         assert slope == pytest.approx(4.0, abs=0.2)
+
+    def test_zero_field_is_indeterminate(self):
+        # every step size lands on q0 exactly: no error to fit an order to
+        q0 = OrthogonalState(np.eye(3), 0.0)
+        for h in self.H_SET:
+            traj = propagate(IntegratorConfig("rk2-closed", h), SkewMatrix(np.zeros((3, 3))),
+                             q0, 10.0, record_every=2**62)
+            assert_array_equal(traj.qs[-1], np.eye(3))
 
 
 class TestNonSkewEnergyLeak:

@@ -459,6 +459,20 @@ class TestStreamGyro:
                                getattr(whole, column))
 
 
+    @pytest.mark.parametrize("samples", [2, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+    def test_propagate_gyro_is_the_stream_of_its_log(self, samples):
+        # propagate_gyro feeds the stream _BLOCK samples at a time; its records
+        # are the stream's over the whole log in one table, bit for bit
+        rng = np.random.default_rng(samples)
+        table = np.column_stack([np.cumsum(rng.uniform(0.5, 1.5, samples)) * 0.01,
+                                 rng.uniform(-2.0, 2.0, (samples, 3))])
+        config = IntegratorConfig(method="cayley-midpoint", step=0.004)
+        blocks = [traj for traj, _ in gyro.stream_gyro([table], config, False, np.eye(3))]
+        traj = propagate_gyro(GyroLog(table[:, 0], table[:, 1:]), config)
+        assert_array_equal(traj.times, table[:, 0])
+        assert_array_equal(traj.qs, np.concatenate([b.qs for b in blocks]))
+
+
 class TestReferenceGyro:
     def test_zero_rates_hold_attitude(self):
         traj = reference_gyro(constant_rate_log([0.0, 0.0, 0.0], 3.0, n=4))

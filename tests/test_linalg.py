@@ -31,6 +31,12 @@ finite_rates = st.lists(
 )
 
 
+def vee(s):
+    # the rate vector in the slots of hat's cross-product layout
+    m = s.mat
+    return np.array([m[2, 1], m[0, 2], m[1, 0]])
+
+
 class TestHatVee:
     def test_hat_benchmark_rate(self):
         assert_array_equal(hat(BENCH_RATE).mat, BENCH_MAT)
@@ -49,6 +55,16 @@ class TestHatVee:
     def test_hat_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
             hat([np.nan, 0.0, 0.0])
+
+    def test_vee_zero(self):
+        assert_array_equal(vee(SkewMatrix(np.zeros((3, 3)))), np.zeros(3))
+
+    def test_vee_benchmark_matrix(self):
+        assert_array_equal(vee(SkewMatrix(BENCH_MAT)), BENCH_RATE)
+
+    @given(finite_rates)
+    def test_vee_hat_roundtrip_is_exact(self, omega):
+        assert_array_equal(vee(hat(omega)), np.asarray(omega))
 
 
 class TestSkewGate:

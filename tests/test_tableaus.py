@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from skewflow import tableaus
@@ -243,3 +245,32 @@ class TestParsing:
     def test_validation_failure_propagates(self):
         with pytest.raises(TableauError, match="row 1"):
             parse_tableau("1\n0.5\n1\n0.3\n")
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_serialize_parse_roundtrip_is_exact(self, name):
+        t = builtin(name)
+        back = parse_tableau(serialize_tableau(t))
+        assert_array_equal(back.a, t.a)
+        assert_array_equal(back.b, t.b)
+        assert_array_equal(back.c, t.c)
+
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_roundtrip_on_random_tableaus(self, stages, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-2.0, 2.0, size=(stages, stages))
+        b = rng.uniform(-1.0, 1.0, size=stages)
+        t = ButcherTableau(a, b, a.sum(axis=1))
+        back = parse_tableau(serialize_tableau(t))
+        assert_array_equal(back.a, t.a)
+        assert_array_equal(back.b, t.b)
+        assert_array_equal(back.c, t.c)
+
+
+def serialize_tableau(t):
+    # the parse_tableau format with 17 significant digits, which read back
+    # bit for bit
+    rows = [*t.a, t.b, t.c]
+    return "\n".join([str(t.stages)] + [" ".join("%.17g" % x for x in row) for row in rows]) + "\n"
